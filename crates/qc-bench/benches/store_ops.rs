@@ -459,45 +459,39 @@ fn bench_wal_overhead(c: &mut Criterion) {
 
 const GROUP_OPS_PER_THREAD: usize = 32;
 
-/// The group-commit acceptance axis: N concurrent durable writers under
-/// `PerFrame`, leader-based group commit (`group`, the default) vs the
-/// pre-split per-writer-fsync discipline (`per_writer`, pinned via
-/// `wal_group_commit(false)`). Every op is a single-element durable
-/// update — one ack ⇒ one covered LSN — so at 1 thread the two series
-/// must sit together (one append, one fsync either way), while at 4
-/// threads the group series shares each ~170 µs fsync across all
-/// writers and must pull multiples ahead of the serialized baseline.
+/// The group-commit axis: N concurrent durable writers under `PerFrame`
+/// sharing fsyncs through leader-based group commit. Every op is a
+/// single-element durable update — one ack ⇒ one covered LSN — so at 1
+/// thread an op costs one append plus one ~170 µs fsync, while at 4
+/// threads each fsync is shared across all writers and the per-op cost
+/// must fall by multiples (3.5× against the retired per-writer-fsync
+/// discipline when that was last measured beside it; see CHANGES.md,
+/// PR 10).
 fn bench_wal_group_commit(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         let mut group = c.benchmark_group(format!("store_wal_group_{threads}_threads"));
         group.sample_size(10);
         group.throughput(Throughput::Elements((threads * GROUP_OPS_PER_THREAD) as u64));
-        for (name, grouped) in [("group", true), ("per_writer", false)] {
-            group.bench_function(name, |bencher| {
-                let dir = qc_workloads::TempDir::new("bench-wal-group");
-                let config = cfg(4, 101)
-                    .data_dir(dir.path())
-                    .fsync(qc_store::FsyncPolicy::PerFrame)
-                    .wal_group_commit(grouped);
-                let store = SketchStore::<f64>::recover(config).expect("fresh data dir").0;
-                bencher.iter(|| {
-                    std::thread::scope(|s| {
-                        for t in 0..threads {
-                            let store = &store;
-                            s.spawn(move || {
-                                let mut gen =
-                                    StreamGen::new(Distribution::Uniform, 0x9a + t as u64);
-                                let key = format!("writer-{t}");
-                                for _ in 0..GROUP_OPS_PER_THREAD {
-                                    store.update(&key, gen.next_f64());
-                                }
-                            });
-                        }
-                    });
-                    black_box(store.stats().updates)
+        group.bench_function("group", |bencher| {
+            let dir = qc_workloads::TempDir::new("bench-wal-group");
+            let config = cfg(4, 101).data_dir(dir.path()).fsync(qc_store::FsyncPolicy::PerFrame);
+            let store = SketchStore::<f64>::recover(config).expect("fresh data dir").0;
+            bencher.iter(|| {
+                std::thread::scope(|s| {
+                    for t in 0..threads {
+                        let store = &store;
+                        s.spawn(move || {
+                            let mut gen = StreamGen::new(Distribution::Uniform, 0x9a + t as u64);
+                            let key = format!("writer-{t}");
+                            for _ in 0..GROUP_OPS_PER_THREAD {
+                                store.update(&key, gen.next_f64());
+                            }
+                        });
+                    }
                 });
+                black_box(store.stats().updates)
             });
-        }
+        });
         group.finish();
     }
 }

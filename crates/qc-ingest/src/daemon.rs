@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qc_store::{SketchStore, WriterLease};
+use qc_store::{LeaseCache, SketchStore};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, Registry};
 
 use crate::breaker::{Admit, BreakerConfig, CircuitBreaker, Transition};
@@ -428,85 +428,19 @@ fn socket_loop(
     }
 }
 
-/// A cached lease goes back to the store's pool after sitting unused for
-/// this many processed datagrams.
-const LEASE_IDLE_DATAGRAMS: u64 = 4096;
-
-/// Datagrams between idle-lease sweeps.
-const LEASE_SWEEP_INTERVAL: u64 = 512;
-
-/// Per-processor writer leases, one per recently written key — the same
-/// per-thread-handle discipline as the TCP connection loop, so N
-/// processors hammering one hot key synchronize inside the sketch
-/// (Gather&Sort/DCAS), not on a store mutex.
-///
-/// On a durable store, each leased write blocks (lock free) until its
-/// log record is group-committed — all processors draining concurrently
-/// share fsyncs through the store's commit sequencer, so durable ingest
-/// throughput scales with group size rather than paying one disk flush
-/// per drained batch.
-struct ProcLeases {
-    leases: HashMap<String, (WriterLease<f64>, u64)>,
-    datagrams: u64,
-}
-
-impl ProcLeases {
-    fn new() -> Self {
-        ProcLeases { leases: HashMap::new(), datagrams: 0 }
-    }
-
-    fn write(&mut self, store: &SketchStore, key: &str, values: &[f64]) {
-        if let Some((lease, used)) = self.leases.get_mut(key) {
-            match store.update_many_leased(key, lease, values) {
-                Ok(()) => {
-                    *used = self.datagrams;
-                    return;
-                }
-                // Removed, demoted, or re-created since minting; the
-                // rejected lease holds no weight.
-                Err(qc_store::StaleLease) => {
-                    self.leases.remove(key);
-                }
-            }
-        }
-        store.update_many(key, values);
-        if let Some(lease) = store.lease_writer(key) {
-            self.leases.insert(key.to_owned(), (lease, self.datagrams));
-        }
-    }
-
-    fn tick(&mut self, store: &SketchStore) {
-        self.datagrams += 1;
-        if !self.datagrams.is_multiple_of(LEASE_SWEEP_INTERVAL) {
-            return;
-        }
-        let now = self.datagrams;
-        let idle: Vec<String> = self
-            .leases
-            .iter()
-            .filter(|(_, (_, used))| now.saturating_sub(*used) > LEASE_IDLE_DATAGRAMS)
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in idle {
-            if let Some((lease, _)) = self.leases.remove(&key) {
-                store.return_lease(&key, lease);
-            }
-        }
-    }
-
-    fn release_all(&mut self, store: &SketchStore) {
-        for (key, (lease, _)) in self.leases.drain() {
-            store.return_lease(&key, lease);
-        }
-    }
-}
-
 fn processor_loop(
     queue: &BoundedQueue<Vec<u8>>,
     store: &SketchStore,
     instruments: &IngestInstruments,
 ) {
-    let mut leases = ProcLeases::new();
+    // Per-processor writer leases, one per recently written key — the
+    // same per-thread-handle discipline as the TCP connection loop. On a
+    // durable store each leased write blocks (lock free) until its log
+    // record is group-committed: all processors draining concurrently
+    // share fsyncs through the store's commit sequencer, so durable
+    // ingest throughput scales with group size rather than paying one
+    // disk flush per drained batch.
+    let mut leases = LeaseCache::default();
     while let Some(datagram) = queue.pop() {
         instruments.queue_depth.dec();
         let start = Instant::now();
@@ -529,7 +463,6 @@ fn processor_loop(
             }
         }
         instruments.batch_seconds.record_duration(start.elapsed());
-        leases.tick(store);
+        leases.tick();
     }
-    leases.release_all(store);
 }

@@ -42,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qc_store::{SketchStore, StoreConfig, WriterLease};
+use qc_store::{LeaseCache, SketchStore, StoreConfig};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, Registry};
 
 use crate::pool::ThreadPool;
@@ -596,86 +596,24 @@ fn handle_connection(
     instruments.registry.event(EventKind::ConnClose, format!("peer={peer} outcome={outcome:?}"));
 }
 
-/// A cached lease is evicted (and returned to the store's pool) once this
-/// many frames pass without the connection writing to its key — a
-/// connection that drifts across many keys must not pin a pool slot on
-/// every one of them forever.
-pub const LEASE_IDLE_FRAMES: u64 = 4096;
+/// A connection's cached writer lease is evicted (and returned to the
+/// store's pool) once this many frames pass without the connection
+/// writing to its key (the store's [`qc_store::LEASE_IDLE_TICKS`], with
+/// one tick per frame).
+pub use qc_store::LEASE_IDLE_TICKS as LEASE_IDLE_FRAMES;
 
-/// Frames between idle-lease sweeps of a connection's cache.
-const LEASE_SWEEP_INTERVAL: u64 = 512;
-
-/// A connection's writer leases: one per recently written key, tagged
-/// with the frame number of its last use.
-struct ConnLeases {
-    leases: HashMap<String, (WriterLease<f64>, u64)>,
-    frame: u64,
-}
-
-impl ConnLeases {
-    fn new() -> Self {
-        ConnLeases { leases: HashMap::new(), frame: 0 }
-    }
-
-    /// Write a batch for `key`, through the cached lease when it is still
-    /// valid, else through the store's own two-tier path — acquiring a
-    /// lease for next time when the key's engine hands one out.
-    fn write(
-        &mut self,
-        store: &SketchStore,
-        instruments: &ServerInstruments,
-        key: String,
-        values: &[f64],
-    ) {
-        if let Some((lease, used)) = self.leases.get_mut(&key) {
-            match store.update_many_leased(&key, lease, values) {
-                Ok(()) => {
-                    *used = self.frame;
-                    return;
-                }
-                // The key was removed, demoted, or re-created since the
-                // lease was minted. The rejected lease holds no weight —
-                // drop it and fall through to the normal path.
-                Err(qc_store::StaleLease) => {
-                    self.leases.remove(&key);
-                    instruments.lease_fallbacks.incr();
-                    instruments.registry.event(EventKind::LeaseFallback, format!("key={key}"));
-                }
-            }
-        }
-        store.update_many(&key, values);
-        if let Some(lease) = store.lease_writer(&key) {
-            let frame = self.frame;
-            self.leases.insert(key, (lease, frame));
-        }
-    }
-
-    /// Per-frame bookkeeping: every `LEASE_SWEEP_INTERVAL` frames, return
-    /// leases that sat idle past `LEASE_IDLE_FRAMES` to the store.
-    fn tick(&mut self, store: &SketchStore) {
-        self.frame += 1;
-        if !self.frame.is_multiple_of(LEASE_SWEEP_INTERVAL) {
-            return;
-        }
-        let frame = self.frame;
-        let idle: Vec<String> = self
-            .leases
-            .iter()
-            .filter(|(_, (_, used))| frame.saturating_sub(*used) > LEASE_IDLE_FRAMES)
-            .map(|(key, _)| key.clone())
-            .collect();
-        for key in idle {
-            if let Some((lease, _)) = self.leases.remove(&key) {
-                store.return_lease(&key, lease);
-            }
-        }
-    }
-
-    /// Hand every lease back to the store's pools (connection teardown).
-    fn release_all(&mut self, store: &SketchStore) {
-        for (key, (lease, _)) in self.leases.drain() {
-            store.return_lease(&key, lease);
-        }
+/// Write a batch through the connection's lease cache, counting a
+/// stale-lease fallback (the write itself always lands).
+fn leased_write(
+    store: &SketchStore,
+    leases: &mut LeaseCache,
+    instruments: &ServerInstruments,
+    key: &str,
+    values: &[f64],
+) {
+    if leases.write(store, key, values) {
+        instruments.lease_fallbacks.incr();
+        instruments.registry.event(EventKind::LeaseFallback, format!("key={key}"));
     }
 }
 
@@ -692,7 +630,7 @@ fn serve_frames(
     // stream itself plus the registry clone `stop` severs).
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
-    let mut leases = ConnLeases::new();
+    let mut leases = LeaseCache::default();
     let outcome = loop {
         if shutdown.load(Ordering::Relaxed) {
             break ConnOutcome::Shutdown;
@@ -749,17 +687,15 @@ fn serve_frames(
                 response
             }
         };
-        leases.tick(store);
+        leases.tick();
         if write_frame(&mut writer, &response.encode()).is_err() || writer.flush().is_err() {
             instruments.io_errors.incr();
             instruments.registry.event(EventKind::IoError, format!("peer={peer} response write"));
             break ConnOutcome::IoError;
         }
     };
-    // Give the held writer handles back to the store's per-key pools so
-    // other connections can reuse them (a dropped lease would strand its
-    // pool slot until the next housekeeping sweep).
-    leases.release_all(store);
+    // Dropping `leases` here gives the held writer handles back to the
+    // store's per-key pools, so other connections can reuse them.
     outcome
 }
 
@@ -767,7 +703,7 @@ fn execute(
     store: &SketchStore,
     req: Request,
     shutdown: &AtomicBool,
-    leases: &mut ConnLeases,
+    leases: &mut LeaseCache,
     instruments: &ServerInstruments,
 ) -> Response {
     if shutdown.load(Ordering::Relaxed) {
@@ -778,11 +714,11 @@ fn execute(
     }
     match req {
         Request::Update { key, value } => {
-            leases.write(store, instruments, key, &[value]);
+            leased_write(store, leases, instruments, &key, &[value]);
             Response::Ok
         }
         Request::UpdateMany { key, values } => {
-            leases.write(store, instruments, key, &values);
+            leased_write(store, leases, instruments, &key, &values);
             Response::Ok
         }
         Request::Query { key, phi } => Response::MaybeValue(store.query(&key, phi)),
@@ -792,7 +728,7 @@ fn execute(
         Request::Remove { key } => {
             // The generation check would reject the lease anyway; dropping
             // it promptly frees its pool slot (it holds no weight).
-            leases.leases.remove(&key);
+            leases.forget(&key);
             Response::Flag(store.remove(&key))
         }
         Request::Keys => Response::Keys(store.keys()),

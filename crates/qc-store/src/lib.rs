@@ -23,6 +23,10 @@
 //!   update/query, snapshot/ingest through the wire format, and cross-key
 //!   merged queries. Generic over element type and engine;
 //!   `SketchStore` with default parameters is the `f64` tiered store;
+//! * [`lease`] — [`lease::LeaseCache`]: the per-thread cache of writer
+//!   leases a long-lived writer (a connection, an ingest processor)
+//!   holds so its repeated batches to hot keys ride the shared-lock
+//!   path through one handle;
 //! * [`persist`] — the restart-safety layer: an append-only segment log
 //!   of every mutation plus checkpoint compaction, replayed by
 //!   [`store::SketchStore::recover`] with typed, clean-prefix handling
@@ -61,6 +65,7 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+pub mod lease;
 pub mod merge;
 pub mod persist;
 pub mod store;
@@ -68,6 +73,7 @@ pub mod window;
 pub mod wire;
 
 pub use engine::{ConcurrentEngine, SequentialEngine, StoreEngine, Tier, TieredEngine};
+pub use lease::{LeaseCache, LEASE_IDLE_TICKS};
 pub use merge::merge_summaries;
 pub use persist::{
     CheckpointError, CheckpointStats, FsyncPolicy, PersistError, RecordError, RecoveryReport,

@@ -57,12 +57,13 @@
 //!
 //! # Versioning
 //!
-//! Version 2 (current) added the window id to update-batch bodies and
-//! the windowed fields to checkpoint entries. Version-1 files decode
-//! with every update assigned to **window 0** and checkpoint entries
-//! carrying no sealed windows — exactly the state an unwindowed store
-//! produced, so old logs replay byte-for-byte into the same summaries.
-//! Writers always emit the current version.
+//! Version 2 only: the layout above, with the window id in update-batch
+//! bodies and the windowed fields in checkpoint entries (an unwindowed
+//! store writes window 0 and no sealed windows). Writers emit exactly
+//! [`PERSIST_VERSION`] and readers accept exactly it — any other header
+//! version is a typed [`RecordError::UnsupportedVersion`], never a
+//! best-effort decode. (Version 1, the pre-window layout, was never
+//! written by a released build.)
 //!
 //! # Durability guarantee
 //!
@@ -95,9 +96,8 @@ pub const SEGMENT_MAGIC: [u8; 4] = *b"QCWL";
 /// First four bytes of every checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"QCCP";
 
-/// On-disk format version for both file kinds. Version 2 added the
-/// window id to update records and windowed state to checkpoint
-/// entries; version-1 files still decode (into window 0).
+/// On-disk format version for both file kinds — the only one this
+/// build reads or writes.
 pub const PERSIST_VERSION: u16 = 2;
 
 /// Fixed file header length (magic + version + flags).
@@ -177,11 +177,11 @@ pub enum RecordError {
         /// The leading bytes found (zero-padded when the file is shorter).
         found: [u8; 4],
     },
-    /// File-format version newer than this build understands.
+    /// File-format version other than the one this build reads.
     UnsupportedVersion {
         /// Version in the header.
         found: u16,
-        /// Highest version this build decodes.
+        /// The version this build decodes ([`PERSIST_VERSION`]).
         supported: u16,
     },
     /// Reserved header flag bits were set.
@@ -236,7 +236,7 @@ impl std::fmt::Display for RecordError {
         match self {
             RecordError::BadFileHeader { found } => write!(f, "bad file header {found:02x?}"),
             RecordError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported persist version {found} (supported <= {supported})")
+                write!(f, "unsupported persist version {found} (this build reads only {supported})")
             }
             RecordError::ReservedFlags { found } => {
                 write!(f, "reserved persist flags set: {found:#06x}")
@@ -315,7 +315,7 @@ pub enum RecordOp {
         /// ([`qc_common::bits::OrderedBits`]).
         value_bits: Vec<u64>,
         /// Level-0 window id the batch belongs to (`0` for unwindowed
-        /// stores and for records decoded from version-1 files).
+        /// stores).
         window: u64,
     },
     /// A remote summary frame ingested into one key.
@@ -383,14 +383,13 @@ pub struct CheckpointEntry {
     /// The key's last-applied LSN at checkpoint time: replay skips this
     /// key's records with `lsn <=` this value.
     pub lsn: u64,
-    /// Level-0 id of the key's active window (`0` when unwindowed or
-    /// decoded from a version-1 file).
+    /// Level-0 id of the key's active window (`0` when unwindowed).
     pub active_wid: u64,
     /// The key's watermark — highest level-0 id seen (`0` when
-    /// unwindowed or version-1).
+    /// unwindowed).
     pub watermark: u64,
     /// Sealed windows as `(start id, level, summary frame)`, ascending
-    /// by start. Empty when unwindowed or version-1.
+    /// by start. Empty when unwindowed.
     pub sealed: Vec<(u64, u8, Vec<u8>)>,
     /// The active window's summary as a verbatim [`crate::wire`] frame.
     pub summary: Vec<u8>,
@@ -508,9 +507,9 @@ fn encode_record(lsn: u64, op: &WalOpRef<'_>) -> Vec<u8> {
     out
 }
 
-/// Validate an 8-byte file header in `bytes` against `magic`, returning
-/// the file's format version (decoding is version-aware downstream).
-fn check_header(bytes: &[u8], magic: [u8; 4]) -> Result<u16, RecordError> {
+/// Validate an 8-byte file header in `bytes` against `magic` and the one
+/// supported format version.
+fn check_header(bytes: &[u8], magic: [u8; 4]) -> Result<(), RecordError> {
     if bytes.len() < FILE_HEADER_LEN || bytes[0..4] != magic {
         let mut found = [0u8; 4];
         for (i, b) in bytes.iter().take(4).enumerate() {
@@ -519,14 +518,14 @@ fn check_header(bytes: &[u8], magic: [u8; 4]) -> Result<u16, RecordError> {
         return Err(RecordError::BadFileHeader { found });
     }
     let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version == 0 || version > PERSIST_VERSION {
+    if version != PERSIST_VERSION {
         return Err(RecordError::UnsupportedVersion { found: version, supported: PERSIST_VERSION });
     }
     let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
     if flags != 0 {
         return Err(RecordError::ReservedFlags { found: flags });
     }
-    Ok(version)
+    Ok(())
 }
 
 fn file_header(magic: [u8; 4]) -> [u8; FILE_HEADER_LEN] {
@@ -599,21 +598,14 @@ fn decode_body_prefix(body: &[u8], offset: usize) -> Result<(u64, String, usize)
     Ok((lsn, key.to_string(), key_end))
 }
 
-fn decode_record(body: &[u8], offset: usize, version: u16) -> Result<WalRecord, RecordError> {
+fn decode_record(body: &[u8], offset: usize) -> Result<WalRecord, RecordError> {
     let Some((&opcode, rest)) = body.split_first() else {
         return Err(malformed(offset, WireError::Truncated { needed: 1, have: 0 }));
     };
     let (lsn, key, mut pos) = decode_body_prefix(rest, offset)?;
     let op = match opcode {
         OP_UPDATE_MANY => {
-            // Version 1 predates windowing: those batches belong to
-            // window 0, which is exactly where an unwindowed store puts
-            // everything.
-            let window = if version >= 2 {
-                get_varint(rest, &mut pos).map_err(|e| malformed(offset, e))?
-            } else {
-                0
-            };
+            let window = get_varint(rest, &mut pos).map_err(|e| malformed(offset, e))?;
             let count = get_varint(rest, &mut pos).map_err(|e| malformed(offset, e))?;
             let remaining = rest.len() - pos;
             if count.checked_mul(8) != Some(remaining as u64) {
@@ -660,18 +652,15 @@ fn decode_record(body: &[u8], offset: usize, version: u16) -> Result<WalRecord, 
 /// error or a clean end. All allocations are bounded by `bytes.len()`.
 pub fn parse_segment(bytes: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan::default();
-    let version = match check_header(bytes, SEGMENT_MAGIC) {
-        Ok(v) => v,
-        Err(e) => {
-            scan.error = Some((0, e));
-            return scan;
-        }
-    };
+    if let Err(e) = check_header(bytes, SEGMENT_MAGIC) {
+        scan.error = Some((0, e));
+        return scan;
+    }
     let mut pos = FILE_HEADER_LEN;
     loop {
         match next_frame(bytes, pos) {
             Ok(None) => return scan,
-            Ok(Some((body, end))) => match decode_record(&bytes[body], pos, version) {
+            Ok(Some((body, end))) => match decode_record(&bytes[body], pos) {
                 Ok(record) => {
                     scan.records.push(ParsedRecord { record, start: pos, end });
                     pos = end;
@@ -693,7 +682,7 @@ pub fn parse_segment(bytes: &[u8]) -> SegmentScan {
 /// missing footer, count mismatch, or invalid embedded summary rejects
 /// the file (recovery falls back to the previous checkpoint).
 pub fn parse_checkpoint(bytes: &[u8]) -> Result<Vec<CheckpointEntry>, CheckpointError> {
-    let version = check_header(bytes, CHECKPOINT_MAGIC).map_err(CheckpointError::Frame)?;
+    check_header(bytes, CHECKPOINT_MAGIC).map_err(CheckpointError::Frame)?;
     let mut entries = Vec::new();
     let mut pos = FILE_HEADER_LEN;
     let mut footer: Option<u64> = None;
@@ -719,54 +708,46 @@ pub fn parse_checkpoint(bytes: &[u8]) -> Result<Vec<CheckpointEntry>, Checkpoint
                             decode_body_prefix(rest, pos).map_err(CheckpointError::Frame)?;
                         let framed = |e: WireError| CheckpointError::Frame(malformed(pos, e));
                         let mut p = payload;
-                        let (active_wid, watermark, sealed) = if version >= 2 {
-                            let active_wid = get_varint(rest, &mut p).map_err(framed)?;
-                            let watermark = get_varint(rest, &mut p).map_err(framed)?;
-                            let count = get_varint(rest, &mut p).map_err(framed)?;
-                            // Each sealed window needs >= 3 bytes (start,
-                            // level, frame length) — bound the allocation
-                            // by bytes actually present, never by the
-                            // (attacker-controllable) count alone.
-                            if count > (rest.len().saturating_sub(p) / 3) as u64 {
+                        let active_wid = get_varint(rest, &mut p).map_err(framed)?;
+                        let watermark = get_varint(rest, &mut p).map_err(framed)?;
+                        let count = get_varint(rest, &mut p).map_err(framed)?;
+                        // Each sealed window needs >= 3 bytes (start,
+                        // level, frame length) — bound the allocation
+                        // by bytes actually present, never by the
+                        // (attacker-controllable) count alone.
+                        if count > (rest.len().saturating_sub(p) / 3) as u64 {
+                            return Err(framed(WireError::Truncated {
+                                needed: count.saturating_mul(3) as usize,
+                                have: rest.len() - p,
+                            }));
+                        }
+                        let mut sealed = Vec::with_capacity(count as usize);
+                        for _ in 0..count {
+                            let start = get_varint(rest, &mut p).map_err(framed)?;
+                            let Some(&level) = rest.get(p) else {
+                                return Err(framed(WireError::Truncated { needed: 1, have: 0 }));
+                            };
+                            p += 1;
+                            let frame_len = get_varint(rest, &mut p).map_err(framed)?;
+                            let end = (frame_len as usize)
+                                .checked_add(p)
+                                .filter(|&end| end <= rest.len());
+                            let Some(end) = end else {
                                 return Err(framed(WireError::Truncated {
-                                    needed: count.saturating_mul(3) as usize,
+                                    needed: frame_len as usize,
                                     have: rest.len() - p,
                                 }));
+                            };
+                            let frame = rest[p..end].to_vec();
+                            if let Err(cause) = decode_summary(&frame) {
+                                return Err(CheckpointError::BadSummary {
+                                    index: entries.len(),
+                                    cause,
+                                });
                             }
-                            let mut sealed = Vec::with_capacity(count as usize);
-                            for _ in 0..count {
-                                let start = get_varint(rest, &mut p).map_err(framed)?;
-                                let Some(&level) = rest.get(p) else {
-                                    return Err(framed(WireError::Truncated {
-                                        needed: 1,
-                                        have: 0,
-                                    }));
-                                };
-                                p += 1;
-                                let frame_len = get_varint(rest, &mut p).map_err(framed)?;
-                                let end = (frame_len as usize)
-                                    .checked_add(p)
-                                    .filter(|&end| end <= rest.len());
-                                let Some(end) = end else {
-                                    return Err(framed(WireError::Truncated {
-                                        needed: frame_len as usize,
-                                        have: rest.len() - p,
-                                    }));
-                                };
-                                let frame = rest[p..end].to_vec();
-                                if let Err(cause) = decode_summary(&frame) {
-                                    return Err(CheckpointError::BadSummary {
-                                        index: entries.len(),
-                                        cause,
-                                    });
-                                }
-                                sealed.push((start, level, frame));
-                                p = end;
-                            }
-                            (active_wid, watermark, sealed)
-                        } else {
-                            (0, 0, Vec::new())
-                        };
+                            sealed.push((start, level, frame));
+                            p = end;
+                        }
                         let summary = rest[p..].to_vec();
                         if let Err(cause) = decode_summary(&summary) {
                             return Err(CheckpointError::BadSummary {
@@ -1002,14 +983,6 @@ impl Wal {
             None => None,
         };
         Ok(SyncTicket { file, covered: self.last_lsn(), path, sealed })
-    }
-
-    /// Fsync the active segment in place, under the mutex. Only the
-    /// legacy per-writer-fsync mode (`StoreConfig::wal_group_commit =
-    /// false`, the bench baseline) uses this.
-    pub(crate) fn sync_inline(&mut self) -> Result<(), PersistError> {
-        let path = self.dir.join(segment_file_name(self.seq));
-        self.file.sync_data().map_err(|e| PersistError::new("fsync", path, e))
     }
 
     /// Swap in a freshly created successor segment (built by
@@ -1583,66 +1556,6 @@ mod tests {
         );
         assert_eq!(scan.records[0].start, FILE_HEADER_LEN);
         assert_eq!(scan.records[0].end, image.len());
-    }
-
-    /// A version-1 segment (no window varint in update bodies) decodes
-    /// with every batch assigned to window 0.
-    #[test]
-    fn v1_segments_replay_into_window_zero() {
-        let mut image = Vec::new();
-        image.extend_from_slice(&SEGMENT_MAGIC);
-        image.extend_from_slice(&1u16.to_le_bytes());
-        image.extend_from_slice(&0u16.to_le_bytes());
-        let mut body = Vec::new();
-        body.push(OP_UPDATE_MANY);
-        put_varint(&mut body, 9); // lsn
-        put_varint(&mut body, 1); // key length
-        body.push(b'k');
-        put_varint(&mut body, 2); // count — no window varint in v1
-        body.extend_from_slice(&11u64.to_le_bytes());
-        body.extend_from_slice(&22u64.to_le_bytes());
-        push_frame(&mut image, &body);
-        let scan = parse_segment(&image);
-        assert_eq!(scan.error, None);
-        assert_eq!(scan.records.len(), 1);
-        assert_eq!(
-            scan.records[0].record.op,
-            RecordOp::UpdateMany { key: "k".into(), value_bits: vec![11, 22], window: 0 }
-        );
-    }
-
-    /// A version-1 checkpoint entry (payload is the bare summary frame)
-    /// decodes with no windowed state.
-    #[test]
-    fn v1_checkpoints_decode_without_windows() {
-        let summary = crate::wire::encode_summary(&qc_common::summary::WeightedSummary::empty());
-        let mut image = Vec::new();
-        image.extend_from_slice(&CHECKPOINT_MAGIC);
-        image.extend_from_slice(&1u16.to_le_bytes());
-        image.extend_from_slice(&0u16.to_le_bytes());
-        let mut body = Vec::new();
-        body.push(OP_CKPT_ENTRY);
-        put_varint(&mut body, 3); // lsn
-        put_varint(&mut body, 1); // key length
-        body.push(b'a');
-        body.extend_from_slice(&summary);
-        push_frame(&mut image, &body);
-        body.clear();
-        body.push(OP_CKPT_FOOTER);
-        put_varint(&mut body, 1);
-        push_frame(&mut image, &body);
-        let entries = parse_checkpoint(&image).unwrap();
-        assert_eq!(
-            entries,
-            vec![CheckpointEntry {
-                key: "a".into(),
-                lsn: 3,
-                active_wid: 0,
-                watermark: 0,
-                sealed: Vec::new(),
-                summary,
-            }]
-        );
     }
 
     #[test]

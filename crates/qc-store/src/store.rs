@@ -49,38 +49,72 @@
 //!   a summary whose version matches the engine's *settled* state while
 //!   missing weight that state accounts for.
 //!
-//! # Write path: leased per-thread writer handles
+//! # Write path: one pipeline
 //!
 //! The paper's writers never serialize — each thread fills a local buffer
 //! and synchronizes only at Gather&Sort/DCAS points. The store mirrors
 //! that through [`qc_common::engine::SharedIngest`]: each key carries a
-//! small pool of leased writer handles tagged with a **generation**, and
-//! `update_many` becomes a two-tier path:
+//! small pool of writer handles tagged with a **generation**, and every
+//! batch — `update`, `update_many`, `update_at`, `update_many_leased`,
+//! and each record of a recovery replay — goes through one private
+//! routine (`SketchStore::apply`) with one fast path and one slow path:
 //!
-//! * **shared fast path** — for an existing key whose engine leases
-//!   writers (hot/concurrent tiers), the batch is written through a
-//!   pooled per-thread handle under only the **shared** stripe lock:
-//!   N writers on one hot key synchronize inside the engine (the paper's
-//!   propagation points), not on the stripe. Every fast-path call flushes
-//!   its handle before returning it, so handles hold **zero weight while
-//!   idle** and reads stay exact at quiescence;
-//! * **exclusive slow path** — key creation, cold/sequential keys (whose
-//!   exclusive writes are what drives tier promotion), and pool
-//!   exhaustion fall back to the stripe write lock, byte-identical to the
-//!   old behavior. [`StoreStats::shared_writes`] /
-//!   [`StoreStats::fallback_writes`] count the split.
+//! ```text
+//!  apply(key, Active | Window(id), values, held lease?)
+//!    │
+//!    ├─ SHARED stripe lock ───────────────────────────── fast path
+//!    │    held lease: generation matches?   else → StaleLease, nothing moved
+//!    │    target is the key's active window? else ↓
+//!    │    handle = the held lease | pool checkout (mint ≤ cap)   none → ↓
+//!    │    count → write → flush → append log record (LSN = ticket)
+//!    │
+//!    ├─ EXCLUSIVE stripe lock ────────────────────────── slow path
+//!    │    create the key on first use
+//!    │    Window(id) ahead of active:   seal engine, open a fresh one,
+//!    │                                  retire the writer generation
+//!    │    Window(id) behind active:     within lateness → merge into its
+//!    │                                  sealed window; beyond → drop, count
+//!    │    otherwise: engine write (a cold→hot flip here is a promotion)
+//!    │    count → append log record (LSN = ticket)
+//!    │
+//!    └─ NO lock: redeem the ticket — wait on the group-commit watermark
+//! ```
+//!
+//! * **Fast path** — an existing key whose engine leases writers
+//!   (hot/concurrent tier) is written through a per-thread handle under
+//!   only the shared lock: N writers on one hot key synchronize inside
+//!   the engine (the paper's propagation points), not on the stripe.
+//!   Every call flushes its handle before letting go of it, so handles
+//!   hold **zero weight while idle** and reads stay exact at quiescence.
+//! * **Slow path** — key creation, cold/sequential keys (whose exclusive
+//!   writes are what drives tier promotion), pool exhaustion, and every
+//!   window transition. [`StoreStats::shared_writes`] /
+//!   [`StoreStats::fallback_writes`] count the split; a batch is exactly
+//!   one of those or one [`StoreStats::window_late_drops`].
+//! * **Ordering** — on both paths the batch is counted into `updates`
+//!   and its log record appended *under the same stripe-lock hold as the
+//!   engine write*: a `stats()` sweep never sees `stream_len > updates`,
+//!   a checkpoint (exclusive) never captures weight whose record is not
+//!   yet sequenced, and per-key log order equals apply order. The durable
+//!   wait — the only slow step — happens after the lock is released, so
+//!   `ack ⇒ durable` costs no stripe any throughput.
+//! * **Windows** — the unwindowed store is not a second path but the
+//!   degenerate case: one window, id 0, always active, so every batch
+//!   targets the active window and no transition ever fires.
+//!   [`SketchStore::update_at`] resolves its timestamp to a window id and
+//!   replay passes the logged id; both are `Window(id)`.
 //!
 //! Callers that keep a handle across calls (the serving layer's
-//! per-connection lease cache) use [`SketchStore::lease_writer`] /
+//! [`crate::LeaseCache`]) use [`SketchStore::lease_writer`] /
 //! [`SketchStore::update_many_leased`] / [`SketchStore::return_lease`].
-//! `remove`, demotion (`cool_down`), and re-creation each assign the key
-//! a fresh generation from a store-wide counter, so a stale lease can
-//! **never** write into a successor engine: every leased write validates
-//! the generation under the same shared-lock hold as the write itself.
-//! Conservation is exact by construction — a lease buffers weight only
-//! inside a single (locked) write call, every such call ends in a flush,
-//! and invalidation happens under the exclusive lock, which no write can
-//! overlap.
+//! `remove`, demotion (`cool_down`), a window roll, and re-creation each
+//! assign the key a fresh generation from a store-wide counter, so a
+//! stale lease can **never** write into a successor engine: every leased
+//! write validates the generation under the same shared-lock hold as the
+//! write itself. Conservation is exact by construction — a handle buffers
+//! weight only inside a single (locked) write call, every such call ends
+//! in a flush, and invalidation happens under the exclusive lock, which
+//! no write can overlap.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
@@ -159,16 +193,6 @@ pub struct StoreConfig {
     /// setting. A small non-zero delay trades ack latency for fewer,
     /// larger groups (throughput under heavy concurrency).
     pub group_commit_delay: Duration,
-    /// Whether durable writers share fsyncs through leader-based group
-    /// commit (`true`, the default) or each [`FsyncPolicy::PerFrame`]
-    /// append pays its own fsync inline under the append mutex
-    /// (`false` — the pre-group-commit behavior, kept as the benchmark
-    /// baseline; nothing else should use it). The baseline exists for
-    /// `PerFrame` **only**: under `Interval`/`Off` durability still
-    /// routes through the group-commit sequencer regardless of this
-    /// flag, so `recover` debug-asserts that `false` is paired with
-    /// `PerFrame`.
-    pub wal_group_commit: bool,
     /// Time-windowed operation (see [`crate::window`]). `None` (the
     /// default) keeps every key a single unbounded stream — exactly the
     /// previous behavior. With a [`WindowConfig`], each key partitions
@@ -194,7 +218,6 @@ impl Default for StoreConfig {
             data_dir: None,
             fsync: FsyncPolicy::PerFrame,
             group_commit_delay: Duration::ZERO,
-            wal_group_commit: true,
             window: None,
         }
     }
@@ -271,14 +294,6 @@ impl StoreConfig {
     /// [`StoreConfig::group_commit_delay`]).
     pub fn group_commit_delay(mut self, delay: Duration) -> Self {
         self.group_commit_delay = delay;
-        self
-    }
-
-    /// Enable or disable group commit (see
-    /// [`StoreConfig::wal_group_commit`]; `false` is the benchmark
-    /// baseline only, and only valid with [`FsyncPolicy::PerFrame`]).
-    pub fn wal_group_commit(mut self, enabled: bool) -> Self {
-        self.wal_group_commit = enabled;
         self
     }
 
@@ -513,8 +528,9 @@ struct KeyEntry<T, E> {
     /// Lease generation: every leased write validates its tag against
     /// this under the shared stripe lock. Assigned from the store-wide
     /// counter at creation and re-assigned (under the write lock) by any
-    /// invalidation — tier demotion today; removal retires the entry and
-    /// with it the generation, so a re-created key never reuses one.
+    /// invalidation — tier demotion or a window roll; removal retires the
+    /// entry and with it the generation, so a re-created key never reuses
+    /// one.
     /// Mirrored into [`WriterPool::generation`] (kept in sync under the
     /// same write-lock sections) for lease-drop-time validation.
     generation: u64,
@@ -562,22 +578,37 @@ struct WriterPool<T> {
 }
 
 impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
-    fn new(engine: E, generation: u64, windowed: bool) -> Self {
+    /// A fresh entry; `active_wid` is the first active window of a
+    /// windowed key (`None` on an unwindowed store).
+    fn new(engine: E, generation: u64, active_wid: Option<u64>) -> Self {
+        let windows = active_wid.map(|id| {
+            let state = WindowState { active_id: id, watermark: id, ..WindowState::default() };
+            Box::new(Mutex::new(state))
+        });
         KeyEntry {
             engine,
             generation,
             cache: Mutex::new(None),
             pool: Arc::new(Mutex::new(WriterPool { generation, idle: Vec::new(), minted: 0 })),
             last_lsn: AtomicU64::new(0),
-            windows: windowed.then(|| Box::new(Mutex::new(WindowState::default()))),
+            windows,
         }
     }
 
-    /// The key's current active window id (0 when unwindowed). Callers
-    /// hold the stripe lock; the brief mutex hold only orders against
-    /// other shared-path peeks.
-    fn active_wid(&self) -> u64 {
-        self.windows.as_ref().map_or(0, |w| w.lock().unwrap().active_id)
+    /// The key's `(active window id, watermark)` — `(0, 0)` when
+    /// unwindowed. Callers hold the stripe lock; the brief mutex hold
+    /// only orders against other shared-path peeks.
+    fn window_ids(&self) -> (u64, u64) {
+        self.windows.as_ref().map_or((0, 0), |w| {
+            let state = w.lock().unwrap();
+            (state.active_id, state.watermark)
+        })
+    }
+
+    /// The window bookkeeping of a windowed key, for a transition under
+    /// the exclusive stripe lock.
+    fn window_state(&mut self) -> &mut WindowState {
+        self.windows.as_mut().expect("windowed keys carry window state").get_mut().unwrap()
     }
 
     /// Check a leased writer handle out of the pool (minting one from the
@@ -605,6 +636,31 @@ impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
         self.pool.lock().unwrap().idle.push(handle);
     }
 }
+
+/// Which of a key's windows a write lands in. The unwindowed store is
+/// the degenerate case: one window, id 0, always active.
+#[derive(Clone, Copy)]
+enum Target {
+    /// The key's current active window: plain and leased writes.
+    Active,
+    /// The level-0 window with this id: timestamped writes, and recovery
+    /// replay of a windowed log.
+    Window(u64),
+}
+
+impl Target {
+    /// The window id this target names for a key whose active window is
+    /// `active`.
+    fn wid(self, active: u64) -> u64 {
+        match self {
+            Target::Active => active,
+            Target::Window(wid) => wid,
+        }
+    }
+}
+
+/// Why an unleased [`SketchStore::apply`] cannot fail.
+const UNLEASED: &str = "only a leased write can be stale";
 
 /// One stripe: a reader-writer lock around the stripe's key map.
 type Stripe<T, E> = RwLock<HashMap<String, KeyEntry<T, E>>>;
@@ -815,8 +871,8 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     ///
     /// Replays the newest valid checkpoint (each entry ingested through
     /// the ordinary summary-merge path) and the log tail behind it
-    /// (through the ordinary `update_many`/`ingest_bytes`/`remove`
-    /// paths), stopping cleanly at the first torn or corrupt frame: the
+    /// (through the same write pipeline, `ingest_bytes` and `remove`
+    /// live traffic uses), stopping cleanly at the first torn or corrupt frame: the
     /// damage is reported as a typed [`RecoveryReport::corruption`] —
     /// never a panic — the torn tail is physically truncated away, and a
     /// fresh active segment is opened for new appends. With
@@ -832,15 +888,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         let Some(dir) = cfg.data_dir.clone() else {
             return Ok((Self::with_engine(cfg), RecoveryReport::default()));
         };
-        // The baseline flag only models pre-group-commit behavior under
-        // PerFrame (inline fsync per append); Interval/Off route through
-        // the sequencer regardless, so combining them with the flag off
-        // would benchmark a configuration that doesn't exist.
-        debug_assert!(
-            cfg.wal_group_commit || matches!(cfg.fsync, FsyncPolicy::PerFrame),
-            "wal_group_commit=false is the PerFrame benchmark baseline only; \
-             Interval/Off always use the group-commit sequencer"
-        );
         let recovered = persist::recover_dir(&dir)?;
         // Build with persistence unattached: replay below runs through the
         // public write paths without re-logging itself.
@@ -874,10 +921,9 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                     // record lands in the exact window it was applied to.
                     // A windowed log replayed into an unwindowed store
                     // collapses into the flat stream, conserving weight.
-                    match store.window_plan {
-                        Some(plan) => store.update_wid(key, *window, &values, plan),
-                        None => store.update_many(key, &values),
-                    }
+                    let target =
+                        store.window_plan.map_or(Target::Active, |_| Target::Window(*window));
+                    store.apply(key, target, &values, None).expect(UNLEASED);
                     store.note_applied_lsn(key, record.lsn);
                 }
                 RecordOp::Ingest { key, frame } => {
@@ -943,8 +989,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         }
         let mut map = self.stripe_of(&entry.key).write().unwrap();
         let Some(slot) = map.get_mut(&entry.key) else { return };
-        let Some(cell) = slot.windows.as_mut() else { return };
-        let state = cell.get_mut().unwrap();
+        let state = slot.window_state();
         state.active_id = entry.active_wid;
         state.watermark = entry.watermark.max(entry.active_wid);
         state.sealed.clear();
@@ -975,8 +1020,8 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// Returns the append's durability ticket — the assigned LSN — to be
     /// redeemed through [`SketchStore::finish_log`] **after** the stripe
     /// lock is released (no fsync ever runs under a stripe lock).
-    /// `None` means nothing to wait for: no persistence, append failure
-    /// (already counted), or a policy that synced inline.
+    /// `None` means nothing to wait for: no persistence, or an append
+    /// failure (already counted).
     #[must_use]
     fn log_update(
         &self,
@@ -1008,23 +1053,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                 if let Some(last_lsn) = last_lsn {
                     last_lsn.fetch_max(outcome.lsn, Relaxed);
                 }
-                if !self.cfg.wal_group_commit && matches!(self.cfg.fsync, FsyncPolicy::PerFrame) {
-                    // Benchmark baseline: pay the fsync inline, under the
-                    // append mutex (and the caller's stripe lock) — the
-                    // pre-group-commit behavior the bench compares
-                    // against. No ticket: durability already settled.
-                    match wal.sync_inline() {
-                        Ok(()) => self.instruments.wal_fsyncs.incr(),
-                        Err(e) => {
-                            wal.poisoned = true;
-                            drop(wal);
-                            p.commit.poison();
-                            self.instruments.wal_errors.incr();
-                            self.registry.event(EventKind::WalError, e.to_string());
-                        }
-                    }
-                    return None;
-                }
                 Some(outcome.lsn)
             }
             Err(e) => {
@@ -1046,22 +1074,15 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     fn finish_log(&self, ticket: Option<u64>) {
         let Some(lsn) = ticket else { return };
         let Some(p) = &self.persistence else { return };
-        match self.cfg.fsync {
-            FsyncPolicy::PerFrame => {
-                let result = p.commit.wait_durable(lsn, &p.wal, self.cfg.group_commit_delay);
-                self.observe_group(result);
-            }
-            FsyncPolicy::Interval(every) => {
-                // The interval check lives here, on the sync path: the
-                // append mutex never pays it, and appenders racing past
-                // a due interval coalesce into one sync.
-                if p.commit.interval_due(every, lsn) {
-                    let result = p.commit.wait_durable(lsn, &p.wal, Duration::ZERO);
-                    self.observe_group(result);
-                }
-            }
-            FsyncPolicy::Off => {}
-        }
+        let delay = match self.cfg.fsync {
+            FsyncPolicy::PerFrame => self.cfg.group_commit_delay,
+            // The interval check lives here, on the sync path: the
+            // append mutex never pays it, and appenders racing past a
+            // due interval coalesce into one sync.
+            FsyncPolicy::Interval(every) if p.commit.interval_due(every, lsn) => Duration::ZERO,
+            FsyncPolicy::Interval(_) | FsyncPolicy::Off => return,
+        };
+        self.observe_group(p.commit.wait_durable(lsn, &p.wal, delay));
     }
 
     /// Record the outcome of a group-commit wait. `Ok(Some)` means this
@@ -1152,92 +1173,14 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// Feed a batch of values into `key` under a single lock acquisition —
     /// the **shared** stripe lock when the key already exists and its
     /// engine leases writer handles (see the
-    /// [write path](self#write-path-leased-per-thread-writer-handles)),
-    /// the exclusive lock otherwise.
+    /// [write path](self#write-path-one-pipeline)), the exclusive lock
+    /// otherwise. On a windowed store the batch lands in the key's
+    /// current active window.
     ///
     /// Nothing happens for an empty batch: no key is created and no
     /// counter moves.
     pub fn update_many(&self, key: &str, values: &[T]) {
-        if values.is_empty() {
-            return;
-        }
-        // Shared fast path: hot-key writers synchronize only inside the
-        // engine (the paper's Gather&Sort/DCAS points), never on the
-        // stripe.
-        let fast = {
-            let map = self.stripe_of(key).read().unwrap();
-            let checked_out = map
-                .get(key)
-                .and_then(|entry| entry.checkout(self.cfg.writer_pool).map(|h| (entry, h)));
-            match checked_out {
-                Some((entry, mut handle)) => {
-                    // Count before writing (the write is infallible from
-                    // here): a concurrent `stats()` sweep sharing the
-                    // stripe lock must never observe engine weight not
-                    // yet in `updates`.
-                    self.instruments.updates.add(values.len() as u64);
-                    self.instruments.shared_writes.incr();
-                    handle.update_many(values);
-                    // Flush before the handle goes idle: pooled handles
-                    // hold zero weight, so reads are exact at quiescence
-                    // and invalidation can never strand buffered weight.
-                    handle.flush();
-                    // Log under this same shared-lock hold: a checkpoint
-                    // (exclusive) can then never capture weight whose
-                    // record is not yet sequenced, and per-key log order
-                    // matches apply order. The active window id cannot
-                    // move while we hold the stripe shared (transitions
-                    // are exclusive-path), so the tag is exact. The
-                    // durable *wait* happens below, lock free.
-                    let ticket = self.log_update(key, entry.active_wid(), values, &entry.last_lsn);
-                    entry.give_back(handle);
-                    Some(ticket)
-                }
-                None => None,
-            }
-        };
-        if let Some(ticket) = fast {
-            self.finish_log(ticket);
-            return;
-        }
-        // Exclusive slow path: key creation, cold-tier keys (whose
-        // `&mut` updates drive promotion pressure), exhausted pools.
-        let stripe_ix = self.stripe_index(key);
-        let mut map = self.stripes[stripe_ix].write().unwrap();
-        // Probe before inserting: the steady state must not allocate a
-        // `String` per call just to use the entry API.
-        if !map.contains_key(key) {
-            map.insert(
-                key.to_string(),
-                KeyEntry::new(
-                    E::build(&self.cfg, self.key_seed(key)),
-                    self.next_generation(),
-                    self.cfg.window.is_some(),
-                ),
-            );
-            self.instruments.stripe_keys[stripe_ix].inc();
-        }
-        let entry = map.get_mut(key).expect("entry just ensured");
-        // Promotion fires inside the engine on update pressure; observe it
-        // as a tier flip around the write (exclusive path only — leased
-        // writes require an already-hot engine).
-        let tier_before = entry.engine.tier();
-        entry.engine.update_many(values);
-        // Count while still holding the stripe lock: bumping after the
-        // drop let `stats()` observe engine weight not yet in `updates`
-        // (`stream_len > updates` mid-flight, under-reported counters at
-        // shutdown barriers).
-        self.instruments.updates.add(values.len() as u64);
-        self.instruments.fallback_writes.incr();
-        let ticket = self.log_update(key, entry.active_wid(), values, &entry.last_lsn);
-        if tier_before == Tier::Sequential && entry.engine.tier() == Tier::Concurrent {
-            self.instruments.promotions.incr();
-            self.registry.event(EventKind::Promotion, format!("key={key}"));
-        }
-        // Durable wait after the stripe lock is gone: concurrent writers
-        // on this stripe proceed while our group's fsync is in flight.
-        drop(map);
-        self.finish_log(ticket);
+        self.apply(key, Target::Active, values, None).expect(UNLEASED);
     }
 
     /// Feed a timestamped batch into the window holding `ts_ms` (an
@@ -1259,148 +1202,188 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// Without [`StoreConfig::window`] this is exactly
     /// [`SketchStore::update_many`] — the timestamp is ignored.
     pub fn update_at(&self, key: &str, ts_ms: u64, values: &[T]) {
-        let Some(plan) = self.window_plan else {
-            self.update_many(key, values);
-            return;
-        };
-        self.update_wid(key, plan.window_id(ts_ms), values, plan);
+        let target =
+            self.window_plan.map_or(Target::Active, |plan| Target::Window(plan.window_id(ts_ms)));
+        self.apply(key, target, values, None).expect(UNLEASED);
     }
 
-    /// [`SketchStore::update_at`] after timestamp→window-id resolution.
-    /// Recovery replay calls this directly with the logged window id, so
-    /// replayed batches land in the exact window they were applied to —
-    /// no timestamp reconstruction, no drift.
-    fn update_wid(&self, key: &str, wid: u64, values: &[T], plan: WindowPlan) {
-        if values.is_empty() {
-            return;
-        }
-        // Shared fast path: the batch targets the current active window
-        // of an existing hot key. The active id cannot move while we hold
-        // the stripe shared (every window transition runs under the
-        // exclusive lock), so the brief mutex peek stays valid across the
-        // whole write.
+    /// The one write pipeline (see the
+    /// [module docs](self#write-path-one-pipeline)): every batch — plain,
+    /// timestamped, leased, replayed — lands through here. `lease` is a
+    /// caller-held writer handle to use instead of a pooled one; only a
+    /// leased call can fail, and [`StaleLease`] means nothing was
+    /// written or counted.
+    fn apply(
+        &self,
+        key: &str,
+        target: Target,
+        values: &[T],
+        lease: Option<&mut WriterLease<T>>,
+    ) -> Result<(), StaleLease> {
+        // Shared fast path: an existing hot key, written through a
+        // per-thread handle. Hot-key writers synchronize only inside the
+        // engine (the paper's Gather&Sort/DCAS points), never on the
+        // stripe.
+        let stripe_ix = self.stripe_index(key);
         let fast = {
-            let map = self.stripe_of(key).read().unwrap();
-            let checked_out = map.get(key).and_then(|entry| {
-                let is_active =
-                    entry.windows.as_ref().is_some_and(|w| w.lock().unwrap().active_id == wid);
-                if !is_active {
+            let map = self.stripes[stripe_ix].read().unwrap();
+            let entry = map.get(key);
+            // A held lease is validated under the same lock hold as its
+            // write, so a stale one — the key was removed, demoted,
+            // rolled, or re-created — is rejected before any element
+            // moves.
+            if let Some(lease) = &lease {
+                if entry.map(|e| e.generation) != Some(lease.generation) {
+                    return Err(StaleLease);
+                }
+            }
+            if values.is_empty() {
+                return Ok(());
+            }
+            entry.and_then(|entry| {
+                // The active id cannot move while we hold the stripe
+                // shared (every window transition runs under the
+                // exclusive lock), so this brief peek stays valid across
+                // the whole write and the log tag below is exact.
+                let (wid, _) = entry.window_ids();
+                if target.wid(wid) != wid {
                     return None;
                 }
-                entry.checkout(self.cfg.writer_pool).map(|h| (entry, h))
-            });
-            match checked_out {
-                Some((entry, mut handle)) => {
-                    // Same ordering discipline as `update_many`: count,
-                    // write, flush, log — all under the shared hold; the
-                    // durable wait below, lock free.
-                    self.instruments.updates.add(values.len() as u64);
-                    self.instruments.shared_writes.incr();
-                    handle.update_many(values);
-                    handle.flush();
-                    let ticket = self.log_update(key, wid, values, &entry.last_lsn);
+                let mut pooled = None;
+                let handle = match lease {
+                    Some(lease) => lease.handle.as_mut().expect("lease handle present until drop"),
+                    None => pooled.insert(entry.checkout(self.cfg.writer_pool)?),
+                };
+                // Count before writing (the write is infallible from
+                // here): a concurrent `stats()` sweep sharing the stripe
+                // lock must never observe engine weight not yet in
+                // `updates`.
+                self.instruments.updates.add(values.len() as u64);
+                self.instruments.shared_writes.incr();
+                handle.update_many(values);
+                // Flush before the handle goes idle: idle handles hold
+                // zero weight, so reads are exact at quiescence and
+                // invalidation can never strand buffered weight.
+                handle.flush();
+                // Log under this same shared-lock hold: a checkpoint
+                // (exclusive) can then never capture weight whose record
+                // is not yet sequenced, and per-key log order matches
+                // apply order. The durable *wait* happens below, lock
+                // free.
+                let ticket = self.log_update(key, wid, values, &entry.last_lsn);
+                if let Some(handle) = pooled {
                     entry.give_back(handle);
-                    Some(ticket)
                 }
-                None => None,
-            }
+                Some(ticket)
+            })
         };
         if let Some(ticket) = fast {
             self.finish_log(ticket);
-            return;
+            return Ok(());
         }
-        // Exclusive path: key creation, window transitions (roll forward
-        // or late merge), cold-tier keys, exhausted pools.
-        let stripe_ix = self.stripe_index(key);
+        // Exclusive slow path: key creation, cold-tier keys (whose
+        // `&mut` updates drive promotion pressure), exhausted pools, and
+        // every window transition (roll forward, late merge).
         let mut map = self.stripes[stripe_ix].write().unwrap();
-        if !map.contains_key(key) {
-            let mut entry = KeyEntry::new(
-                E::build(&self.cfg, self.key_seed(key)),
-                self.next_generation(),
-                true,
-            );
-            let state = entry.windows.as_mut().expect("built windowed").get_mut().unwrap();
-            state.active_id = wid;
-            state.watermark = wid;
-            map.insert(key.to_string(), entry);
-            self.instruments.stripe_keys[stripe_ix].inc();
-        }
-        let entry = map.get_mut(key).expect("entry just ensured");
-        let (active_id, watermark) = {
-            let state = entry
-                .windows
-                .as_mut()
-                .expect("windowed keys carry window state")
-                .get_mut()
-                .unwrap();
-            (state.active_id, state.watermark)
-        };
-        if wid >= active_id {
-            if wid > active_id {
-                // Roll forward: seal the live engine's contents for the
-                // old active window, then open a fresh engine for the new
-                // one. The old engine's leases and cached summary die
-                // with it — the same retirement as tier demotion, so a
-                // stale lease can never write into the new window.
-                if entry.engine.stream_len() > 0 {
-                    let sealed = entry.engine.to_summary();
-                    let seed = self.key_seed(key);
-                    let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
-                    Self::seal_into(state, active_id, sealed, self.cfg.k, seed);
-                    self.instruments.window_seals.incr();
-                }
-                entry.engine = E::build(&self.cfg, self.key_seed(key));
-                entry.generation = self.next_generation();
-                {
-                    let mut pool = entry.pool.lock().unwrap();
-                    pool.generation = entry.generation;
-                    pool.idle.clear();
-                    pool.minted = 0;
-                }
-                *entry.cache.get_mut().unwrap() = None;
-                let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
-                state.active_id = wid;
-                state.watermark = state.watermark.max(wid);
+        let entry = self.entry_or_create(&mut map, stripe_ix, key, target.wid(0));
+        let (active_id, watermark) = entry.window_ids();
+        let wid = target.wid(active_id);
+        if wid > active_id {
+            // Roll forward: seal the live engine's contents for the old
+            // active window, then open a fresh engine for the new one.
+            // The old engine's leases and cached summary die with it —
+            // the same retirement as tier demotion, so a stale lease can
+            // never write into the new window.
+            let seed = self.key_seed(key);
+            if entry.engine.stream_len() > 0 {
+                let sealed = entry.engine.to_summary();
+                Self::seal_into(entry.window_state(), active_id, sealed, self.cfg.k, seed);
+                self.instruments.window_seals.incr();
             }
-            // Active-window write, identical to `update_many`'s fallback
-            // path (including promotion observation).
+            entry.engine = E::build(&self.cfg, seed);
+            *entry.cache.get_mut().unwrap() = None;
+            self.retire_engine(entry);
+            let state = entry.window_state();
+            state.active_id = wid;
+            state.watermark = state.watermark.max(wid);
+        }
+        let promoted = if wid >= active_id {
+            // Active-window write (possibly just rolled to). Promotion
+            // fires inside the engine on update pressure; observe it as a
+            // tier flip around the write (exclusive path only — leased
+            // writes require an already-hot engine).
             let tier_before = entry.engine.tier();
             entry.engine.update_many(values);
-            self.instruments.updates.add(values.len() as u64);
-            self.instruments.fallback_writes.incr();
-            let ticket = self.log_update(key, wid, values, &entry.last_lsn);
-            if tier_before == Tier::Sequential && entry.engine.tier() == Tier::Concurrent {
-                self.instruments.promotions.incr();
-                self.registry.event(EventKind::Promotion, format!("key={key}"));
-            }
-            drop(map);
-            self.finish_log(ticket);
-            return;
-        }
-        // Late value: behind the active window.
-        if !plan.admissible(watermark, wid) {
-            // Dropped and counted — never written, never logged, so
-            // recovery replay (which sees only logged records) drives the
-            // same watermark trajectory and admits exactly the same set.
+            tier_before == Tier::Sequential && entry.engine.tier() == Tier::Concurrent
+        } else if self.window_plan.is_some_and(|plan| plan.admissible(watermark, wid)) {
+            // Late but admissible: summarize the batch through a
+            // throwaway engine and merge it, exact-weight, into the
+            // sealed window covering `wid` (or open a new level-0 one).
+            let seed = self.key_seed(key);
+            let mut tmp = E::build(&self.cfg, seed);
+            tmp.update_many(values);
+            Self::seal_into(entry.window_state(), wid, tmp.to_summary(), self.cfg.k, seed);
+            false
+        } else {
+            // Beyond the lateness bound: dropped and counted — never
+            // written, never logged, so recovery replay (which sees only
+            // logged records) drives the same watermark trajectory and
+            // admits exactly the same set.
             self.instruments.window_late_drops.incr();
-            return;
-        }
-        // Admissible: summarize the batch through a throwaway engine and
-        // merge it, exact-weight, into the sealed window covering `wid`
-        // (or open a new level-0 one).
-        let mut tmp = E::build(&self.cfg, self.key_seed(key));
-        tmp.update_many(values);
-        let addition = tmp.to_summary();
-        let seed = self.key_seed(key);
-        {
-            let state = entry.windows.as_mut().expect("windowed").get_mut().unwrap();
-            Self::seal_into(state, wid, addition, self.cfg.k, seed);
-        }
+            return Ok(());
+        };
+        // Count while still holding the stripe lock: bumping after the
+        // drop let `stats()` observe engine weight not yet in `updates`
+        // (`stream_len > updates` mid-flight, under-reported counters at
+        // shutdown barriers).
         self.instruments.updates.add(values.len() as u64);
         self.instruments.fallback_writes.incr();
         let ticket = self.log_update(key, wid, values, &entry.last_lsn);
+        if promoted {
+            self.instruments.promotions.incr();
+            self.registry.event(EventKind::Promotion, format!("key={key}"));
+        }
+        // Durable wait after the stripe lock is gone: concurrent writers
+        // on this stripe proceed while our group's fsync is in flight.
         drop(map);
         self.finish_log(ticket);
+        Ok(())
+    }
+
+    /// `key`'s entry in its exclusively held stripe map, created on first
+    /// use with `first_wid` as its active window.
+    fn entry_or_create<'m>(
+        &self,
+        map: &'m mut HashMap<String, KeyEntry<T, E>>,
+        stripe_ix: usize,
+        key: &str,
+        first_wid: u64,
+    ) -> &'m mut KeyEntry<T, E> {
+        // Probe before inserting: the steady state must not allocate a
+        // `String` per call just to use the entry API.
+        if !map.contains_key(key) {
+            let entry = KeyEntry::new(
+                E::build(&self.cfg, self.key_seed(key)),
+                self.next_generation(),
+                self.window_plan.map(|_| first_wid),
+            );
+            map.insert(key.to_string(), entry);
+            self.instruments.stripe_keys[stripe_ix].inc();
+        }
+        map.get_mut(key).expect("entry just ensured")
+    }
+
+    /// Orphan every writer handle minted for `entry`'s previous engine
+    /// (window roll-forward, tier demotion): retire the generation so
+    /// outstanding leases are rejected at their next use (and discarded
+    /// on drop), and drop the idle pool with it. The caller holds the
+    /// exclusive stripe lock.
+    fn retire_engine(&self, entry: &mut KeyEntry<T, E>) {
+        entry.generation = self.next_generation();
+        let mut pool = entry.pool.lock().unwrap();
+        pool.generation = entry.generation;
+        pool.idle.clear();
+        pool.minted = 0;
     }
 
     /// Merge a summary into `state`'s sealed set at level-0 slot `start`:
@@ -1455,25 +1438,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         lease: &mut WriterLease<T>,
         values: &[T],
     ) -> Result<(), StaleLease> {
-        let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key).ok_or(StaleLease)?;
-        if entry.generation != lease.generation {
-            return Err(StaleLease);
-        }
-        if values.is_empty() {
-            return Ok(());
-        }
-        // Same ordering discipline as the pooled fast path: count first,
-        // then write + flush (infallible), all under the shared lock.
-        self.instruments.updates.add(values.len() as u64);
-        self.instruments.shared_writes.incr();
-        let handle = lease.handle.as_mut().expect("lease handle present until drop");
-        handle.update_many(values);
-        handle.flush();
-        let ticket = self.log_update(key, entry.active_wid(), values, &entry.last_lsn);
-        drop(map);
-        self.finish_log(ticket);
-        Ok(())
+        self.apply(key, Target::Active, values, Some(lease))
     }
 
     /// Return a lease to `key`'s pool. Equivalent to dropping it — the
@@ -1694,18 +1659,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         let ingested = remote.stream_len();
         let stripe_ix = self.stripe_index(key);
         let mut map = self.stripes[stripe_ix].write().unwrap();
-        if !map.contains_key(key) {
-            map.insert(
-                key.to_string(),
-                KeyEntry::new(
-                    E::build(&self.cfg, self.key_seed(key)),
-                    self.next_generation(),
-                    self.cfg.window.is_some(),
-                ),
-            );
-            self.instruments.stripe_keys[stripe_ix].inc();
-        }
-        let entry = map.get_mut(key).expect("entry just ensured");
+        let entry = self.entry_or_create(&mut map, stripe_ix, key, 0);
         entry.engine.absorb_summary(&remote);
         // Counted under the stripe lock, like `updates`: `stats()` must
         // never see absorbed weight that is not yet in `ingests`.
@@ -1740,23 +1694,19 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     pub fn remove(&self, key: &str) -> bool {
         let stripe_ix = self.stripe_index(key);
         let mut map = self.stripes[stripe_ix].write().unwrap();
-        let removed = map.remove(key).is_some();
-        let ticket = if removed {
-            // Logged under the same exclusive hold as the removal: a
-            // racing re-creation of the key cannot sequence its first
-            // batch before the remove.
-            self.log_op(None, WalOpRef::Remove { key })
-        } else {
-            None
-        };
-        drop(map);
-        if removed {
-            self.instruments.stripe_keys[stripe_ix].dec();
-            self.instruments.removals.incr();
-            self.registry.event(EventKind::Eviction, format!("key={key}"));
+        if map.remove(key).is_none() {
+            return false;
         }
+        // Logged under the same exclusive hold as the removal: a racing
+        // re-creation of the key cannot sequence its first batch before
+        // the remove.
+        let ticket = self.log_op(None, WalOpRef::Remove { key });
+        drop(map);
+        self.instruments.stripe_keys[stripe_ix].dec();
+        self.instruments.removals.incr();
+        self.registry.event(EventKind::Eviction, format!("key={key}"));
         self.finish_log(ticket);
-        removed
+        true
     }
 
     /// All resident keys (unordered).
@@ -1811,30 +1761,20 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                             handle.flush();
                         }
                     }
-                    let migrated = entry.engine.maintain();
-                    let mut pool = entry.pool.lock().unwrap();
-                    if migrated {
+                    if entry.engine.maintain() {
                         changed += 1;
                         self.instruments.demotions.incr();
                         self.registry.event(EventKind::Demotion, format!("key={key}"));
-                        // Tier migration orphans every handle minted for
-                        // the previous engine: retire the generation so
-                        // outstanding leases are rejected at their next
-                        // use (and discarded on drop), and drop the idle
-                        // pool with it.
-                        entry.generation = self.next_generation();
-                        pool.generation = entry.generation;
-                        pool.idle.clear();
-                        pool.minted = 0;
+                        self.retire_engine(entry);
                     } else {
                         // Housekeeping sweep drops idle leases: handles
                         // parked for a whole interval re-mint on demand;
                         // checked-out leases keep their mint slot.
+                        let mut pool = entry.pool.lock().unwrap();
                         let idle = pool.idle.len();
                         pool.minted -= idle;
                         pool.idle.clear();
                     }
-                    drop(pool);
                     // Housekeeping for the read cache too: drop summaries
                     // the engine has since moved past, so written-then-idle
                     // keys do not pin a stale materialization indefinitely.

@@ -247,13 +247,14 @@ proptest! {
         }
     }
 
-    /// Wrong magic / reserved flags / future versions are typed header
-    /// errors before any record is considered.
+    /// Wrong magic / reserved flags / any version but the current one
+    /// (zero, the retired version 1, the future) are typed header errors
+    /// before any record is considered.
     #[test]
     fn header_skew_is_rejected(
         specs in prop::collection::vec(spec_strategy(), 1..4),
         magic_byte in any::<u8>(),
-        version in 2u16..u16::MAX,
+        version in prop_oneof![0u16..PERSIST_VERSION, PERSIST_VERSION + 1..=u16::MAX],
         flags in 1u16..u16::MAX,
     ) {
         let good = encode_segment(&specs);
