@@ -5,8 +5,9 @@
 //! no matter how aggressively writers retire and the domain recycles.
 
 use qc_reclaim::{Domain, DomainConfig, Shared};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Barrier;
+use std::time::{Duration, Instant};
 
 /// A payload with a self-check: `a` and `b` must always agree. A use-after-
 /// free that hands the block to a concurrent re-allocation would be caught
@@ -37,9 +38,13 @@ fn readers_never_observe_reclaimed_payloads() {
     });
     let word = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
+    // Readers that have completed a first successful read: the writer
+    // keeps swapping past `WRITES` until all have, since on a small box a
+    // reader may not be scheduled at all inside the ~20 ms `WRITES` take.
+    let reading = AtomicUsize::new(0);
     let barrier = Barrier::new(READERS + 1);
 
-    std::thread::scope(|s| {
+    let swaps = std::thread::scope(|s| {
         for _ in 0..READERS {
             s.spawn(|| {
                 let handle = domain.register();
@@ -52,6 +57,9 @@ fn readers_never_observe_reclaimed_payloads() {
                         let shared = unsafe { Shared::<Checked>::from_raw(raw) };
                         let payload = unsafe { shared.deref() };
                         assert!(payload.verify(), "torn or reclaimed payload observed");
+                        if reads == 0 {
+                            reading.fetch_add(1, SeqCst);
+                        }
                         reads += 1;
                     }
                     drop(guard);
@@ -60,11 +68,21 @@ fn readers_never_observe_reclaimed_payloads() {
             });
         }
 
-        s.spawn(|| {
+        let writer = s.spawn(|| {
             let handle = domain.register();
             barrier.wait();
-            for i in 1..=WRITES {
-                let fresh = handle.alloc(Checked::new(i));
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut swaps = 0u64;
+            while swaps < WRITES || reading.load(SeqCst) < READERS {
+                if swaps >= WRITES {
+                    if Instant::now() > deadline {
+                        stop.store(true, SeqCst);
+                        panic!("only {} of {READERS} readers ever read", reading.load(SeqCst));
+                    }
+                    std::thread::yield_now();
+                }
+                swaps += 1;
+                let fresh = handle.alloc(Checked::new(swaps));
                 let old = word.swap(fresh.into_raw(), SeqCst);
                 if old != 0 {
                     let old = unsafe { Shared::<Checked>::from_raw(old) };
@@ -77,15 +95,17 @@ fn readers_never_observe_reclaimed_payloads() {
             if last != 0 {
                 unsafe { handle.retire(Shared::<Checked>::from_raw(last)) };
             }
+            swaps
         });
+        writer.join().expect("writer panicked")
     });
 
     // All guards are gone: everything retired must now be reclaimable.
     domain.reclaim_orphans();
     let stats = domain.stats();
     assert_eq!(stats.retired_pending, 0, "stats: {stats:?}");
-    assert_eq!(stats.allocated, WRITES);
-    assert_eq!(stats.reclaimed, WRITES);
+    assert_eq!(stats.allocated, swaps);
+    assert_eq!(stats.reclaimed, swaps);
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //!   application-level accept backlog, and graceful shutdown
 //!   ([`server::ServerHandle::shutdown`]);
 //! * [`pool`] — the bounded-queue worker pool behind it;
-//! * [`client`] — a blocking [`client::Client`] used by the examples, the
-//!   `server_ops` benchmarks, and the soak tests.
+//! * [`client`] — a blocking [`client::Client`] used by the examples and
+//!   the soak tests.
 //!
 //! Everything is `std`-only: no registry dependencies, no async runtime —
 //! concurrency comes from worker threads, exactly like the paper's

@@ -514,6 +514,11 @@ fn accept_loop(
             let _ = stream.shutdown(Shutdown::Both);
             return;
         }
+        // A reply larger than the 8 KiB `BufWriter` leaves in two segments;
+        // under Nagle the second waits out the client's delayed ACK (~40 ms).
+        if let Err(e) = stream.set_nodelay(true) {
+            instruments.registry.event(EventKind::IoError, format!("peer={peer} set_nodelay: {e}"));
+        }
         instruments.conns_accepted.incr();
         instruments.registry.event(EventKind::ConnOpen, format!("peer={peer}"));
         let id = next_id;

@@ -308,3 +308,36 @@ fn snapshot_ingest_between_two_live_servers() {
     b.shutdown();
     done.store(true, Ordering::SeqCst);
 }
+
+#[test]
+fn large_replies_do_not_wait_out_a_delayed_ack() {
+    // A reply larger than the server's 8 KiB write buffer leaves in two
+    // segments; without `TCP_NODELAY` on the accepted socket the second
+    // waits for the client's delayed ACK (~40 ms per round trip).
+    let done = Arc::new(AtomicBool::new(false));
+    watchdog(Arc::clone(&done));
+    let cfg = ServerConfig {
+        pool_threads: 1,
+        store: StoreConfig::default().stripes(1).k(K).b(B).seed(5),
+        ..ServerConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let values: Vec<f64> = (0..60_000).map(f64::from).collect();
+    for chunk in values.chunks(512) {
+        client.update_many("big", chunk).expect("update rpc");
+    }
+    let mut round_trips: Vec<std::time::Duration> = (0..21)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            let frame = client.snapshot_bytes("big").expect("snapshot rpc").expect("key present");
+            assert!(frame.len() > 8 * 1024, "reply must outgrow the write buffer: {}", frame.len());
+            start.elapsed()
+        })
+        .collect();
+    round_trips.sort();
+    let median = round_trips[round_trips.len() / 2];
+    assert!(median < std::time::Duration::from_millis(20), "median snapshot round trip {median:?}");
+    server.shutdown();
+    done.store(true, Ordering::SeqCst);
+}

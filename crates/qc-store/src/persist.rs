@@ -123,8 +123,8 @@ pub enum FsyncPolicy {
     /// writer parks on the `durable_lsn` watermark; the first parked
     /// waiter becomes sync leader and one `fdatasync` covers every
     /// concurrent writer (group commit). The default — correctness
-    /// first; the `store_wal_overhead` and `store_wal_group_*` bench
-    /// axes price it.
+    /// first; `qcb`'s `persist.durable_ack_p50_us` prices one writer's
+    /// ack, `qc-bench`'s `store_wal_group_*` axis how N writers share it.
     PerFrame,
     /// `fdatasync` at most once per interval, checked on the sync path
     /// (after the stripe lock is released) and on every housekeeping

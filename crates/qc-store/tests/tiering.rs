@@ -133,8 +133,7 @@ fn tier_transitions_are_counted_and_evented() {
     assert_eq!(striped, stats.keys as i64);
 }
 
-/// The memory half of the tiering claim, at test scale (the `store_ops`
-/// bench runs the 10k-key version): on an all-cold population the tiered
+/// The memory half of the tiering claim: on an all-cold population the tiered
 /// store's retained footprint matches the sequential store's and sits an
 /// order of magnitude below the concurrent store's.
 #[test]

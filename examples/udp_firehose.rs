@@ -16,8 +16,8 @@
 //! acknowledgement, so the ground truth for what landed is the daemon's
 //! own counters (`ingest_applied_datagrams` and friends in the
 //! `metrics_watch` output) — that asymmetry is the point of the demo.
-//! For calibrated load with latency percentiles and a JSON verdict, use
-//! the `qc_load` binary instead.
+//! For calibrated open-loop load with latency percentiles and a JSON
+//! verdict, use `qcb --workload ingest_mix` (see `bench/README.md`).
 
 use std::net::UdpSocket;
 

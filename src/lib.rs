@@ -23,9 +23,6 @@
 //! * [`ingest`] — the high-rate UDP front door: CRC-checked batched
 //!   datagrams, a never-blocking socket thread feeding lease-reusing
 //!   processors, exact drop accounting, and an overload circuit breaker.
-//! * [`load`] — the traffic harness: open-loop UDP writers plus TCP
-//!   queriers with self-sketched latency percentiles and machine-readable
-//!   JSON reports (the `qc_load` binary).
 //! * [`mwcas`] — the software DCAS / multi-word CAS substrate.
 //! * [`reclaim`] — interval-based memory reclamation (IBR).
 //! * [`workloads`] — stream generators, the exact oracle, and the
@@ -38,7 +35,6 @@ pub mod convert;
 pub use qc_common as common;
 pub use qc_fcds as fcds;
 pub use qc_ingest as ingest;
-pub use qc_load as load;
 pub use qc_mwcas as mwcas;
 pub use qc_reclaim as reclaim;
 pub use qc_sequential as sequential;
