@@ -1646,6 +1646,161 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    // -----------------------------------------------------------------
+    // Golden bytes: the on-disk format, pinned. Encoded through the
+    // crate's own writers (`Wal::append`, `write_checkpoint`), decoded
+    // through `parse_segment` / `parse_checkpoint`, and recovered as a
+    // data directory an earlier build wrote.
+    // -----------------------------------------------------------------
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        let digits: Vec<u8> = hex.bytes().filter(|b| !b.is_ascii_whitespace()).collect();
+        assert_eq!(digits.len() % 2, 0, "odd hex fixture");
+        digits
+            .chunks_exact(2)
+            .map(|pair| u8::from_str_radix(std::str::from_utf8(pair).unwrap(), 16).unwrap())
+            .collect()
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    fn golden_summary(items: &[(f64, u64)]) -> Vec<u8> {
+        use qc_common::bits::OrderedBits;
+        use qc_common::summary::{WeightedItem, WeightedSummary};
+        crate::wire::encode_summary(&WeightedSummary::from_items(
+            items
+                .iter()
+                .map(|&(v, weight)| WeightedItem { value_bits: v.to_ordered_bits(), weight })
+                .collect(),
+        ))
+    }
+
+    fn f64_bits(values: &[f64]) -> Vec<u64> {
+        use qc_common::bits::OrderedBits;
+        values.iter().map(|v| v.to_ordered_bits()).collect()
+    }
+
+    /// `wal-0000000000000002.log`: header, then LSNs 2-5 — two windowed
+    /// `UpdateMany`, an `Ingest`, a `Remove`.
+    const GOLDEN_SEGMENT: &str = "5143574c 0200 0000
+         18000000 01 02 03 6c6174 07 02 000000000000d0bf ffffffffffff0f40 b686378f
+         20000000 01 03 03 6c6174 08 03 000000000000f8bf 00000000000004c0 0000000065cdcdc1 74034e7e
+         1e000000 02 04 03 637075
+           51435753 0100 0000 01 80808080808080f0bf01 03 54a52e43
+           47fc51ee
+         07000000 03 05 04 676f6e65 c962152a";
+
+    /// `ckpt-0000000000000001.ck`: header, one entry (key `lat`, LSN 2,
+    /// active window 7, watermark 9, one sealed level-1 window at 4),
+    /// footer.
+    const GOLDEN_CHECKPOINT: &str = "51434350 0200 0000
+         57000000 10 02 03 6c6174 07 09 01
+           04 01 18 51435753 0100 0000 01 8080808080808092c001 02 2785abfa
+           51435753 0100 0000 04
+             80808080808080f8bf01 8080808080808008 8080808080808004 808080808080c038
+             01 04 02 08 db806ca8
+           3f33a704
+         02000000 1f 01 f72c84fb";
+
+    fn golden_records() -> Vec<WalRecord> {
+        vec![
+            WalRecord {
+                lsn: 2,
+                op: RecordOp::UpdateMany {
+                    key: "lat".into(),
+                    value_bits: f64_bits(&[0.25, -1.0]),
+                    window: 7,
+                },
+            },
+            WalRecord {
+                lsn: 3,
+                op: RecordOp::UpdateMany {
+                    key: "lat".into(),
+                    value_bits: f64_bits(&[1.5, 2.5, 1e9]),
+                    window: 8,
+                },
+            },
+            WalRecord {
+                lsn: 4,
+                op: RecordOp::Ingest { key: "cpu".into(), frame: golden_summary(&[(0.5, 3)]) },
+            },
+            WalRecord { lsn: 5, op: RecordOp::Remove { key: "gone".into() } },
+        ]
+    }
+
+    fn golden_entries() -> Vec<CheckpointEntry> {
+        vec![CheckpointEntry {
+            key: "lat".into(),
+            lsn: 2,
+            active_wid: 7,
+            watermark: 9,
+            sealed: vec![(4, 1, golden_summary(&[(10.0, 2)]))],
+            summary: golden_summary(&[(1.0, 1), (2.0, 4), (3.0, 2), (400.0, 8)]),
+        }]
+    }
+
+    #[test]
+    fn golden_segment_bytes_are_pinned_both_ways() {
+        let dir = qc_workloads::tempdir::TempDir::new("persist-golden-seg");
+        let mut wal = Wal::create(dir.path(), 2, 2).unwrap();
+        for record in golden_records() {
+            let op = match &record.op {
+                RecordOp::UpdateMany { key, value_bits, window } => {
+                    WalOpRef::UpdateMany { key, value_bits, window: *window }
+                }
+                RecordOp::Ingest { key, frame } => WalOpRef::Ingest { key, frame },
+                RecordOp::Remove { key } => WalOpRef::Remove { key },
+            };
+            assert_eq!(wal.append(&op).unwrap().lsn, record.lsn);
+        }
+        let written = read_file(&dir.path().join(segment_file_name(2))).unwrap();
+        assert_eq!(hex(&written), hex(&unhex(GOLDEN_SEGMENT)));
+
+        let scan = parse_segment(&unhex(GOLDEN_SEGMENT));
+        assert_eq!(scan.error, None);
+        let decoded: Vec<WalRecord> = scan.records.into_iter().map(|p| p.record).collect();
+        assert_eq!(decoded, golden_records());
+    }
+
+    #[test]
+    fn golden_checkpoint_bytes_are_pinned_both_ways() {
+        let dir = qc_workloads::tempdir::TempDir::new("persist-golden-ckpt");
+        let bytes = write_checkpoint(dir.path(), 1, &golden_entries()).unwrap();
+        let written = read_file(&dir.path().join(checkpoint_file_name(1))).unwrap();
+        assert_eq!(bytes, written.len() as u64);
+        assert_eq!(hex(&written), hex(&unhex(GOLDEN_CHECKPOINT)));
+        assert_eq!(parse_checkpoint(&unhex(GOLDEN_CHECKPOINT)).unwrap(), golden_entries());
+    }
+
+    #[test]
+    fn golden_data_dir_recovers_with_the_same_report() {
+        let dir = qc_workloads::tempdir::TempDir::new("persist-golden-recover");
+        std::fs::write(dir.path().join(checkpoint_file_name(1)), unhex(GOLDEN_CHECKPOINT)).unwrap();
+        std::fs::write(dir.path().join(segment_file_name(2)), unhex(GOLDEN_SEGMENT)).unwrap();
+        let cfg = crate::StoreConfig::default().data_dir(dir.path()).fsync(FsyncPolicy::Off);
+        let (store, report) = crate::SketchStore::<f64>::recover(cfg).unwrap();
+        assert_eq!(
+            report,
+            RecoveryReport {
+                checkpoint_seq: Some(1),
+                checkpoint_keys: 1,
+                checkpoints_rejected: Vec::new(),
+                segments_scanned: 1,
+                // LSN 2 sits at the checkpoint's floor for `lat`.
+                records_applied: 3,
+                records_skipped: 1,
+                corruption: None,
+            }
+        );
+        // 15 active + 2 sealed + 3 replayed for `lat`, 3 ingested for `cpu`.
+        assert_eq!(store.stats().stream_len, 23);
+        assert_eq!(store.query("lat", 0.0), Some(1.0));
+        assert_eq!(store.query("lat", 1.0), Some(1e9));
+        assert_eq!(store.query("cpu", 0.5), Some(0.5));
+    }
+
     #[test]
     fn seq_file_names_roundtrip() {
         assert_eq!(parse_seq(&segment_file_name(42), "wal-", ".log"), Some(42));
