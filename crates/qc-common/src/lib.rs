@@ -19,6 +19,10 @@
 //!   CDF estimation.
 //! * [`merge`] / [`sample`] — the sorted-merge and odd-or-even subsampling
 //!   kernels used by every propagation step.
+//! * [`codec`] — the one bounds-checked [`codec::Reader`] /
+//!   [`codec::Writer`] cursor pair, [`codec::CodecError`] and
+//!   [`codec::crc32`] that every byte format in the workspace (summary
+//!   frames, WAL, TCP protocol, UDP datagrams) is written on.
 //! * [`engine`] — the unified sketch-engine capability traits
 //!   ([`QuantileEstimator`], [`StreamIngest`], [`MergeableSketch`],
 //!   [`ConcurrentIngest`], [`SharedIngest`]) every backend in the
@@ -34,6 +38,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod bits;
+pub mod codec;
 pub mod engine;
 pub mod error;
 pub mod merge;

@@ -9,8 +9,10 @@
 //!
 //! # Layout (versions 1 and 2)
 //!
-//! All multi-byte integers are little-endian; varints are the LEB128
-//! encoding from [`qc_store::wire`].
+//! Integers, varints, strings, the header and the CRC trailer follow
+//! the shared conventions of [`qc_common::codec`]. Versions 1 and 2 are
+//! one layout; the version field says whether the sequence number is
+//! present.
 //!
 //! ```text
 //! offset  size  field
@@ -41,7 +43,9 @@
 //! checked against the bytes actually present **before** any allocation,
 //! so a hostile 4-byte datagram claiming 2^60 records costs nothing.
 
-use qc_store::wire::{crc32, get_varint, put_varint, WireError};
+use qc_common::codec::{varint_len, Reader, Writer};
+
+pub use qc_common::codec::{CHECKSUM_LEN, HEADER_LEN};
 
 /// First four bytes of every ingest datagram.
 pub const MAGIC: [u8; 4] = *b"QCDG";
@@ -49,14 +53,8 @@ pub const MAGIC: [u8; 4] = *b"QCDG";
 /// The highest datagram version this module encodes and decodes.
 pub const VERSION: u16 = 2;
 
-/// Fixed header length in bytes (magic + version + flags).
-pub const HEADER_LEN: usize = 8;
-
 /// Length of the version-2 sequence number field.
 pub const SEQ_LEN: usize = 8;
-
-/// Trailing checksum length in bytes.
-pub const CHECKSUM_LEN: usize = 4;
 
 /// Largest payload a UDP datagram can carry over IPv4 (65535 minus the
 /// IP and UDP headers). The daemon's receive buffer is sized one byte
@@ -77,104 +75,12 @@ pub struct Record {
     pub values: Vec<f64>,
 }
 
-/// Typed decode failures. Every malformed datagram maps to one of these —
-/// decoding must never panic, whatever the bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DatagramError {
-    /// Fewer bytes than a well-formed datagram can occupy.
-    Truncated {
-        /// Bytes required to make progress.
-        needed: usize,
-        /// Bytes actually available.
-        have: usize,
-    },
-    /// The first four bytes are not [`MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 4],
-    },
-    /// Version newer than this decoder understands.
-    UnsupportedVersion {
-        /// Version in the header.
-        found: u16,
-        /// Highest version this build decodes.
-        supported: u16,
-    },
-    /// Reserved flag bits were set (v1 defines none).
-    ReservedFlags {
-        /// The flag word found.
-        found: u16,
-    },
-    /// The trailing CRC-32 does not match the datagram contents.
-    ChecksumMismatch {
-        /// Checksum stored in the datagram.
-        stored: u32,
-        /// Checksum computed over the received bytes.
-        computed: u32,
-    },
-    /// A varint ran past 64 bits or past the end of the payload.
-    MalformedVarint {
-        /// Byte offset of the varint's first byte.
-        offset: usize,
-    },
-    /// A length claim (record count, key length, value count) exceeds the
-    /// bytes actually present. Rejected before any allocation.
-    LengthOverrun {
-        /// Byte offset of the offending claim.
-        offset: usize,
-        /// Bytes the claim implies.
-        claimed: u64,
-        /// Bytes actually available.
-        available: usize,
-    },
-    /// A key is not valid UTF-8.
-    BadKeyUtf8 {
-        /// Byte offset of the key's first byte.
-        offset: usize,
-    },
-    /// Well-formed records followed by unexpected extra bytes.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for DatagramError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DatagramError::Truncated { needed, have } => {
-                write!(f, "truncated datagram: need {needed} bytes, have {have}")
-            }
-            DatagramError::BadMagic { found } => write!(f, "bad magic {found:02x?}"),
-            DatagramError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported datagram version {found} (decoder supports <= {supported})")
-            }
-            DatagramError::ReservedFlags { found } => {
-                write!(f, "reserved flag bits set: {found:#06x}")
-            }
-            DatagramError::ChecksumMismatch { stored, computed } => {
-                write!(f, "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
-            }
-            DatagramError::MalformedVarint { offset } => {
-                write!(f, "malformed varint at offset {offset}")
-            }
-            DatagramError::LengthOverrun { offset, claimed, available } => {
-                write!(
-                    f,
-                    "length claim at offset {offset} implies {claimed} bytes, {available} available"
-                )
-            }
-            DatagramError::BadKeyUtf8 { offset } => {
-                write!(f, "key at offset {offset} is not valid UTF-8")
-            }
-            DatagramError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after the last record")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DatagramError {}
+/// Typed decode failures. The datagram layout has no failure kind of
+/// its own — every malformed packet is one of the shared
+/// [`qc_common::codec::CodecError`] kinds (a record count, key length or
+/// value count the bytes cannot back is `Truncated`, rejected before any
+/// allocation) — and decoding never panics, whatever the bytes.
+pub type DatagramError = qc_common::codec::CodecError;
 
 /// Incremental datagram assembly with a hard size budget.
 ///
@@ -227,17 +133,16 @@ impl DatagramBuilder {
         self.records == 0
     }
 
-    fn seq_overhead(&self) -> usize {
-        if self.seq.is_some() {
-            SEQ_LEN
-        } else {
-            0
-        }
+    /// Bytes the datagram would occupy with `records` records in `body`
+    /// bytes.
+    fn framed_len(&self, records: u64, body: usize) -> usize {
+        let seq = if self.seq.is_some() { SEQ_LEN } else { 0 };
+        HEADER_LEN + seq + varint_len(records) + body + CHECKSUM_LEN
     }
 
     /// Bytes the datagram would occupy if finished now.
     pub fn encoded_len(&self) -> usize {
-        HEADER_LEN + self.seq_overhead() + varint_len(self.records) + self.body.len() + CHECKSUM_LEN
+        self.framed_len(self.records, self.body.len())
     }
 
     /// Append one record if it fits in the remaining budget. Returns
@@ -251,20 +156,14 @@ impl DatagramBuilder {
             + key.len()
             + varint_len(values.len() as u64)
             + 8 * values.len();
-        let total = HEADER_LEN
-            + self.seq_overhead()
-            + varint_len(self.records + 1)
-            + self.body.len()
-            + record_len
-            + CHECKSUM_LEN;
-        if total > self.max_len {
+        if self.framed_len(self.records + 1, self.body.len() + record_len) > self.max_len {
             return false;
         }
-        put_varint(&mut self.body, key.len() as u64);
-        self.body.extend_from_slice(key.as_bytes());
-        put_varint(&mut self.body, values.len() as u64);
-        for v in values {
-            self.body.extend_from_slice(&v.to_bits().to_le_bytes());
+        let mut w = Writer::new(&mut self.body);
+        w.str(key);
+        w.varint(values.len() as u64);
+        for &v in values {
+            w.f64_le(v);
         }
         self.records += 1;
         true
@@ -273,25 +172,25 @@ impl DatagramBuilder {
     /// Seal the accumulated records into a wire datagram and reset the
     /// builder for reuse. `None` when nothing was pushed.
     pub fn finish(&mut self) -> Option<Vec<u8>> {
-        if self.records == 0 {
-            return None;
-        }
+        (self.records > 0).then(|| self.seal())
+    }
+
+    /// The one datagram encoder: envelope (version 2 iff sequenced)
+    /// around whatever was pushed — possibly nothing.
+    fn seal(&mut self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        out.extend_from_slice(&MAGIC);
-        let version: u16 = if self.seq.is_some() { 2 } else { 1 };
-        out.extend_from_slice(&version.to_le_bytes());
-        out.extend_from_slice(&0u16.to_le_bytes());
+        let mut w = Writer::new(&mut out);
+        w.header(MAGIC, if self.seq.is_some() { 2 } else { 1 });
         if let Some(seq) = &mut self.seq {
-            out.extend_from_slice(&seq.to_le_bytes());
+            w.u64_le(*seq);
             *seq = seq.wrapping_add(1);
         }
-        put_varint(&mut out, self.records);
-        out.extend_from_slice(&self.body);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+        w.varint(self.records);
+        w.bytes(&self.body);
+        w.finish_with_crc(0);
         self.body.clear();
         self.records = 0;
-        Some(out)
+        out
     }
 }
 
@@ -300,35 +199,22 @@ impl DatagramBuilder {
 /// batches themselves; senders packing to the wire limit want
 /// [`DatagramBuilder`].
 pub fn encode_datagram(records: &[Record]) -> Vec<u8> {
-    encode_datagram_impl(records, None)
+    encode_unbounded(records, None)
 }
 
 /// Encode a record batch as one version-2 datagram carrying `seq`.
 pub fn encode_datagram_seq(records: &[Record], seq: u64) -> Vec<u8> {
-    encode_datagram_impl(records, Some(seq))
+    encode_unbounded(records, Some(seq))
 }
 
-fn encode_datagram_impl(records: &[Record], seq: Option<u64>) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    let version: u16 = if seq.is_some() { 2 } else { 1 };
-    out.extend_from_slice(&version.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes());
-    if let Some(seq) = seq {
-        out.extend_from_slice(&seq.to_le_bytes());
-    }
-    put_varint(&mut out, records.len() as u64);
+fn encode_unbounded(records: &[Record], seq: Option<u64>) -> Vec<u8> {
+    let mut builder = DatagramBuilder::new(usize::MAX);
+    builder.seq = seq;
     for rec in records {
-        put_varint(&mut out, rec.key.len() as u64);
-        out.extend_from_slice(rec.key.as_bytes());
-        put_varint(&mut out, rec.values.len() as u64);
-        for v in &rec.values {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        let fits = builder.push(&rec.key, &rec.values);
+        debug_assert!(fits, "an unbounded builder declines nothing");
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    builder.seal()
 }
 
 /// Decode one datagram. Total and panic-free: any byte sequence returns
@@ -336,90 +222,26 @@ fn encode_datagram_impl(records: &[Record], seq: Option<u64>) -> Vec<u8> {
 /// [`DatagramError`], and no allocation is sized from an unvalidated
 /// claim.
 pub fn decode_datagram(buf: &[u8]) -> Result<Vec<Record>, DatagramError> {
-    let min = HEADER_LEN + 1 + CHECKSUM_LEN;
-    if buf.len() < min {
-        return Err(DatagramError::Truncated { needed: min, have: buf.len() });
-    }
-    let mut magic = [0u8; 4];
-    magic.copy_from_slice(&buf[0..4]);
-    if magic != MAGIC {
-        return Err(DatagramError::BadMagic { found: magic });
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if version == 0 || version > VERSION {
-        return Err(DatagramError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let flags = u16::from_le_bytes([buf[6], buf[7]]);
-    if flags != 0 {
-        return Err(DatagramError::ReservedFlags { found: flags });
-    }
-    // Version 2 carries an 8-byte sequence number before the record count.
-    let seq_len = if version >= 2 { SEQ_LEN } else { 0 };
-    let min = HEADER_LEN + seq_len + 1 + CHECKSUM_LEN;
-    if buf.len() < min {
-        return Err(DatagramError::Truncated { needed: min, have: buf.len() });
-    }
+    let mut r = Reader::new(buf);
+    let version = r.expect_header(MAGIC, 1..=VERSION)?;
     // CRC before structure: corruption anywhere in the packet surfaces as
     // one typed error instead of whichever parse step it happens to break.
-    let crc_at = buf.len() - CHECKSUM_LEN;
-    let stored =
-        u32::from_le_bytes([buf[crc_at], buf[crc_at + 1], buf[crc_at + 2], buf[crc_at + 3]]);
-    let computed = crc32(&buf[..crc_at]);
-    if stored != computed {
-        return Err(DatagramError::ChecksumMismatch { stored, computed });
+    r.split_crc_trailer()?;
+    if version >= 2 {
+        r.u64_le()?; // sequence number: `peek_seq`'s business, not ours
     }
-    let payload = &buf[..crc_at];
-    let mut pos = HEADER_LEN + seq_len;
-    let count_at = pos;
-    let count = read_varint(payload, &mut pos)?;
     // A record occupies at least MIN_RECORD_LEN bytes, so a count claim
     // larger than the remaining payload admits is hostile — reject before
     // reserving anything.
-    let remaining = payload.len() - pos;
-    if count > (remaining / MIN_RECORD_LEN) as u64 {
-        return Err(DatagramError::LengthOverrun {
-            offset: count_at,
-            claimed: count.saturating_mul(MIN_RECORD_LEN as u64),
-            available: remaining,
-        });
-    }
-    let mut records = Vec::with_capacity(count as usize);
+    let count = r.count(MIN_RECORD_LEN)?;
+    let mut records = Vec::with_capacity(count);
     for _ in 0..count {
-        let key_len_at = pos;
-        let key_len = read_varint(payload, &mut pos)?;
-        let available = payload.len() - pos;
-        if key_len > available as u64 {
-            return Err(DatagramError::LengthOverrun {
-                offset: key_len_at,
-                claimed: key_len,
-                available,
-            });
-        }
-        let key_at = pos;
-        let key_bytes = &payload[pos..pos + key_len as usize];
-        let key = std::str::from_utf8(key_bytes)
-            .map_err(|_| DatagramError::BadKeyUtf8 { offset: key_at })?
-            .to_owned();
-        pos += key_len as usize;
-        let val_count_at = pos;
-        let val_count = read_varint(payload, &mut pos)?;
-        let available = payload.len() - pos;
-        let claimed = val_count.saturating_mul(8);
-        if claimed > available as u64 {
-            return Err(DatagramError::LengthOverrun { offset: val_count_at, claimed, available });
-        }
-        let mut values = Vec::with_capacity(val_count as usize);
-        for _ in 0..val_count {
-            let mut bits = [0u8; 8];
-            bits.copy_from_slice(&payload[pos..pos + 8]);
-            values.push(f64::from_bits(u64::from_le_bytes(bits)));
-            pos += 8;
-        }
+        let key = r.str()?.to_owned();
+        let n = r.count(8)?;
+        let values = r.u64s_le(n)?.map(f64::from_bits).collect();
         records.push(Record { key, values });
     }
-    if pos != payload.len() {
-        return Err(DatagramError::TrailingBytes { extra: payload.len() - pos });
-    }
+    r.finish()?;
     Ok(records)
 }
 
@@ -430,36 +252,21 @@ pub fn decode_datagram(buf: &[u8]) -> Result<Vec<Record>, DatagramError> {
 /// sequence here and then fail full decoding; the receiver counts them as
 /// delivered-but-rejected, which is what drop attribution wants.
 pub fn peek_seq(buf: &[u8]) -> Option<u64> {
-    if buf.len() < HEADER_LEN + SEQ_LEN + CHECKSUM_LEN || buf[0..4] != MAGIC {
+    if buf.len() < HEADER_LEN + SEQ_LEN + CHECKSUM_LEN {
         return None;
     }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if version < 2 {
+    let mut r = Reader::new(buf);
+    if r.bytes(4).ok()? != MAGIC || r.u16_le().ok()? < 2 {
         return None;
     }
-    let mut bits = [0u8; 8];
-    bits.copy_from_slice(&buf[HEADER_LEN..HEADER_LEN + SEQ_LEN]);
-    Some(u64::from_le_bytes(bits))
-}
-
-/// Encoded length of `v` as a varint.
-fn varint_len(v: u64) -> usize {
-    let mut scratch = Vec::with_capacity(10);
-    put_varint(&mut scratch, v);
-    scratch.len()
-}
-
-fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, DatagramError> {
-    let offset = *pos;
-    get_varint(buf, pos).map_err(|e| match e {
-        WireError::MalformedVarint { offset } => DatagramError::MalformedVarint { offset },
-        _ => DatagramError::MalformedVarint { offset },
-    })
+    r.u16_le().ok()?; // flags: full decoding's business
+    r.u64_le().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_common::codec::{crc32, put_varint};
 
     #[test]
     fn roundtrip_basic() {
@@ -588,8 +395,8 @@ mod tests {
         let crc = crc32(&buf);
         buf.extend_from_slice(&crc.to_le_bytes());
         match decode_datagram(&buf) {
-            Err(DatagramError::LengthOverrun { .. }) => {}
-            other => panic!("expected LengthOverrun, got {other:?}"),
+            Err(DatagramError::Truncated { .. }) => {}
+            other => panic!("expected Truncated, got {other:?}"),
         }
     }
 

@@ -7,9 +7,9 @@
 //! neither. This crate is the datagram path:
 //!
 //! * [`datagram`] — a versioned, CRC-checked packet format (one datagram
-//!   = many `(key, values…)` records) built from the same
-//!   [`qc_store::wire`] varint/CRC primitives as every other format in
-//!   the workspace. Panic-free total decode, allocation bounds validated
+//!   = many `(key, values…)` records) built on the same
+//!   [`qc_common::codec`] cursors as every other format in the
+//!   workspace. Panic-free total decode, allocation bounds validated
 //!   before any reserve.
 //! * [`queue`] — the bounded MPMC hand-off between the socket and the
 //!   processors; `try_push` never blocks.

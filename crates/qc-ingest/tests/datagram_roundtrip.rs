@@ -128,7 +128,7 @@ proptest! {
         put_varint(&mut payload, count);
         prop_assert!(matches!(
             decode_datagram(&enveloped(&payload)),
-            Err(DatagramError::LengthOverrun { .. })
+            Err(DatagramError::Truncated { .. })
         ));
     }
 
@@ -140,7 +140,7 @@ proptest! {
         put_varint(&mut payload, klen); // key length, nothing behind it
         prop_assert!(matches!(
             decode_datagram(&enveloped(&payload)),
-            Err(DatagramError::LengthOverrun { .. })
+            Err(DatagramError::Truncated { .. })
         ));
     }
 
@@ -153,7 +153,7 @@ proptest! {
         put_varint(&mut payload, vcount); // value count, nothing behind it
         prop_assert!(matches!(
             decode_datagram(&enveloped(&payload)),
-            Err(DatagramError::LengthOverrun { .. })
+            Err(DatagramError::Truncated { .. })
         ));
     }
 

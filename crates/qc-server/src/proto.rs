@@ -8,13 +8,13 @@
 //! 4       L     body = opcode (u8) + payload
 //! ```
 //!
-//! Payload primitives reuse the `qc-store` wire conventions — LEB128
-//! varints ([`qc_store::wire::put_varint`]), little-endian `f64` bit
-//! patterns, and length-prefixed UTF-8 strings — so a snapshot frame
-//! travels as the *exact bytes* [`qc_store::wire::encode_summary`]
-//! produces, checksummed and versioned by that layer. The protocol layer
-//! itself stays checksum-free: TCP already protects the transport, and the
-//! summary payloads (the only bulk data) carry their own CRC.
+//! Payload primitives are the shared [`qc_common::codec`] ones — LEB128
+//! varints, little-endian `f64` bit patterns, length-prefixed UTF-8
+//! strings — and a snapshot frame travels as the *exact bytes*
+//! [`qc_store::wire::encode_summary`] produces, checksummed and versioned
+//! by that layer. The protocol layer itself stays checksum-free: TCP
+//! already protects the transport, and the summary payloads (the only
+//! bulk data) carry their own CRC.
 //!
 //! # Safety contract
 //!
@@ -59,9 +59,12 @@
 
 use std::io::{self, Read, Write};
 
-use qc_store::wire::{decode_summary, encode_summary, get_varint, put_varint, WireError};
+use qc_common::codec::{Reader, Writer};
+use qc_store::wire::{decode_summary, encode_summary, WireError};
 use qc_store::StoreStats;
 use qc_telemetry::MetricsSnapshot;
+
+pub use qc_common::codec::CodecError;
 
 /// Bytes of the frame length prefix.
 pub const LEN_PREFIX: usize = 4;
@@ -104,13 +107,10 @@ impl ErrorCode {
 /// the bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProtoError {
-    /// Body ended before the payload it declares.
-    Truncated {
-        /// Bytes required to make progress.
-        needed: usize,
-        /// Bytes actually available.
-        have: usize,
-    },
+    /// A failure kind every format shares: body truncated (or a declared
+    /// count the bytes cannot back), malformed varint, non-UTF-8 string,
+    /// trailing bytes.
+    Codec(CodecError),
     /// Frame length prefix exceeds the configured maximum.
     FrameTooLarge {
         /// Declared body length.
@@ -122,16 +122,6 @@ pub enum ProtoError {
     UnknownOpcode {
         /// The opcode byte found (0 for an empty body).
         found: u8,
-    },
-    /// A varint ran past 64 bits or past the end of the body.
-    MalformedVarint {
-        /// Byte offset of the varint's first byte.
-        offset: usize,
-    },
-    /// A string payload was not valid UTF-8.
-    BadUtf8 {
-        /// Byte offset of the string's first content byte.
-        offset: usize,
     },
     /// A presence flag byte was neither 0 nor 1.
     BadFlag {
@@ -149,11 +139,6 @@ pub enum ProtoError {
     IntOutOfRange {
         /// Byte offset of the offending varint.
         offset: usize,
-    },
-    /// Well-formed message followed by unexpected extra bytes.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        extra: usize,
     },
     /// A metrics payload declared a version this build does not speak.
     UnsupportedVersion {
@@ -173,26 +158,17 @@ pub enum ProtoError {
 impl std::fmt::Display for ProtoError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ProtoError::Truncated { needed, have } => {
-                write!(f, "truncated body: need {needed} bytes, have {have}")
-            }
+            ProtoError::Codec(e) => e.fmt(f),
             ProtoError::FrameTooLarge { len, max } => {
                 write!(f, "frame body of {len} bytes exceeds cap {max}")
             }
             ProtoError::UnknownOpcode { found } => write!(f, "unknown opcode {found:#04x}"),
-            ProtoError::MalformedVarint { offset } => {
-                write!(f, "malformed varint at byte {offset}")
-            }
-            ProtoError::BadUtf8 { offset } => write!(f, "invalid UTF-8 at byte {offset}"),
             ProtoError::BadFlag { offset, found } => {
                 write!(f, "bad presence flag {found:#04x} at byte {offset}")
             }
             ProtoError::UnknownErrorCode { found } => write!(f, "unknown error code {found}"),
             ProtoError::IntOutOfRange { offset } => {
                 write!(f, "count at byte {offset} exceeds platform usize")
-            }
-            ProtoError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after message")
             }
             ProtoError::UnsupportedVersion { found } => {
                 write!(f, "unsupported metrics payload version {found}")
@@ -205,6 +181,12 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<CodecError> for ProtoError {
+    fn from(e: CodecError) -> Self {
+        ProtoError::Codec(e)
+    }
+}
 
 /// A frame could not be received: transport failure or protocol violation.
 #[derive(Debug)]
@@ -385,60 +367,6 @@ pub enum Response {
     },
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(buf: &[u8], pos: &mut usize) -> Result<f64, ProtoError> {
-    let Some(bytes) = buf.get(*pos..*pos + 8) else {
-        return Err(ProtoError::Truncated { needed: *pos + 8, have: buf.len() });
-    };
-    *pos += 8;
-    Ok(f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("slice of 8"))))
-}
-
-fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8, ProtoError> {
-    let Some(&b) = buf.get(*pos) else {
-        return Err(ProtoError::Truncated { needed: *pos + 1, have: buf.len() });
-    };
-    *pos += 1;
-    Ok(b)
-}
-
-fn varint(buf: &[u8], pos: &mut usize) -> Result<u64, ProtoError> {
-    get_varint(buf, pos).map_err(|e| match e {
-        WireError::MalformedVarint { offset } => ProtoError::MalformedVarint { offset },
-        // `get_varint` only fails with MalformedVarint; keep the mapping
-        // total anyway.
-        _ => ProtoError::MalformedVarint { offset: *pos },
-    })
-}
-
-/// Read a declared length/count and validate it against the bytes left,
-/// assuming each counted element occupies at least `min_element_bytes`.
-/// This is the allocation guard: no `Vec::with_capacity(count)` may happen
-/// before this check.
-fn bounded_count(
-    buf: &[u8],
-    pos: &mut usize,
-    min_element_bytes: usize,
-) -> Result<usize, ProtoError> {
-    let at = *pos;
-    let raw = varint(buf, pos)?;
-    let remaining = (buf.len() - *pos) as u64;
-    let fits =
-        raw.checked_mul(min_element_bytes.max(1) as u64).is_some_and(|need| need <= remaining);
-    if !fits {
-        let needed = usize::try_from(raw)
-            .ok()
-            .and_then(|c| c.checked_mul(min_element_bytes.max(1)))
-            .and_then(|c| c.checked_add(*pos))
-            .unwrap_or(usize::MAX);
-        return Err(ProtoError::Truncated { needed, have: buf.len() });
-    }
-    usize::try_from(raw).map_err(|_| ProtoError::IntOutOfRange { offset: at })
-}
-
 /// ZigZag map for signed gauge values: small-magnitude integers of either
 /// sign take few varint bytes (`0 → 0, -1 → 1, 1 → 2, -2 → 3, …`).
 fn zigzag(v: i64) -> u64 {
@@ -449,39 +377,73 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_varint(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn get_bytes<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8], ProtoError> {
-    let len = bounded_count(buf, pos, 1)?;
-    let slice = &buf[*pos..*pos + len];
-    *pos += len;
-    Ok(slice)
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_bytes(out, s.as_bytes());
-}
-
-fn get_str(buf: &[u8], pos: &mut usize) -> Result<String, ProtoError> {
-    let start_of_content = {
-        let mut probe = *pos;
-        varint(buf, &mut probe)?;
-        probe
-    };
-    let bytes = get_bytes(buf, pos)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_owned)
-        .map_err(|_| ProtoError::BadUtf8 { offset: start_of_content })
-}
-
-fn check_done(buf: &[u8], pos: usize) -> Result<(), ProtoError> {
-    if pos != buf.len() {
-        return Err(ProtoError::TrailingBytes { extra: buf.len() - pos });
+/// A count followed by that many `f64`s (the batch payloads).
+fn put_values(w: &mut Writer<'_>, values: &[f64]) {
+    w.varint(values.len() as u64);
+    w.reserve(values.len() * 8);
+    for &v in values {
+        w.f64_le(v);
     }
-    Ok(())
+}
+
+fn get_values(r: &mut Reader<'_>) -> Result<Vec<f64>, ProtoError> {
+    let n = r.count(8)?;
+    Ok(r.u64s_le(n)?.map(f64::from_bits).collect())
+}
+
+/// A count followed by that many strings (key lists).
+fn put_strings(w: &mut Writer<'_>, strings: &[String]) {
+    w.varint(strings.len() as u64);
+    for s in strings {
+        w.str(s);
+    }
+}
+
+fn get_strings(r: &mut Reader<'_>) -> Result<Vec<String>, ProtoError> {
+    // Each string costs at least one length byte.
+    let n = r.count(1)?;
+    let mut strings = Vec::with_capacity(n);
+    for _ in 0..n {
+        strings.push(r.str()?.to_owned());
+    }
+    Ok(strings)
+}
+
+/// A presence/boolean byte: 0 or 1, anything else is [`ProtoError::BadFlag`].
+fn get_flag(r: &mut Reader<'_>) -> Result<bool, ProtoError> {
+    let offset = r.offset();
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        found => Err(ProtoError::BadFlag { offset, found }),
+    }
+}
+
+/// A varint that must fit this platform's `usize`.
+fn get_usize(r: &mut Reader<'_>) -> Result<usize, ProtoError> {
+    let offset = r.offset();
+    usize::try_from(r.varint()?).map_err(|_| ProtoError::IntOutOfRange { offset })
+}
+
+/// Metrics entries `(name, value)`: a count, then a string and whatever
+/// `value` reads per entry. Every entry is at least a 1-byte name length
+/// plus one value byte; that floor only guards the `Vec::with_capacity`.
+fn get_named<T>(
+    r: &mut Reader<'_>,
+    mut value: impl FnMut(&mut Reader<'_>) -> Result<T, ProtoError>,
+) -> Result<Vec<(String, T)>, ProtoError> {
+    let n = r.count(2)?;
+    let mut entries = Vec::with_capacity(n);
+    for _ in 0..n {
+        let name = r.str()?.to_owned();
+        entries.push((name, value(r)?));
+    }
+    Ok(entries)
+}
+
+/// The opcode byte opening a body; an empty body reads as opcode 0.
+fn get_opcode(r: &mut Reader<'_>) -> Result<u8, ProtoError> {
+    r.u8().map_err(|_| ProtoError::UnknownOpcode { found: 0 })
 }
 
 impl Request {
@@ -515,81 +477,64 @@ impl Request {
     /// Encode into a frame body (opcode + payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        let mut w = Writer::new(&mut out);
         match self {
             Request::Update { key, value } => {
-                out.push(0x01);
-                put_str(&mut out, key);
-                put_f64(&mut out, *value);
+                w.u8(0x01);
+                w.str(key);
+                w.f64_le(*value);
             }
-            Request::UpdateMany { key, values } => {
-                out.push(0x02);
-                put_str(&mut out, key);
-                put_varint(&mut out, values.len() as u64);
-                out.reserve(values.len() * 8);
-                for &v in values {
-                    put_f64(&mut out, v);
-                }
-            }
+            Request::UpdateMany { key, values } => put_update_many(&mut w, key, values),
             Request::Query { key, phi } => {
-                out.push(0x03);
-                put_str(&mut out, key);
-                put_f64(&mut out, *phi);
+                w.u8(0x03);
+                w.str(key);
+                w.f64_le(*phi);
             }
             Request::Rank { key, value } => {
-                out.push(0x04);
-                put_str(&mut out, key);
-                put_f64(&mut out, *value);
+                w.u8(0x04);
+                w.str(key);
+                w.f64_le(*value);
             }
             Request::MergedQuery { keys, phi } => {
-                out.push(0x05);
-                put_varint(&mut out, keys.len() as u64);
-                for key in keys {
-                    put_str(&mut out, key);
-                }
-                put_f64(&mut out, *phi);
+                w.u8(0x05);
+                put_strings(&mut w, keys);
+                w.f64_le(*phi);
             }
-            Request::Stats => out.push(0x06),
+            Request::Stats => w.u8(0x06),
             Request::Remove { key } => {
-                out.push(0x07);
-                put_str(&mut out, key);
+                w.u8(0x07);
+                w.str(key);
             }
-            Request::Keys => out.push(0x08),
+            Request::Keys => w.u8(0x08),
             Request::Snapshot { key } => {
-                out.push(0x09);
-                put_str(&mut out, key);
+                w.u8(0x09);
+                w.str(key);
             }
             Request::Ingest { key, frame } => {
-                out.push(0x0a);
-                put_str(&mut out, key);
-                put_bytes(&mut out, frame);
+                w.u8(0x0a);
+                w.str(key);
+                w.len_prefixed_bytes(frame);
             }
-            Request::Metrics => out.push(0x0b),
+            Request::Metrics => w.u8(0x0b),
             Request::UpdateAt { key, ts, values } => {
-                out.push(0x0c);
-                put_str(&mut out, key);
-                put_varint(&mut out, *ts);
-                put_varint(&mut out, values.len() as u64);
-                out.reserve(values.len() * 8);
-                for &v in values {
-                    put_f64(&mut out, v);
-                }
+                w.u8(0x0c);
+                w.str(key);
+                w.varint(*ts);
+                put_values(&mut w, values);
             }
             Request::QueryRange { key, t0, t1, phi } => {
-                out.push(0x0d);
-                put_str(&mut out, key);
-                put_varint(&mut out, *t0);
-                put_varint(&mut out, *t1);
-                put_f64(&mut out, *phi);
+                w.u8(0x0d);
+                w.str(key);
+                w.varint(*t0);
+                w.varint(*t1);
+                w.f64_le(*phi);
             }
             Request::MergedQueryRange { keys, t0, t1, phi } => {
-                out.push(0x0e);
-                put_varint(&mut out, keys.len() as u64);
-                for key in keys {
-                    put_str(&mut out, key);
-                }
-                put_varint(&mut out, *t0);
-                put_varint(&mut out, *t1);
-                put_f64(&mut out, *phi);
+                w.u8(0x0e);
+                put_strings(&mut w, keys);
+                w.varint(*t0);
+                w.varint(*t1);
+                w.f64_le(*phi);
             }
         }
         out
@@ -598,85 +543,42 @@ impl Request {
     /// Decode a frame body. Total: consumes exactly `body` or returns a
     /// typed error.
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
-        let mut pos = 0usize;
-        let op = get_u8(body, &mut pos).map_err(|_| ProtoError::UnknownOpcode { found: 0 })?;
-        let req = match op {
-            0x01 => {
-                let key = get_str(body, &mut pos)?;
-                let value = get_f64(body, &mut pos)?;
-                Request::Update { key, value }
-            }
-            0x02 => {
-                let key = get_str(body, &mut pos)?;
-                let n = bounded_count(body, &mut pos, 8)?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(get_f64(body, &mut pos)?);
-                }
-                Request::UpdateMany { key, values }
-            }
-            0x03 => {
-                let key = get_str(body, &mut pos)?;
-                let phi = get_f64(body, &mut pos)?;
-                Request::Query { key, phi }
-            }
-            0x04 => {
-                let key = get_str(body, &mut pos)?;
-                let value = get_f64(body, &mut pos)?;
-                Request::Rank { key, value }
-            }
-            0x05 => {
-                // Each key costs at least one length byte.
-                let n = bounded_count(body, &mut pos, 1)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(get_str(body, &mut pos)?);
-                }
-                let phi = get_f64(body, &mut pos)?;
-                Request::MergedQuery { keys, phi }
-            }
+        let mut r = Reader::new(body);
+        let req = match get_opcode(&mut r)? {
+            0x01 => Request::Update { key: r.str()?.to_owned(), value: r.f64_le()? },
+            0x02 => Request::UpdateMany { key: r.str()?.to_owned(), values: get_values(&mut r)? },
+            0x03 => Request::Query { key: r.str()?.to_owned(), phi: r.f64_le()? },
+            0x04 => Request::Rank { key: r.str()?.to_owned(), value: r.f64_le()? },
+            0x05 => Request::MergedQuery { keys: get_strings(&mut r)?, phi: r.f64_le()? },
             0x06 => Request::Stats,
-            0x07 => Request::Remove { key: get_str(body, &mut pos)? },
+            0x07 => Request::Remove { key: r.str()?.to_owned() },
             0x08 => Request::Keys,
-            0x09 => Request::Snapshot { key: get_str(body, &mut pos)? },
-            0x0a => {
-                let key = get_str(body, &mut pos)?;
-                let frame = get_bytes(body, &mut pos)?.to_vec();
-                Request::Ingest { key, frame }
-            }
+            0x09 => Request::Snapshot { key: r.str()?.to_owned() },
+            0x0a => Request::Ingest {
+                key: r.str()?.to_owned(),
+                frame: r.len_prefixed_bytes()?.to_vec(),
+            },
             0x0b => Request::Metrics,
-            0x0c => {
-                let key = get_str(body, &mut pos)?;
-                let ts = varint(body, &mut pos)?;
-                let n = bounded_count(body, &mut pos, 8)?;
-                let mut values = Vec::with_capacity(n);
-                for _ in 0..n {
-                    values.push(get_f64(body, &mut pos)?);
-                }
-                Request::UpdateAt { key, ts, values }
-            }
-            0x0d => {
-                let key = get_str(body, &mut pos)?;
-                let t0 = varint(body, &mut pos)?;
-                let t1 = varint(body, &mut pos)?;
-                let phi = get_f64(body, &mut pos)?;
-                Request::QueryRange { key, t0, t1, phi }
-            }
-            0x0e => {
-                // Each key costs at least one length byte.
-                let n = bounded_count(body, &mut pos, 1)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(get_str(body, &mut pos)?);
-                }
-                let t0 = varint(body, &mut pos)?;
-                let t1 = varint(body, &mut pos)?;
-                let phi = get_f64(body, &mut pos)?;
-                Request::MergedQueryRange { keys, t0, t1, phi }
-            }
+            0x0c => Request::UpdateAt {
+                key: r.str()?.to_owned(),
+                ts: r.varint()?,
+                values: get_values(&mut r)?,
+            },
+            0x0d => Request::QueryRange {
+                key: r.str()?.to_owned(),
+                t0: r.varint()?,
+                t1: r.varint()?,
+                phi: r.f64_le()?,
+            },
+            0x0e => Request::MergedQueryRange {
+                keys: get_strings(&mut r)?,
+                t0: r.varint()?,
+                t1: r.varint()?,
+                phi: r.f64_le()?,
+            },
             found => return Err(ProtoError::UnknownOpcode { found }),
         };
-        check_done(body, pos)?;
+        r.finish()?;
         Ok(req)
     }
 }
@@ -687,204 +589,150 @@ impl Request {
 /// client's hot ingest path.
 pub fn encode_update_many(key: &str, values: &[f64]) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + key.len() + 2 + 10 + values.len() * 8);
-    out.push(0x02);
-    put_str(&mut out, key);
-    put_varint(&mut out, values.len() as u64);
-    for &v in values {
-        put_f64(&mut out, v);
-    }
+    put_update_many(&mut Writer::new(&mut out), key, values);
     out
 }
 
+fn put_update_many(w: &mut Writer<'_>, key: &str, values: &[f64]) {
+    w.u8(0x02);
+    w.str(key);
+    put_values(w, values);
+}
+
 impl Response {
-    /// Encode into a frame body (opcode + payload).
+    /// Encode into a fresh frame body (opcode + payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the frame body (opcode + payload) to `out` — the server's
+    /// reply path reuses one buffer per connection.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = Writer::new(out);
         match self {
-            Response::Ok => out.push(0x80),
+            Response::Ok => w.u8(0x80),
             Response::MaybeValue(v) => {
-                out.push(0x81);
-                match v {
-                    None => out.push(0),
-                    Some(v) => {
-                        out.push(1);
-                        put_f64(&mut out, *v);
-                    }
+                w.u8(0x81);
+                w.u8(v.is_some() as u8);
+                if let Some(v) = v {
+                    w.f64_le(*v);
                 }
             }
             Response::Count(n) => {
-                out.push(0x82);
-                put_varint(&mut out, *n);
+                w.u8(0x82);
+                w.varint(*n);
             }
             Response::Flag(b) => {
-                out.push(0x83);
-                out.push(*b as u8);
+                w.u8(0x83);
+                w.u8(*b as u8);
             }
             Response::Stats(s) => {
-                out.push(0x84);
-                put_varint(&mut out, s.keys as u64);
-                put_varint(&mut out, s.stripes as u64);
-                put_varint(&mut out, s.updates);
-                put_varint(&mut out, s.ingests);
-                put_varint(&mut out, s.ingest_errors);
-                put_varint(&mut out, s.stream_len);
-                put_varint(&mut out, s.bytes_out);
-                put_varint(&mut out, s.bytes_in);
+                w.u8(0x84);
+                w.varint(s.keys as u64);
+                w.varint(s.stripes as u64);
+                w.varint(s.updates);
+                w.varint(s.ingests);
+                w.varint(s.ingest_errors);
+                w.varint(s.stream_len);
+                w.varint(s.bytes_out);
+                w.varint(s.bytes_in);
             }
             Response::Keys(keys) => {
-                out.push(0x85);
-                put_varint(&mut out, keys.len() as u64);
-                for key in keys {
-                    put_str(&mut out, key);
-                }
+                w.u8(0x85);
+                put_strings(&mut w, keys);
             }
-            Response::MaybeFrame(f) => {
-                out.push(0x86);
-                match f {
-                    None => out.push(0),
-                    Some(frame) => {
-                        out.push(1);
-                        put_bytes(&mut out, frame);
-                    }
+            Response::MaybeFrame(frame) => {
+                w.u8(0x86);
+                w.u8(frame.is_some() as u8);
+                if let Some(frame) = frame {
+                    w.len_prefixed_bytes(frame);
                 }
             }
             Response::Metrics(snap) => {
-                out.push(0x87);
-                out.push(METRICS_VERSION);
-                put_varint(&mut out, snap.counters.len() as u64);
+                w.u8(0x87);
+                w.u8(METRICS_VERSION);
+                w.varint(snap.counters.len() as u64);
                 for (name, value) in &snap.counters {
-                    put_str(&mut out, name);
-                    put_varint(&mut out, *value);
+                    w.str(name);
+                    w.varint(*value);
                 }
-                put_varint(&mut out, snap.gauges.len() as u64);
+                w.varint(snap.gauges.len() as u64);
                 for (name, value) in &snap.gauges {
-                    put_str(&mut out, name);
-                    put_varint(&mut out, zigzag(*value));
+                    w.str(name);
+                    w.varint(zigzag(*value));
                 }
-                put_varint(&mut out, snap.latencies.len() as u64);
+                w.varint(snap.latencies.len() as u64);
                 for (name, summary) in &snap.latencies {
-                    put_str(&mut out, name);
-                    put_bytes(&mut out, &encode_summary(summary));
+                    w.str(name);
+                    w.len_prefixed_bytes(&encode_summary(summary));
                 }
             }
             Response::Error { code, message } => {
-                out.push(0x8f);
-                out.push(*code as u8);
-                put_str(&mut out, message);
+                w.u8(0x8f);
+                w.u8(*code as u8);
+                w.str(message);
             }
         }
-        out
     }
 
     /// Decode a frame body. Total: consumes exactly `body` or returns a
     /// typed error.
     pub fn decode(body: &[u8]) -> Result<Response, ProtoError> {
-        let mut pos = 0usize;
-        let op = get_u8(body, &mut pos).map_err(|_| ProtoError::UnknownOpcode { found: 0 })?;
-        let resp = match op {
+        let mut r = Reader::new(body);
+        let resp = match get_opcode(&mut r)? {
             0x80 => Response::Ok,
-            0x81 => {
-                let at = pos;
-                match get_u8(body, &mut pos)? {
-                    0 => Response::MaybeValue(None),
-                    1 => Response::MaybeValue(Some(get_f64(body, &mut pos)?)),
-                    found => return Err(ProtoError::BadFlag { offset: at, found }),
-                }
-            }
-            0x82 => Response::Count(varint(body, &mut pos)?),
-            0x83 => {
-                let at = pos;
-                match get_u8(body, &mut pos)? {
-                    0 => Response::Flag(false),
-                    1 => Response::Flag(true),
-                    found => return Err(ProtoError::BadFlag { offset: at, found }),
-                }
-            }
-            0x84 => {
-                let keys_at = pos;
-                let keys = varint(body, &mut pos)?;
-                let stripes_at = pos;
-                let stripes = varint(body, &mut pos)?;
-                Response::Stats(StoreStats {
-                    keys: usize::try_from(keys)
-                        .map_err(|_| ProtoError::IntOutOfRange { offset: keys_at })?,
-                    stripes: usize::try_from(stripes)
-                        .map_err(|_| ProtoError::IntOutOfRange { offset: stripes_at })?,
-                    updates: varint(body, &mut pos)?,
-                    ingests: varint(body, &mut pos)?,
-                    ingest_errors: varint(body, &mut pos)?,
-                    stream_len: varint(body, &mut pos)?,
-                    bytes_out: varint(body, &mut pos)?,
-                    bytes_in: varint(body, &mut pos)?,
-                    // Tier/memory fields are node-local diagnostics and do
-                    // not cross the wire (format unchanged since v1);
-                    // remote stats report them as zero.
-                    ..Default::default()
-                })
-            }
-            0x85 => {
-                let n = bounded_count(body, &mut pos, 1)?;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    keys.push(get_str(body, &mut pos)?);
-                }
-                Response::Keys(keys)
-            }
-            0x86 => {
-                let at = pos;
-                match get_u8(body, &mut pos)? {
-                    0 => Response::MaybeFrame(None),
-                    1 => Response::MaybeFrame(Some(get_bytes(body, &mut pos)?.to_vec())),
-                    found => return Err(ProtoError::BadFlag { offset: at, found }),
-                }
-            }
+            0x81 => Response::MaybeValue(match get_flag(&mut r)? {
+                true => Some(r.f64_le()?),
+                false => None,
+            }),
+            0x82 => Response::Count(r.varint()?),
+            0x83 => Response::Flag(get_flag(&mut r)?),
+            0x84 => Response::Stats(StoreStats {
+                keys: get_usize(&mut r)?,
+                stripes: get_usize(&mut r)?,
+                updates: r.varint()?,
+                ingests: r.varint()?,
+                ingest_errors: r.varint()?,
+                stream_len: r.varint()?,
+                bytes_out: r.varint()?,
+                bytes_in: r.varint()?,
+                // Tier/memory fields are node-local diagnostics and do
+                // not cross the wire (format unchanged since v1);
+                // remote stats report them as zero.
+                ..Default::default()
+            }),
+            0x85 => Response::Keys(get_strings(&mut r)?),
+            0x86 => Response::MaybeFrame(match get_flag(&mut r)? {
+                true => Some(r.len_prefixed_bytes()?.to_vec()),
+                false => None,
+            }),
             0x87 => {
-                let version = get_u8(body, &mut pos)?;
+                let version = r.u8()?;
                 if version != METRICS_VERSION {
                     return Err(ProtoError::UnsupportedVersion { found: version });
                 }
-                // Each counter entry is at least a 1-byte name length plus
-                // a 1-byte value varint; same floor for gauges and latency
-                // entries (whose summary frames are far larger in practice
-                // — the floor only guards the Vec::with_capacity).
-                let n = bounded_count(body, &mut pos, 2)?;
-                let mut counters = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(body, &mut pos)?;
-                    counters.push((name, varint(body, &mut pos)?));
-                }
-                let n = bounded_count(body, &mut pos, 2)?;
-                let mut gauges = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(body, &mut pos)?;
-                    gauges.push((name, unzigzag(varint(body, &mut pos)?)));
-                }
-                let n = bounded_count(body, &mut pos, 2)?;
-                let mut latencies = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let name = get_str(body, &mut pos)?;
-                    let frame_at = {
-                        let mut probe = pos;
-                        varint(body, &mut probe)?;
-                        probe
-                    };
-                    let frame = get_bytes(body, &mut pos)?;
-                    let summary = decode_summary(frame)
-                        .map_err(|error| ProtoError::BadSummary { offset: frame_at, error })?;
-                    latencies.push((name, summary));
-                }
-                Response::Metrics(MetricsSnapshot { counters, gauges, latencies })
+                Response::Metrics(MetricsSnapshot {
+                    counters: get_named(&mut r, |r| Ok(r.varint()?))?,
+                    gauges: get_named(&mut r, |r| Ok(unzigzag(r.varint()?)))?,
+                    latencies: get_named(&mut r, |r| {
+                        let frame = r.len_prefixed_bytes()?;
+                        let offset = r.offset() - frame.len();
+                        decode_summary(frame)
+                            .map_err(|error| ProtoError::BadSummary { offset, error })
+                    })?,
+                })
             }
             0x8f => {
-                let code_byte = get_u8(body, &mut pos)?;
+                let code_byte = r.u8()?;
                 let code = ErrorCode::from_u8(code_byte)
                     .ok_or(ProtoError::UnknownErrorCode { found: code_byte })?;
-                let message = get_str(body, &mut pos)?;
-                Response::Error { code, message }
+                Response::Error { code, message: r.str()?.to_owned() }
             }
             found => return Err(ProtoError::UnknownOpcode { found }),
         };
-        check_done(body, pos)?;
+        r.finish()?;
         Ok(resp)
     }
 }
@@ -936,6 +784,15 @@ pub fn read_frame<R: Read>(r: &mut R, max_len: usize) -> Result<Option<Vec<u8>>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_common::codec::put_varint;
+
+    fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
+        Writer::new(out).len_prefixed_bytes(bytes);
+    }
+
+    fn put_str(out: &mut Vec<u8>, s: &str) {
+        put_bytes(out, s.as_bytes());
+    }
 
     #[test]
     fn simple_request_roundtrip() {
@@ -1036,7 +893,10 @@ mod tests {
         }
         // Truncating the body mid-summary is caught before the CRC runs.
         let cut = &body[..body.len() - 4];
-        assert!(matches!(Response::decode(cut), Err(ProtoError::Truncated { .. })));
+        assert!(matches!(
+            Response::decode(cut),
+            Err(ProtoError::Codec(CodecError::Truncated { .. }))
+        ));
     }
 
     #[test]
@@ -1100,21 +960,30 @@ mod tests {
         let mut body = vec![0x02];
         put_str(&mut body, "");
         put_varint(&mut body, u64::MAX);
-        assert!(matches!(Request::decode(&body), Err(ProtoError::Truncated { .. })));
+        assert!(matches!(
+            Request::decode(&body),
+            Err(ProtoError::Codec(CodecError::Truncated { .. }))
+        ));
     }
 
     #[test]
     fn bad_utf8_is_typed() {
         let mut body = vec![0x07];
         put_bytes(&mut body, &[0xff, 0xfe]);
-        assert_eq!(Request::decode(&body), Err(ProtoError::BadUtf8 { offset: 2 }));
+        assert_eq!(
+            Request::decode(&body),
+            Err(ProtoError::Codec(CodecError::BadUtf8 { offset: 2 }))
+        );
     }
 
     #[test]
     fn trailing_bytes_rejected() {
         let mut body = Request::Stats.encode();
         body.push(0);
-        assert_eq!(Request::decode(&body), Err(ProtoError::TrailingBytes { extra: 1 }));
+        assert_eq!(
+            Request::decode(&body),
+            Err(ProtoError::Codec(CodecError::TrailingBytes { extra: 1 }))
+        );
     }
 
     #[test]

@@ -636,6 +636,7 @@ fn serve_frames(
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
     let mut leases = LeaseCache::default();
+    let mut reply = Vec::new();
     let outcome = loop {
         if shutdown.load(Ordering::Relaxed) {
             break ConnOutcome::Shutdown;
@@ -693,7 +694,9 @@ fn serve_frames(
             }
         };
         leases.tick();
-        if write_frame(&mut writer, &response.encode()).is_err() || writer.flush().is_err() {
+        reply.clear();
+        response.encode_into(&mut reply);
+        if write_frame(&mut writer, &reply).is_err() || writer.flush().is_err() {
             instruments.io_errors.incr();
             instruments.registry.event(EventKind::IoError, format!("peer={peer} response write"));
             break ConnOutcome::IoError;

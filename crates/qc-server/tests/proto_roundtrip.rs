@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use qc_common::summary::{WeightedItem, WeightedSummary};
 use qc_server::proto::{
-    read_frame, write_frame, ProtoError, RecvError, Request, Response, METRICS_VERSION,
+    read_frame, write_frame, CodecError, ProtoError, RecvError, Request, Response, METRICS_VERSION,
 };
 use qc_server::{ErrorCode, MetricsSnapshot};
 use qc_store::StoreStats;
@@ -229,7 +229,7 @@ proptest! {
         qc_store::wire::put_varint(&mut body, count);
         prop_assert!(matches!(
             Response::decode(&body),
-            Err(ProtoError::Truncated { .. })
+            Err(ProtoError::Codec(CodecError::Truncated { .. }))
         ));
     }
 
@@ -265,7 +265,7 @@ proptest! {
         body.extend_from_slice(&count_bytes);
         prop_assert!(matches!(
             Request::decode(&body),
-            Err(ProtoError::Truncated { .. })
+            Err(ProtoError::Codec(CodecError::Truncated { .. }))
         ));
     }
 

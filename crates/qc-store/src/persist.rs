@@ -1,5 +1,5 @@
 //! Durable persistence: an append-only segment log plus checkpoint
-//! compaction, built on the [`crate::wire`] primitives.
+//! compaction, built on the [`qc_common::codec`] cursor pair.
 //!
 //! Everything the store accumulates lives in memory; this module is the
 //! restart-safety layer ([`crate::SketchStore::recover`] is the entry
@@ -33,8 +33,9 @@
 //!
 //! # Record frame layout
 //!
-//! Both file kinds share one frame envelope (multi-byte integers
-//! little-endian, varints LEB128 as in [`crate::wire`]):
+//! Both file kinds open with the [`qc_common::codec`] header and share
+//! one frame envelope (integers, varints and strings per that module's
+//! conventions):
 //!
 //! ```text
 //! offset  size  field
@@ -61,9 +62,11 @@
 //! bodies and the windowed fields in checkpoint entries (an unwindowed
 //! store writes window 0 and no sealed windows). Writers emit exactly
 //! [`PERSIST_VERSION`] and readers accept exactly it — any other header
-//! version is a typed [`RecordError::UnsupportedVersion`], never a
+//! version is a typed [`CodecError::UnsupportedVersion`], never a
 //! best-effort decode. (Version 1, the pre-window layout, was never
-//! written by a released build.)
+//! written by a released build.) The header check's failures — wrong
+//! magic, version, flags, a file shorter than the header — arrive as
+//! [`RecordError::Codec`].
 //!
 //! # Durability guarantee
 //!
@@ -88,7 +91,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::wire::{crc32, decode_summary, get_varint, put_varint, WireError};
+use qc_common::codec::{CodecError, Reader, Writer, CHECKSUM_LEN};
+
+use crate::wire::{decode_summary, WireError};
 
 /// First four bytes of every log segment file.
 pub const SEGMENT_MAGIC: [u8; 4] = *b"QCWL";
@@ -171,24 +176,12 @@ impl std::error::Error for PersistError {
 /// decoding never panics, whatever the bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RecordError {
-    /// The file is shorter than its fixed header, or the magic bytes are
-    /// not the expected file kind.
-    BadFileHeader {
-        /// The leading bytes found (zero-padded when the file is shorter).
-        found: [u8; 4],
-    },
-    /// File-format version other than the one this build reads.
-    UnsupportedVersion {
-        /// Version in the header.
-        found: u16,
-        /// The version this build decodes ([`PERSIST_VERSION`]).
-        supported: u16,
-    },
-    /// Reserved header flag bits were set.
-    ReservedFlags {
-        /// The flag word found.
-        found: u16,
-    },
+    /// A failure kind every format shares: a bad file header (short
+    /// file, wrong magic, version or flags), a frame whose CRC-32
+    /// trailer does not match its body, or a body that fails structural
+    /// decoding (varint overrun, length past the body, non-UTF-8 key,
+    /// trailing bytes). Offsets inside are file offsets.
+    Codec(CodecError),
     /// The file ends mid-frame — the torn tail of an interrupted write.
     Torn {
         /// Byte offset of the frame's length prefix.
@@ -205,15 +198,6 @@ pub enum RecordError {
         /// The claimed body length.
         length: usize,
     },
-    /// The frame's CRC-32 trailer does not match its body.
-    ChecksumMismatch {
-        /// Byte offset of the frame's length prefix.
-        offset: usize,
-        /// Checksum stored in the trailer.
-        stored: u32,
-        /// Checksum computed over the body read.
-        computed: u32,
-    },
     /// The body's opcode byte is not one this build knows.
     BadOpcode {
         /// Byte offset of the frame's length prefix.
@@ -221,12 +205,17 @@ pub enum RecordError {
         /// The opcode found.
         found: u8,
     },
-    /// The body failed structural decoding (varint overrun, key length
-    /// past the body, non-UTF-8 key, payload size mismatch, zero LSN).
-    Malformed {
+    /// The record carries LSN 0, which the log never assigns.
+    ZeroLsn {
         /// Byte offset of the frame's length prefix.
         offset: usize,
-        /// The underlying wire-level cause.
+    },
+    /// An ingest record's embedded summary frame failed
+    /// [`decode_summary`].
+    BadSummary {
+        /// Byte offset of the frame's length prefix.
+        offset: usize,
+        /// The wire-level cause.
         cause: WireError,
     },
 }
@@ -234,34 +223,31 @@ pub enum RecordError {
 impl std::fmt::Display for RecordError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RecordError::BadFileHeader { found } => write!(f, "bad file header {found:02x?}"),
-            RecordError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported persist version {found} (this build reads only {supported})")
-            }
-            RecordError::ReservedFlags { found } => {
-                write!(f, "reserved persist flags set: {found:#06x}")
-            }
+            RecordError::Codec(e) => e.fmt(f),
             RecordError::Torn { offset, needed, have } => {
                 write!(f, "torn frame at byte {offset}: need {needed} bytes, have {have}")
             }
             RecordError::Oversized { offset, length } => {
                 write!(f, "oversized frame at byte {offset}: {length} bytes")
             }
-            RecordError::ChecksumMismatch { offset, stored, computed } => write!(
-                f,
-                "frame checksum mismatch at byte {offset}: stored {stored:#010x}, computed {computed:#010x}"
-            ),
             RecordError::BadOpcode { offset, found } => {
                 write!(f, "unknown record opcode {found:#04x} at byte {offset}")
             }
-            RecordError::Malformed { offset, cause } => {
-                write!(f, "malformed record at byte {offset}: {cause}")
+            RecordError::ZeroLsn { offset } => write!(f, "zero LSN in record at byte {offset}"),
+            RecordError::BadSummary { offset, cause } => {
+                write!(f, "record at byte {offset} embeds an invalid summary: {cause}")
             }
         }
     }
 }
 
 impl std::error::Error for RecordError {}
+
+impl From<CodecError> for RecordError {
+    fn from(e: CodecError) -> Self {
+        RecordError::Codec(e)
+    }
+}
 
 /// Why a whole checkpoint file was rejected (recovery then falls back to
 /// the previous checkpoint, whose segments are still on disk).
@@ -303,6 +289,18 @@ impl std::fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
+
+impl From<RecordError> for CheckpointError {
+    fn from(e: RecordError) -> Self {
+        CheckpointError::Frame(e)
+    }
+}
+
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        CheckpointError::Frame(e.into())
+    }
+}
 
 /// One durable mutation, as decoded from a segment.
 #[derive(Clone, Debug, PartialEq)]
@@ -473,174 +471,94 @@ pub(crate) enum WalOpRef<'a> {
     Remove { key: &'a str },
 }
 
-fn push_frame(out: &mut Vec<u8>, body: &[u8]) {
-    debug_assert!(body.len() <= MAX_RECORD_LEN);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-}
-
-fn encode_record(lsn: u64, op: &WalOpRef<'_>) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
+/// Append one framed record to `out` (the caller's reusable buffer).
+fn encode_record(out: &mut Vec<u8>, lsn: u64, op: &WalOpRef<'_>) {
     let (opcode, key) = match op {
         WalOpRef::UpdateMany { key, .. } => (OP_UPDATE_MANY, key),
         WalOpRef::Ingest { key, .. } => (OP_INGEST, key),
         WalOpRef::Remove { key } => (OP_REMOVE, key),
     };
-    body.push(opcode);
-    put_varint(&mut body, lsn);
-    put_varint(&mut body, key.len() as u64);
-    body.extend_from_slice(key.as_bytes());
-    match op {
-        WalOpRef::UpdateMany { value_bits, window, .. } => {
-            put_varint(&mut body, *window);
-            put_varint(&mut body, value_bits.len() as u64);
-            for bits in *value_bits {
-                body.extend_from_slice(&bits.to_le_bytes());
+    Writer::new(out).frame(|w| {
+        w.u8(opcode);
+        w.varint(lsn);
+        w.str(key);
+        match op {
+            WalOpRef::UpdateMany { value_bits, window, .. } => {
+                w.varint(*window);
+                w.varint(value_bits.len() as u64);
+                for &bits in *value_bits {
+                    w.u64_le(bits);
+                }
             }
+            WalOpRef::Ingest { frame, .. } => w.bytes(frame),
+            WalOpRef::Remove { .. } => {}
         }
-        WalOpRef::Ingest { frame, .. } => body.extend_from_slice(frame),
-        WalOpRef::Remove { .. } => {}
-    }
-    let mut out = Vec::with_capacity(body.len() + FRAME_OVERHEAD);
-    push_frame(&mut out, &body);
-    out
+    });
 }
 
-/// Validate an 8-byte file header in `bytes` against `magic` and the one
-/// supported format version.
-fn check_header(bytes: &[u8], magic: [u8; 4]) -> Result<(), RecordError> {
-    if bytes.len() < FILE_HEADER_LEN || bytes[0..4] != magic {
-        let mut found = [0u8; 4];
-        for (i, b) in bytes.iter().take(4).enumerate() {
-            found[i] = *b;
-        }
-        return Err(RecordError::BadFileHeader { found });
-    }
-    let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-    if version != PERSIST_VERSION {
-        return Err(RecordError::UnsupportedVersion { found: version, supported: PERSIST_VERSION });
-    }
-    let flags = u16::from_le_bytes([bytes[6], bytes[7]]);
-    if flags != 0 {
-        return Err(RecordError::ReservedFlags { found: flags });
-    }
-    Ok(())
+/// Open a file image: validate its 8-byte header against `magic` and the
+/// one supported format version, leaving the cursor at the first frame.
+fn open_image(bytes: &[u8], magic: [u8; 4]) -> Result<Reader<'_>, RecordError> {
+    let mut r = Reader::new(bytes);
+    r.expect_header(magic, PERSIST_VERSION..=PERSIST_VERSION)?;
+    Ok(r)
 }
 
-fn file_header(magic: [u8; 4]) -> [u8; FILE_HEADER_LEN] {
-    let mut h = [0u8; FILE_HEADER_LEN];
-    h[0..4].copy_from_slice(&magic);
-    h[4..6].copy_from_slice(&PERSIST_VERSION.to_le_bytes());
-    h
-}
-
-/// Split the frame starting at `pos` out of `bytes`. `Ok(None)` at a
-/// clean end of file. On success returns `(body_range, end)`.
-fn next_frame(
-    bytes: &[u8],
-    pos: usize,
-) -> Result<Option<(std::ops::Range<usize>, usize)>, RecordError> {
-    if pos == bytes.len() {
+/// Split the next frame off `r` and verify its CRC. `Ok(None)` at a
+/// clean end of file; on success the cursor over the frame's body.
+fn next_frame<'a>(r: &mut Reader<'a>) -> Result<Option<Reader<'a>>, RecordError> {
+    let (offset, have) = (r.offset(), r.remaining());
+    if have == 0 {
         return Ok(None);
     }
-    let have = bytes.len() - pos;
     if have < 4 {
-        return Err(RecordError::Torn { offset: pos, needed: FRAME_OVERHEAD, have });
+        return Err(RecordError::Torn { offset, needed: FRAME_OVERHEAD, have });
     }
-    let len =
-        u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]) as usize;
-    if len > MAX_RECORD_LEN {
-        return Err(RecordError::Oversized { offset: pos, length: len });
+    let length = r.u32_le()? as usize;
+    if length > MAX_RECORD_LEN {
+        return Err(RecordError::Oversized { offset, length });
     }
-    let needed = len + FRAME_OVERHEAD;
+    let needed = length + FRAME_OVERHEAD;
     if have < needed {
-        return Err(RecordError::Torn { offset: pos, needed, have });
+        return Err(RecordError::Torn { offset, needed, have });
     }
-    let body = pos + 4..pos + 4 + len;
-    let crc_at = body.end;
-    let stored = u32::from_le_bytes([
-        bytes[crc_at],
-        bytes[crc_at + 1],
-        bytes[crc_at + 2],
-        bytes[crc_at + 3],
-    ]);
-    let computed = crc32(&bytes[body.clone()]);
-    if stored != computed {
-        return Err(RecordError::ChecksumMismatch { offset: pos, stored, computed });
-    }
-    Ok(Some((body, crc_at + 4)))
+    let mut body = r.sub(length + CHECKSUM_LEN)?;
+    body.split_crc_trailer()?;
+    Ok(Some(body))
 }
 
-fn malformed(offset: usize, cause: WireError) -> RecordError {
-    RecordError::Malformed { offset, cause }
-}
-
-/// Decode `(lsn, key, payload_pos)` from a record body (shared prefix of
-/// every body kind). `offset` is the frame's file offset, for errors.
-fn decode_body_prefix(body: &[u8], offset: usize) -> Result<(u64, String, usize), RecordError> {
-    let mut pos = 0usize;
-    let lsn = get_varint(body, &mut pos).map_err(|e| malformed(offset, e))?;
+/// Decode `(lsn, key)` — the shared prefix of every body kind after its
+/// opcode. `offset` is the frame's file offset, for errors.
+fn decode_body_prefix(body: &mut Reader<'_>, offset: usize) -> Result<(u64, String), RecordError> {
+    let lsn = body.varint()?;
     if lsn == 0 {
-        return Err(malformed(offset, WireError::ZeroWeight { index: 0 }));
+        return Err(RecordError::ZeroLsn { offset });
     }
-    let key_len = get_varint(body, &mut pos).map_err(|e| malformed(offset, e))?;
-    let key_end = (key_len as usize).checked_add(pos).filter(|&end| end <= body.len());
-    let Some(key_end) = key_end else {
-        return Err(malformed(
-            offset,
-            WireError::Truncated { needed: key_len as usize, have: body.len() - pos },
-        ));
-    };
-    let Ok(key) = std::str::from_utf8(&body[pos..key_end]) else {
-        return Err(malformed(offset, WireError::MalformedVarint { offset: pos }));
-    };
-    Ok((lsn, key.to_string(), key_end))
+    Ok((lsn, body.str()?.to_owned()))
 }
 
-fn decode_record(body: &[u8], offset: usize) -> Result<WalRecord, RecordError> {
-    let Some((&opcode, rest)) = body.split_first() else {
-        return Err(malformed(offset, WireError::Truncated { needed: 1, have: 0 }));
-    };
-    let (lsn, key, mut pos) = decode_body_prefix(rest, offset)?;
+fn decode_record(mut body: Reader<'_>, offset: usize) -> Result<WalRecord, RecordError> {
+    let opcode = body.u8()?;
+    let (lsn, key) = decode_body_prefix(&mut body, offset)?;
     let op = match opcode {
         OP_UPDATE_MANY => {
-            let window = get_varint(rest, &mut pos).map_err(|e| malformed(offset, e))?;
-            let count = get_varint(rest, &mut pos).map_err(|e| malformed(offset, e))?;
-            let remaining = rest.len() - pos;
-            if count.checked_mul(8) != Some(remaining as u64) {
-                return Err(malformed(
-                    offset,
-                    WireError::Truncated {
-                        needed: count.saturating_mul(8) as usize,
-                        have: remaining,
-                    },
-                ));
-            }
+            let window = body.varint()?;
             // Bounded by the body length actually read — never by the
             // (attacker-controllable) count alone.
-            let mut value_bits = Vec::with_capacity(count as usize);
-            for chunk in rest[pos..].chunks_exact(8) {
-                value_bits.push(u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8)")));
-            }
+            let count = body.count(8)?;
+            let value_bits = body.u64s_le(count)?.collect();
+            body.finish()?;
             RecordOp::UpdateMany { key, value_bits, window }
         }
         OP_INGEST => {
-            let frame = rest[pos..].to_vec();
+            let frame = body.rest().to_vec();
             // Validate the embedded summary now: a corrupt payload is a
             // typed scan error, not a replay-time surprise.
-            if let Err(cause) = decode_summary(&frame) {
-                return Err(malformed(offset, cause));
-            }
+            decode_summary(&frame).map_err(|cause| RecordError::BadSummary { offset, cause })?;
             RecordOp::Ingest { key, frame }
         }
         OP_REMOVE => {
-            if pos != rest.len() {
-                return Err(malformed(
-                    offset,
-                    WireError::TrailingBytes { extra: rest.len() - pos },
-                ));
-            }
+            body.finish()?;
             RecordOp::Remove { key }
         }
         other => return Err(RecordError::BadOpcode { offset, found: other }),
@@ -652,139 +570,77 @@ fn decode_record(body: &[u8], offset: usize) -> Result<WalRecord, RecordError> {
 /// error or a clean end. All allocations are bounded by `bytes.len()`.
 pub fn parse_segment(bytes: &[u8]) -> SegmentScan {
     let mut scan = SegmentScan::default();
-    if let Err(e) = check_header(bytes, SEGMENT_MAGIC) {
-        scan.error = Some((0, e));
-        return scan;
-    }
-    let mut pos = FILE_HEADER_LEN;
+    let mut r = match open_image(bytes, SEGMENT_MAGIC) {
+        Ok(r) => r,
+        Err(e) => {
+            scan.error = Some((0, e));
+            return scan;
+        }
+    };
     loop {
-        match next_frame(bytes, pos) {
+        let start = r.offset();
+        let record = next_frame(&mut r)
+            .and_then(|body| body.map(|body| decode_record(body, start)).transpose());
+        match record {
             Ok(None) => return scan,
-            Ok(Some((body, end))) => match decode_record(&bytes[body], pos) {
-                Ok(record) => {
-                    scan.records.push(ParsedRecord { record, start: pos, end });
-                    pos = end;
-                }
-                Err(e) => {
-                    scan.error = Some((pos, e));
-                    return scan;
-                }
-            },
+            Ok(Some(record)) => scan.records.push(ParsedRecord { record, start, end: r.offset() }),
             Err(e) => {
-                scan.error = Some((pos, e));
+                scan.error = Some((start, e));
                 return scan;
             }
         }
     }
 }
 
+/// Decode one checkpoint entry body (after its opcode). `index` is the
+/// entry's position in the file, for [`CheckpointError::BadSummary`].
+fn decode_entry(
+    mut body: Reader<'_>,
+    offset: usize,
+    index: usize,
+) -> Result<CheckpointEntry, CheckpointError> {
+    let (lsn, key) = decode_body_prefix(&mut body, offset)?;
+    let active_wid = body.varint()?;
+    let watermark = body.varint()?;
+    let validated = |frame: &[u8]| match decode_summary(frame) {
+        Ok(_) => Ok(frame.to_vec()),
+        Err(cause) => Err(CheckpointError::BadSummary { index, cause }),
+    };
+    // Each sealed window needs >= 3 bytes (start, level, frame length) —
+    // bound the allocation by bytes actually present, never by the
+    // (attacker-controllable) count alone.
+    let count = body.count(3)?;
+    let mut sealed = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (start, level) = (body.varint()?, body.u8()?);
+        sealed.push((start, level, validated(body.len_prefixed_bytes()?)?));
+    }
+    let summary = validated(body.rest())?;
+    Ok(CheckpointEntry { key, lsn, active_wid, watermark, sealed, summary })
+}
+
 /// Decode a whole checkpoint image. All-or-nothing: any frame error,
 /// missing footer, count mismatch, or invalid embedded summary rejects
 /// the file (recovery falls back to the previous checkpoint).
 pub fn parse_checkpoint(bytes: &[u8]) -> Result<Vec<CheckpointEntry>, CheckpointError> {
-    check_header(bytes, CHECKPOINT_MAGIC).map_err(CheckpointError::Frame)?;
+    let mut r = open_image(bytes, CHECKPOINT_MAGIC)?;
     let mut entries = Vec::new();
-    let mut pos = FILE_HEADER_LEN;
     let mut footer: Option<u64> = None;
     loop {
-        match next_frame(bytes, pos).map_err(CheckpointError::Frame)? {
-            None => break,
-            Some((body, end)) => {
-                if footer.is_some() {
-                    // Frames after the footer: the file was not written by
-                    // this code; reject it whole.
-                    return Err(CheckpointError::MissingFooter);
-                }
-                let frame = &bytes[body];
-                let Some((&opcode, rest)) = frame.split_first() else {
-                    return Err(CheckpointError::Frame(malformed(
-                        pos,
-                        WireError::Truncated { needed: 1, have: 0 },
-                    )));
-                };
-                match opcode {
-                    OP_CKPT_ENTRY => {
-                        let (lsn, key, payload) =
-                            decode_body_prefix(rest, pos).map_err(CheckpointError::Frame)?;
-                        let framed = |e: WireError| CheckpointError::Frame(malformed(pos, e));
-                        let mut p = payload;
-                        let active_wid = get_varint(rest, &mut p).map_err(framed)?;
-                        let watermark = get_varint(rest, &mut p).map_err(framed)?;
-                        let count = get_varint(rest, &mut p).map_err(framed)?;
-                        // Each sealed window needs >= 3 bytes (start,
-                        // level, frame length) — bound the allocation
-                        // by bytes actually present, never by the
-                        // (attacker-controllable) count alone.
-                        if count > (rest.len().saturating_sub(p) / 3) as u64 {
-                            return Err(framed(WireError::Truncated {
-                                needed: count.saturating_mul(3) as usize,
-                                have: rest.len() - p,
-                            }));
-                        }
-                        let mut sealed = Vec::with_capacity(count as usize);
-                        for _ in 0..count {
-                            let start = get_varint(rest, &mut p).map_err(framed)?;
-                            let Some(&level) = rest.get(p) else {
-                                return Err(framed(WireError::Truncated { needed: 1, have: 0 }));
-                            };
-                            p += 1;
-                            let frame_len = get_varint(rest, &mut p).map_err(framed)?;
-                            let end = (frame_len as usize)
-                                .checked_add(p)
-                                .filter(|&end| end <= rest.len());
-                            let Some(end) = end else {
-                                return Err(framed(WireError::Truncated {
-                                    needed: frame_len as usize,
-                                    have: rest.len() - p,
-                                }));
-                            };
-                            let frame = rest[p..end].to_vec();
-                            if let Err(cause) = decode_summary(&frame) {
-                                return Err(CheckpointError::BadSummary {
-                                    index: entries.len(),
-                                    cause,
-                                });
-                            }
-                            sealed.push((start, level, frame));
-                            p = end;
-                        }
-                        let summary = rest[p..].to_vec();
-                        if let Err(cause) = decode_summary(&summary) {
-                            return Err(CheckpointError::BadSummary {
-                                index: entries.len(),
-                                cause,
-                            });
-                        }
-                        entries.push(CheckpointEntry {
-                            key,
-                            lsn,
-                            active_wid,
-                            watermark,
-                            sealed,
-                            summary,
-                        });
-                    }
-                    OP_CKPT_FOOTER => {
-                        let mut fpos = 0usize;
-                        let count = get_varint(rest, &mut fpos)
-                            .map_err(|e| CheckpointError::Frame(malformed(pos, e)))?;
-                        if fpos != rest.len() {
-                            return Err(CheckpointError::Frame(malformed(
-                                pos,
-                                WireError::TrailingBytes { extra: rest.len() - fpos },
-                            )));
-                        }
-                        footer = Some(count);
-                    }
-                    other => {
-                        return Err(CheckpointError::Frame(RecordError::BadOpcode {
-                            offset: pos,
-                            found: other,
-                        }))
-                    }
-                }
-                pos = end;
+        let offset = r.offset();
+        let Some(mut body) = next_frame(&mut r)? else { break };
+        if footer.is_some() {
+            // Frames after the footer: the file was not written by this
+            // code; reject it whole.
+            return Err(CheckpointError::MissingFooter);
+        }
+        match body.u8()? {
+            OP_CKPT_ENTRY => entries.push(decode_entry(body, offset, entries.len())?),
+            OP_CKPT_FOOTER => {
+                footer = Some(body.varint()?);
+                body.finish()?;
             }
+            found => return Err(RecordError::BadOpcode { offset, found }.into()),
         }
     }
     match footer {
@@ -906,6 +762,9 @@ pub(crate) struct Wal {
     /// group-commit leader racing the rotation window fsyncs both files
     /// before the durable watermark advances past the sealed LSNs.
     pending_seal: Option<(File, PathBuf)>,
+    /// The append path's frame buffer, reused across records (appends are
+    /// `&mut self`, under the store's WAL mutex).
+    scratch: Vec<u8>,
 }
 
 pub(crate) fn create_segment(dir: &Path, seq: u64) -> Result<File, PersistError> {
@@ -915,8 +774,9 @@ pub(crate) fn create_segment(dir: &Path, seq: u64) -> Result<File, PersistError>
         .create_new(true)
         .open(&path)
         .map_err(|e| PersistError::new("create", &path, e))?;
-    file.write_all(&file_header(SEGMENT_MAGIC))
-        .map_err(|e| PersistError::new("write", &path, e))?;
+    let mut header = Vec::new();
+    Writer::new(&mut header).header(SEGMENT_MAGIC, PERSIST_VERSION);
+    file.write_all(&header).map_err(|e| PersistError::new("write", &path, e))?;
     file.sync_data().map_err(|e| PersistError::new("fsync", &path, e))?;
     sync_dir(dir);
     Ok(file)
@@ -935,6 +795,7 @@ impl Wal {
             dirty_records: 0,
             poisoned: false,
             pending_seal: None,
+            scratch: Vec::new(),
         })
     }
 
@@ -943,12 +804,14 @@ impl Wal {
     /// [`CommitSequencer`], outside the caller's stripe-lock hold.
     pub(crate) fn append(&mut self, op: &WalOpRef<'_>) -> Result<AppendOutcome, PersistError> {
         let lsn = self.next_lsn;
-        let frame = encode_record(lsn, op);
-        let path = self.dir.join(segment_file_name(self.seq));
-        self.file.write_all(&frame).map_err(|e| PersistError::new("append", path, e))?;
+        self.scratch.clear();
+        encode_record(&mut self.scratch, lsn, op);
+        self.file.write_all(&self.scratch).map_err(|e| {
+            PersistError::new("append", self.dir.join(segment_file_name(self.seq)), e)
+        })?;
         self.next_lsn += 1;
         self.dirty_records += 1;
-        Ok(AppendOutcome { lsn, bytes: frame.len() as u64 })
+        Ok(AppendOutcome { lsn, bytes: self.scratch.len() as u64 })
     }
 
     /// Highest LSN appended so far (`0` before the first append).
@@ -1319,30 +1182,28 @@ pub(crate) fn write_checkpoint(
                 })
                 .sum::<usize>(),
     );
-    image.extend_from_slice(&file_header(CHECKPOINT_MAGIC));
-    let mut body = Vec::new();
+    let mut w = Writer::new(&mut image);
+    w.header(CHECKPOINT_MAGIC, PERSIST_VERSION);
     for entry in entries {
-        body.clear();
-        body.push(OP_CKPT_ENTRY);
-        put_varint(&mut body, entry.lsn);
-        put_varint(&mut body, entry.key.len() as u64);
-        body.extend_from_slice(entry.key.as_bytes());
-        put_varint(&mut body, entry.active_wid);
-        put_varint(&mut body, entry.watermark);
-        put_varint(&mut body, entry.sealed.len() as u64);
-        for (start, level, frame) in &entry.sealed {
-            put_varint(&mut body, *start);
-            body.push(*level);
-            put_varint(&mut body, frame.len() as u64);
-            body.extend_from_slice(frame);
-        }
-        body.extend_from_slice(&entry.summary);
-        push_frame(&mut image, &body);
+        w.frame(|w| {
+            w.u8(OP_CKPT_ENTRY);
+            w.varint(entry.lsn);
+            w.str(&entry.key);
+            w.varint(entry.active_wid);
+            w.varint(entry.watermark);
+            w.varint(entry.sealed.len() as u64);
+            for (start, level, frame) in &entry.sealed {
+                w.varint(*start);
+                w.u8(*level);
+                w.len_prefixed_bytes(frame);
+            }
+            w.bytes(&entry.summary);
+        });
     }
-    body.clear();
-    body.push(OP_CKPT_FOOTER);
-    put_varint(&mut body, entries.len() as u64);
-    push_frame(&mut image, &body);
+    w.frame(|w| {
+        w.u8(OP_CKPT_FOOTER);
+        w.varint(entries.len() as u64);
+    });
 
     let tmp = dir.join(checkpoint_tmp_name(seq));
     let path = dir.join(checkpoint_file_name(seq));
@@ -1500,6 +1361,19 @@ pub(crate) fn recover_dir(dir: &Path) -> Result<RecoveredLog, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One framed record in a fresh buffer (the append path reuses one).
+    fn encode_record(lsn: u64, op: &WalOpRef<'_>) -> Vec<u8> {
+        let mut out = Vec::new();
+        super::encode_record(&mut out, lsn, op);
+        out
+    }
+
+    fn file_header(magic: [u8; 4]) -> Vec<u8> {
+        let mut out = Vec::new();
+        Writer::new(&mut out).header(magic, PERSIST_VERSION);
+        out
+    }
 
     /// Regression test for the rotation/group-commit durability race: a
     /// sync point captured inside the rotation window (segment swapped

@@ -2081,6 +2081,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> std::fmt::Debug for SketchStore<T, E> {
 mod tests {
     use super::*;
     use crate::engine::{ConcurrentEngine, SequentialEngine};
+    use crate::wire::CodecError;
 
     fn small_store(stripes: usize) -> SketchStore {
         SketchStore::new(StoreConfig::default().stripes(stripes).k(64).b(4).seed(1))
@@ -2144,7 +2145,10 @@ mod tests {
     fn bad_frame_is_rejected_and_counted() {
         let store = small_store(4);
         let err = store.ingest_bytes("x", b"garbage").unwrap_err();
-        assert!(matches!(err, WireError::Truncated { .. } | WireError::BadMagic { .. }));
+        assert!(matches!(
+            err,
+            WireError::Codec(CodecError::Truncated { .. } | CodecError::BadMagic { .. })
+        ));
         assert!(store.is_empty(), "failed ingest must not create the key");
         assert_eq!(store.stats().ingest_errors, 1);
     }

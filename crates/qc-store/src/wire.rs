@@ -9,8 +9,8 @@
 //!
 //! # Layout (version 1)
 //!
-//! All multi-byte integers are little-endian; varints are LEB128 (7 bits per
-//! byte, low group first, at most 10 bytes for a `u64`).
+//! Integers, varints, the header and the CRC trailer follow the shared
+//! conventions of [`qc_common::codec`].
 //!
 //! ```text
 //! offset  size  field
@@ -31,7 +31,10 @@
 //! garbage summary. Decoding never panics on arbitrary input — every
 //! arithmetic step is checked.
 
+use qc_common::codec::{Reader, Writer};
 use qc_common::summary::{WeightedItem, WeightedSummary};
+
+pub use qc_common::codec::{crc32, get_varint, put_varint, CodecError, CHECKSUM_LEN, HEADER_LEN};
 
 /// First four bytes of every encoded summary.
 pub const MAGIC: [u8; 4] = *b"QCWS";
@@ -39,52 +42,14 @@ pub const MAGIC: [u8; 4] = *b"QCWS";
 /// The wire version this module encodes (and the highest it decodes).
 pub const VERSION: u16 = 1;
 
-/// Fixed header length in bytes (magic + version + flags).
-pub const HEADER_LEN: usize = 8;
-
-/// Trailing checksum length in bytes.
-pub const CHECKSUM_LEN: usize = 4;
-
 /// Typed decode failures. Every malformed input maps to one of these —
 /// decoding must never panic, whatever the bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WireError {
-    /// Fewer bytes than a well-formed frame can occupy.
-    Truncated {
-        /// Bytes required to make progress.
-        needed: usize,
-        /// Bytes actually available.
-        have: usize,
-    },
-    /// The first four bytes are not [`MAGIC`].
-    BadMagic {
-        /// The bytes found instead.
-        found: [u8; 4],
-    },
-    /// Version newer than this decoder understands.
-    UnsupportedVersion {
-        /// Version in the header.
-        found: u16,
-        /// Highest version this build decodes.
-        supported: u16,
-    },
-    /// Reserved flag bits were set (v1 defines none).
-    ReservedFlags {
-        /// The flag word found.
-        found: u16,
-    },
-    /// The trailing CRC-32 does not match the frame contents.
-    ChecksumMismatch {
-        /// Checksum stored in the frame.
-        stored: u32,
-        /// Checksum computed over the received bytes.
-        computed: u32,
-    },
-    /// A varint ran past 64 bits or past the end of the payload.
-    MalformedVarint {
-        /// Byte offset of the varint's first byte.
-        offset: usize,
-    },
+    /// A failure kind every format shares: truncation, bad magic,
+    /// version skew, reserved flags, checksum mismatch, malformed
+    /// varint, trailing bytes.
+    Codec(CodecError),
     /// Accumulated value bits overflowed `u64` (corrupt delta stream).
     ValueOverflow {
         /// Index of the offending item.
@@ -97,99 +62,26 @@ pub enum WireError {
     },
     /// Total weight overflowed `u64` (corrupt weight stream).
     WeightOverflow,
-    /// Well-formed frame followed by unexpected extra bytes.
-    TrailingBytes {
-        /// Number of surplus bytes.
-        extra: usize,
-    },
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WireError::Truncated { needed, have } => {
-                write!(f, "truncated frame: need {needed} bytes, have {have}")
-            }
-            WireError::BadMagic { found } => write!(f, "bad magic {found:02x?}"),
-            WireError::UnsupportedVersion { found, supported } => {
-                write!(f, "unsupported wire version {found} (decoder supports <= {supported})")
-            }
-            WireError::ReservedFlags { found } => {
-                write!(f, "reserved flag bits set: {found:#06x}")
-            }
-            WireError::ChecksumMismatch { stored, computed } => {
-                write!(f, "checksum mismatch: stored {stored:#010x}, computed {computed:#010x}")
-            }
-            WireError::MalformedVarint { offset } => {
-                write!(f, "malformed varint at byte {offset}")
-            }
+            WireError::Codec(e) => e.fmt(f),
             WireError::ValueOverflow { index } => {
                 write!(f, "value bits overflow at item {index}")
             }
             WireError::ZeroWeight { index } => write!(f, "zero weight at item {index}"),
             WireError::WeightOverflow => write!(f, "total weight overflows u64"),
-            WireError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after frame")
-            }
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// CRC-32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the same
-/// polynomial zlib and PNG use, implemented bitwise to stay table-free.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
-    }
-    !crc
-}
-
-/// Append a LEB128 varint (the wire format's integer encoding, also reused
-/// by `qc-server`'s request/response frames).
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
-/// Read a LEB128 varint starting at `*pos`, advancing `*pos` past it.
-/// Rejects encodings longer than a `u64` with a typed error and never reads
-/// past `buf`.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, WireError> {
-    let start = *pos;
-    let mut value = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let Some(&byte) = buf.get(*pos) else {
-            return Err(WireError::MalformedVarint { offset: start });
-        };
-        *pos += 1;
-        let group = (byte & 0x7f) as u64;
-        // The 10th byte of a u64 varint may only carry the final bit.
-        if shift == 63 && group > 1 {
-            return Err(WireError::MalformedVarint { offset: start });
-        }
-        if shift >= 64 {
-            return Err(WireError::MalformedVarint { offset: start });
-        }
-        value |= group << shift;
-        if byte & 0x80 == 0 {
-            return Ok(value);
-        }
-        shift += 7;
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        WireError::Codec(e)
     }
 }
 
@@ -198,101 +90,49 @@ pub fn encode_summary(summary: &WeightedSummary) -> Vec<u8> {
     let items = summary.items();
     // Items are sorted; deltas are small, so ~2 bytes/varint is typical.
     let mut out = Vec::with_capacity(HEADER_LEN + CHECKSUM_LEN + 4 + items.len() * 4);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&0u16.to_le_bytes()); // flags
-    put_varint(&mut out, items.len() as u64);
+    let mut w = Writer::new(&mut out);
+    w.header(MAGIC, VERSION);
+    w.varint(items.len() as u64);
     let mut prev = 0u64;
-    for (i, item) in items.iter().enumerate() {
-        let delta = if i == 0 { item.value_bits } else { item.value_bits - prev };
-        put_varint(&mut out, delta);
+    for item in items {
+        // The first delta is the absolute value (gap from zero).
+        w.varint(item.value_bits - prev);
         prev = item.value_bits;
     }
     for item in items {
-        put_varint(&mut out, item.weight);
+        w.varint(item.weight);
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
+    w.finish_with_crc(0);
     out
 }
 
 /// Decode a frame produced by [`encode_summary`] (any supported version).
 ///
 /// The whole buffer must be exactly one frame; surplus bytes are a
-/// [`WireError::TrailingBytes`] so framing bugs surface loudly.
+/// [`CodecError::TrailingBytes`] so framing bugs surface loudly.
 pub fn decode_summary(buf: &[u8]) -> Result<WeightedSummary, WireError> {
-    let min = HEADER_LEN + 1 + CHECKSUM_LEN; // header + count varint + crc
-    if buf.len() < min {
-        return Err(WireError::Truncated { needed: min, have: buf.len() });
-    }
-    if buf[0..4] != MAGIC {
-        return Err(WireError::BadMagic { found: [buf[0], buf[1], buf[2], buf[3]] });
-    }
-    let version = u16::from_le_bytes([buf[4], buf[5]]);
-    if version == 0 || version > VERSION {
-        return Err(WireError::UnsupportedVersion { found: version, supported: VERSION });
-    }
-    let flags = u16::from_le_bytes([buf[6], buf[7]]);
-    if flags != 0 {
-        return Err(WireError::ReservedFlags { found: flags });
-    }
+    let mut r = Reader::new(buf);
+    r.expect_header(MAGIC, 1..=VERSION)?;
     // Validate the checksum before trusting any payload varint.
-    let body_end = buf.len() - CHECKSUM_LEN;
-    let stored = u32::from_le_bytes([
-        buf[body_end],
-        buf[body_end + 1],
-        buf[body_end + 2],
-        buf[body_end + 3],
-    ]);
-    let computed = crc32(&buf[..body_end]);
-    if stored != computed {
-        return Err(WireError::ChecksumMismatch { stored, computed });
-    }
-
-    let payload = &buf[..body_end];
-    let mut pos = HEADER_LEN;
-    let count = get_varint(payload, &mut pos)?;
-    // A delta and a weight are at least one byte each: cheap sanity bound
-    // that rejects absurd counts before any allocation.
-    let remaining = body_end - pos;
-    if count > remaining as u64 / 2 + 1 {
-        // Saturate: a crafted count near u64::MAX must yield this error,
-        // not an arithmetic overflow while describing it.
-        let needed = usize::try_from(count)
-            .ok()
-            .and_then(|c| c.checked_mul(2))
-            .and_then(|c| c.checked_add(pos + CHECKSUM_LEN))
-            .unwrap_or(usize::MAX);
-        return Err(WireError::Truncated { needed, have: buf.len() });
-    }
-    let count = count as usize;
-
-    let mut values = Vec::with_capacity(count);
-    let mut acc = 0u64;
-    for i in 0..count {
-        let delta = get_varint(payload, &mut pos)?;
-        acc = if i == 0 {
-            delta
-        } else {
-            acc.checked_add(delta).ok_or(WireError::ValueOverflow { index: i })?
-        };
-        values.push(acc);
-    }
-
+    r.split_crc_trailer()?;
+    // A delta and a weight are at least one byte each: rejects absurd
+    // counts before any allocation.
+    let count = r.count(2)?;
     let mut items = Vec::with_capacity(count);
+    let mut acc = 0u64;
+    for index in 0..count {
+        acc = acc.checked_add(r.varint()?).ok_or(WireError::ValueOverflow { index })?;
+        items.push(WeightedItem { value_bits: acc, weight: 0 });
+    }
     let mut total = 0u64;
-    for (i, &value_bits) in values.iter().enumerate() {
-        let weight = get_varint(payload, &mut pos)?;
-        if weight == 0 {
-            return Err(WireError::ZeroWeight { index: i });
+    for (index, item) in items.iter_mut().enumerate() {
+        item.weight = r.varint()?;
+        if item.weight == 0 {
+            return Err(WireError::ZeroWeight { index });
         }
-        total = total.checked_add(weight).ok_or(WireError::WeightOverflow)?;
-        items.push(WeightedItem { value_bits, weight });
+        total = total.checked_add(item.weight).ok_or(WireError::WeightOverflow)?;
     }
-
-    if pos != body_end {
-        return Err(WireError::TrailingBytes { extra: body_end - pos });
-    }
+    r.finish()?;
     Ok(WeightedSummary::from_items(items))
 }
 
@@ -337,9 +177,11 @@ mod tests {
         for len in 0..bytes.len() {
             let err = decode_summary(&bytes[..len]).unwrap_err();
             match err {
-                WireError::Truncated { .. }
-                | WireError::ChecksumMismatch { .. }
-                | WireError::MalformedVarint { .. } => {}
+                WireError::Codec(
+                    CodecError::Truncated { .. }
+                    | CodecError::ChecksumMismatch { .. }
+                    | CodecError::MalformedVarint { .. },
+                ) => {}
                 other => panic!("unexpected error at len {len}: {other:?}"),
             }
         }
@@ -349,7 +191,10 @@ mod tests {
     fn bad_magic_detected() {
         let mut bytes = encode_summary(&sample_summary());
         bytes[0] = b'X';
-        assert!(matches!(decode_summary(&bytes), Err(WireError::BadMagic { .. })));
+        assert!(matches!(
+            decode_summary(&bytes),
+            Err(WireError::Codec(CodecError::BadMagic { .. }))
+        ));
     }
 
     #[test]
@@ -363,7 +208,10 @@ mod tests {
         bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         assert_eq!(
             decode_summary(&bytes),
-            Err(WireError::UnsupportedVersion { found: 0x2a, supported: VERSION })
+            Err(WireError::Codec(CodecError::UnsupportedVersion {
+                found: 0x2a,
+                supported: VERSION
+            }))
         );
     }
 
@@ -372,7 +220,10 @@ mod tests {
         let mut bytes = encode_summary(&sample_summary());
         let mid = HEADER_LEN + 2;
         bytes[mid] ^= 0x10;
-        assert!(matches!(decode_summary(&bytes), Err(WireError::ChecksumMismatch { .. })));
+        assert!(matches!(
+            decode_summary(&bytes),
+            Err(WireError::Codec(CodecError::ChecksumMismatch { .. }))
+        ));
     }
 
     #[test]
@@ -400,19 +251,10 @@ mod tests {
         f.push(0x00); // stray payload byte
         let crc = crc32(&f);
         f.extend_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode_summary(&f), Err(WireError::TrailingBytes { extra: 1 }));
-    }
-
-    #[test]
-    fn varint_roundtrip_extremes() {
-        let mut buf = Vec::new();
-        for v in [0u64, 1, 127, 128, 300, u64::MAX / 2, u64::MAX] {
-            buf.clear();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos), Ok(v));
-            assert_eq!(pos, buf.len());
-        }
+        assert_eq!(
+            decode_summary(&f),
+            Err(WireError::Codec(CodecError::TrailingBytes { extra: 1 }))
+        );
     }
 
     #[test]
@@ -428,21 +270,7 @@ mod tests {
         put_varint(&mut f, u64::MAX);
         let crc = crc32(&f);
         f.extend_from_slice(&crc.to_le_bytes());
-        assert!(matches!(decode_summary(&f), Err(WireError::Truncated { .. })));
-    }
-
-    #[test]
-    fn overlong_varint_rejected() {
-        // 11 continuation bytes cannot encode a u64.
-        let buf = [0xffu8; 11];
-        let mut pos = 0;
-        assert!(matches!(get_varint(&buf, &mut pos), Err(WireError::MalformedVarint { .. })));
-    }
-
-    #[test]
-    fn crc32_matches_known_vector() {
-        // Standard test vector: CRC-32("123456789") = 0xcbf43926.
-        assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert!(matches!(decode_summary(&f), Err(WireError::Codec(CodecError::Truncated { .. }))));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use qc_store::persist::{
     parse_checkpoint, parse_segment, RecordError, RecordOp, FILE_HEADER_LEN, MAX_RECORD_LEN,
     PERSIST_VERSION, SEGMENT_MAGIC,
 };
-use qc_store::wire::{crc32, encode_summary, put_varint};
+use qc_store::wire::{crc32, encode_summary, put_varint, CodecError};
 
 /// A record spec the test encodes by hand, straight from the format doc.
 #[derive(Clone, Debug)]
@@ -263,7 +263,7 @@ proptest! {
         prop_assume!(magic_byte != SEGMENT_MAGIC[0]);
         bad_magic[0] = magic_byte;
         let scan = parse_segment(&bad_magic);
-        prop_assert!(matches!(scan.error, Some((0, RecordError::BadFileHeader { .. }))));
+        prop_assert!(matches!(scan.error, Some((0, RecordError::Codec(CodecError::BadMagic { .. })))));
         prop_assert!(scan.records.is_empty());
 
         let mut skewed = good.clone();
@@ -271,7 +271,8 @@ proptest! {
         let scan = parse_segment(&skewed);
         prop_assert!(matches!(
             scan.error,
-            Some((0, RecordError::UnsupportedVersion { found, .. })) if found == version
+            Some((0, RecordError::Codec(CodecError::UnsupportedVersion { found, .. })))
+                if found == version
         ));
 
         let mut flagged = good;
@@ -279,7 +280,44 @@ proptest! {
         let scan = parse_segment(&flagged);
         prop_assert!(matches!(
             scan.error,
-            Some((0, RecordError::ReservedFlags { found })) if found == flags
+            Some((0, RecordError::Codec(CodecError::ReservedFlags { found }))) if found == flags
         ));
     }
+}
+
+/// A one-record segment around a hand-built body, CRC valid — so the
+/// body decoder, not the envelope, is what rejects it.
+fn segment_with_body(body: &[u8]) -> Vec<u8> {
+    let mut bytes = encode_segment(&[]);
+    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(body);
+    bytes.extend_from_slice(&crc32(body).to_le_bytes());
+    bytes
+}
+
+/// Structural damage inside a checksummed body is reported as what it
+/// is: a zero LSN is `ZeroLsn` (not "zero weight at item 0"), a
+/// non-UTF-8 key is `BadUtf8` at its file offset (not a malformed
+/// varint).
+#[test]
+fn body_damage_is_named_honestly() {
+    // Remove record, LSN 0, key "k".
+    let scan = parse_segment(&segment_with_body(&[0x03, 0x00, 0x01, b'k']));
+    assert!(scan.records.is_empty());
+    let (offset, error) = scan.error.expect("zero LSN must be rejected");
+    assert_eq!(
+        (offset, &error),
+        (FILE_HEADER_LEN, &RecordError::ZeroLsn { offset: FILE_HEADER_LEN })
+    );
+    assert_eq!(error.to_string(), "zero LSN in record at byte 8");
+
+    // Remove record, LSN 1, two key bytes that are not UTF-8. The key's
+    // content starts after header (8) + length prefix (4) + opcode, LSN
+    // and key length (3).
+    let scan = parse_segment(&segment_with_body(&[0x03, 0x01, 0x02, 0xff, 0xfe]));
+    assert!(scan.records.is_empty());
+    let (offset, error) = scan.error.expect("non-UTF-8 key must be rejected");
+    assert_eq!(offset, FILE_HEADER_LEN);
+    assert_eq!(error, RecordError::Codec(CodecError::BadUtf8 { offset: 15 }));
+    assert_eq!(error.to_string(), "invalid UTF-8 at byte 15");
 }

@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use qc_common::summary::{Summary, WeightedItem, WeightedSummary};
-use qc_store::wire::{crc32, decode_summary, encode_summary, WireError, CHECKSUM_LEN, VERSION};
+use qc_store::wire::{
+    crc32, decode_summary, encode_summary, CodecError, WireError, CHECKSUM_LEN, VERSION,
+};
 
 fn summary_strategy() -> impl Strategy<Value = WeightedSummary> {
     prop::collection::vec((any::<u64>(), 1u64..1 << 40), 0..300).prop_map(|items| {
@@ -39,9 +41,11 @@ proptest! {
         let len = (bytes.len() as f64 * cut) as usize;
         match decode_summary(&bytes[..len]) {
             Ok(_) => prop_assert!(len == bytes.len(), "short read decoded"),
-            Err(WireError::Truncated { .. })
-            | Err(WireError::ChecksumMismatch { .. })
-            | Err(WireError::MalformedVarint { .. }) => {}
+            Err(WireError::Codec(
+                CodecError::Truncated { .. }
+                | CodecError::ChecksumMismatch { .. }
+                | CodecError::MalformedVarint { .. },
+            )) => {}
             Err(other) => prop_assert!(false, "unexpected error class: {other:?}"),
         }
     }
@@ -53,7 +57,7 @@ proptest! {
         bytes[0] = b0;
         prop_assert_eq!(
             decode_summary(&bytes),
-            Err(WireError::BadMagic { found: [b0, b'C', b'W', b'S'] })
+            Err(WireError::Codec(CodecError::BadMagic { found: [b0, b'C', b'W', b'S'] }))
         );
     }
 
@@ -67,7 +71,7 @@ proptest! {
         bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         prop_assert_eq!(
             decode_summary(&bytes),
-            Err(WireError::UnsupportedVersion { found: v, supported: VERSION })
+            Err(WireError::Codec(CodecError::UnsupportedVersion { found: v, supported: VERSION }))
         );
     }
 
