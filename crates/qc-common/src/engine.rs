@@ -18,11 +18,12 @@
 //! | [`ConcurrentIngest`] | handle-based multi-writer ingestion | Quancurrent, FCDS |
 //! | [`SharedIngest`] | leased writer handles through `&self` (shared-lock writes) | concurrent backends |
 //! | [`InstrumentedSketch`] | backend-internal operation counters for telemetry | Quancurrent, engines wrapping it |
-//! | [`SketchEngine`] | the single-object traits combined | store engines |
+//! | [`SketchEngine`] | the single-object traits combined | the store's tiered engine and both its tiers, `FcdsEngine` |
 //!
 //! The traits are object-safe: `Box<dyn SketchEngine<f64>>` is a fully
 //! functional engine, which is what the engine-conformance suite exercises
-//! and what lets a keyed store hold heterogeneous backends.
+//! and what lets the keyed store's tiered engine serve a key from either
+//! backend behind one interface.
 //!
 //! # Rank semantics
 //!

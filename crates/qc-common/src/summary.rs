@@ -157,6 +157,26 @@ impl WeightedSummary {
         &self.items
     }
 
+    /// The items as per-level sorted runs: run `j` holds one copy of every
+    /// item whose weight has bit `j` set, each standing for `2^j` stream
+    /// elements, so a power-of-two weight lands in exactly one run. The
+    /// result is sized to the highest occupied level; empty runs below it
+    /// stay in place so the index is the level.
+    pub fn level_runs(&self) -> Vec<Vec<u64>> {
+        // Size once from the OR of all weights: the push loop never grows
+        // the outer vector.
+        let occupied = self.items.iter().fold(0u64, |bits, item| bits | item.weight);
+        let mut runs = vec![Vec::new(); (u64::BITS - occupied.leading_zeros()) as usize];
+        for item in &self.items {
+            let mut w = item.weight;
+            while w != 0 {
+                runs[w.trailing_zeros() as usize].push(item.value_bits);
+                w &= w - 1;
+            }
+        }
+        runs
+    }
+
     /// Smallest retained element, in bit space.
     pub fn min_bits(&self) -> Option<u64> {
         self.items.first().map(|it| it.value_bits)
@@ -378,6 +398,18 @@ mod tests {
         // Empty summaries rank everything at 0.
         assert_eq!(WeightedSummary::empty().rank_fraction(7u64), 0.0);
         assert_eq!(WeightedSummary::empty().cdf(&[1u64, 2]), vec![0.0, 0.0]);
+    }
+
+    #[test]
+    fn level_runs_decompose_weights_by_bit() {
+        // 5 = levels 0 and 2; runs stay sorted and keep the empty level 1.
+        let s = WeightedSummary::from_items(vec![
+            WeightedItem { value_bits: 3, weight: 4 },
+            WeightedItem { value_bits: 1, weight: 5 },
+            WeightedItem { value_bits: 2, weight: 1 },
+        ]);
+        assert_eq!(s.level_runs(), vec![vec![1, 2], vec![], vec![1, 3]]);
+        assert!(WeightedSummary::empty().level_runs().is_empty());
     }
 
     #[test]

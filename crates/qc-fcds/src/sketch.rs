@@ -33,6 +33,10 @@ pub(crate) struct FcdsShared {
     pub(crate) workers: Box<[WorkerSlot]>,
     pub(crate) sketch: RwLock<QuantilesSketch>,
     pub(crate) stop: AtomicBool,
+    /// Raised by the propagator before it takes a batch and lowered after
+    /// the merge: the worker gets its buffer back at take time, so without
+    /// this a taken-but-unmerged batch would be invisible to [`Fcds::drain`].
+    pub(crate) in_flight: AtomicBool,
     pub(crate) batches: AtomicU64,
     pub(crate) elements: AtomicU64,
     pub(crate) stalls: AtomicU64,
@@ -46,6 +50,10 @@ impl FcdsShared {
         let mut found = false;
         for slot in self.workers.iter() {
             for buf in &slot.bufs {
+                if !buf.is_full() {
+                    continue;
+                }
+                self.in_flight.store(true, SeqCst);
                 if let Some(batch) = buf.try_drain() {
                     if !batch.is_empty() {
                         let mut sketch = self.sketch.write().unwrap();
@@ -58,6 +66,7 @@ impl FcdsShared {
                     }
                     found = true;
                 }
+                self.in_flight.store(false, SeqCst);
             }
         }
         found
@@ -65,6 +74,11 @@ impl FcdsShared {
 
     fn any_published(&self) -> bool {
         self.workers.iter().any(|s| s.bufs.iter().any(BufCell::is_full))
+    }
+
+    /// Is any batch published or taken but not yet merged?
+    fn any_pending(&self) -> bool {
+        self.any_published() || self.in_flight.load(SeqCst)
     }
 }
 
@@ -119,6 +133,7 @@ impl<T: OrderedBits> Fcds<T> {
             workers: (0..max_workers).map(|_| WorkerSlot::new()).collect(),
             sketch: RwLock::new(QuantilesSketch::with_seed(k, seed)),
             stop: AtomicBool::new(false),
+            in_flight: AtomicBool::new(false),
             batches: AtomicU64::new(0),
             elements: AtomicU64::new(0),
             stalls: AtomicU64::new(0),
@@ -204,7 +219,7 @@ impl<T: OrderedBits> Fcds<T> {
 
     /// Block until every currently-published buffer has been merged.
     pub fn drain(&self) {
-        while self.shared.any_published() {
+        while self.shared.any_pending() {
             std::thread::yield_now();
         }
     }
@@ -469,7 +484,7 @@ impl<T: OrderedBits> StreamIngest<T> for LeasedFcdsWriter<T> {
         // Drain: every published buffer (ours included) is merged into the
         // shared sketch before we report the flush complete — which is
         // also what advances `Fcds::version` past the written weight.
-        while self.shared.any_published() {
+        while self.shared.any_pending() {
             std::thread::yield_now();
         }
     }

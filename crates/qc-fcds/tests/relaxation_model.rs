@@ -3,6 +3,7 @@
 //! stream size is conserved end-to-end.
 
 use proptest::prelude::*;
+use qc_common::rng::SplitMix64;
 use qc_fcds::Fcds;
 
 proptest! {
@@ -50,6 +51,39 @@ proptest! {
                 "estimate {} not in stream", est);
         }
     }
+}
+
+/// `drain` must not return while the propagator still holds a batch it has
+/// taken from a worker but not yet merged: after `flush` + `drain`, every
+/// update is visible, round after round. The worker gets its buffer back
+/// when the propagator takes it, so the window is narrow and only shows
+/// over thousands of rounds.
+#[test]
+fn drain_waits_for_the_batch_in_flight() {
+    const ROUNDS: usize = 20_000;
+    let mut rng = SplitMix64::new(0xD2A1);
+    let mut short = Vec::new();
+    for round in 0..ROUNDS {
+        let buffer = 1 + (rng.next_u64() % 63) as usize;
+        let n = 1000 + rng.next_u64() % 4000;
+        let fcds = Fcds::<u64>::new(16, buffer, 1);
+        let mut worker = fcds.updater();
+        for i in 0..n {
+            worker.update(i);
+        }
+        worker.flush();
+        fcds.drain();
+        let visible = fcds.stream_len();
+        if visible != n {
+            short.push((round, buffer, n, visible));
+        }
+    }
+    assert!(
+        short.is_empty(),
+        "{} of {ROUNDS} rounds came up short (round, B, n, visible): {:?}",
+        short.len(),
+        &short[..short.len().min(5)]
+    );
 }
 
 /// The propagator must make progress even when workers stop abruptly

@@ -172,20 +172,7 @@ impl QuantilesSketch {
     /// any backend's exported summary can be folded into a sequential
     /// sketch without losing a single unit of stream weight.
     pub fn absorb_summary(&mut self, summary: &WeightedSummary) {
-        // Per-level sorted runs via binary weight decomposition. `items()`
-        // is sorted by value, so each run is sorted too.
-        let mut levels: Vec<Vec<u64>> = Vec::new();
-        for item in summary.items() {
-            let mut w = item.weight;
-            while w != 0 {
-                let j = w.trailing_zeros() as usize;
-                if levels.len() <= j {
-                    levels.resize_with(j + 1, Vec::new);
-                }
-                levels[j].push(item.value_bits);
-                w &= w - 1;
-            }
-        }
+        let mut levels = summary.level_runs();
         // Top-down: absorb whole k-arrays at their level, descend ragged
         // remainders (duplicated) toward the base buffer.
         let mut carry: Vec<u64> = Vec::new();

@@ -1,23 +1,24 @@
-//! Store engines: the pluggable per-key backends of [`crate::SketchStore`].
+//! The per-key engine of [`crate::SketchStore`]: [`TieredEngine`].
 //!
-//! A [`StoreEngine`] is a [`SketchEngine`] the store knows how to
-//! construct, place in a memory tier, and maintain. Three engines ship:
+//! Every key of the store is a [`TieredEngine`], which moves between two
+//! memory tiers:
 //!
-//! * [`SequentialEngine`] — the Agarwal et al. sketch. Cheapest per key
-//!   (`O(k log(n/k))` retained elements, nothing preallocated), exact
-//!   accounting on every update, but single-writer by nature.
-//! * [`ConcurrentEngine`] — a [`Quancurrent`] sketch bundled with a
-//!   resident [`Updater`] and an *absorbed* side summary for remote
+//! * **cold** — the Agarwal et al. sequential sketch
+//!   ([`qc_sequential::Sketch`]). Cheapest per key (`O(k log(n/k))`
+//!   retained elements, nothing preallocated), exact accounting on every
+//!   update, but single-writer by nature;
+//! * **hot** — a [`ConcurrentEngine`]: a [`Quancurrent`] sketch bundled
+//!   with a resident [`Updater`] and an *absorbed* side summary for remote
 //!   state. Highest hot-key throughput; pays a fixed Gather&Sort
-//!   footprint (`~8k` words) per key the moment it is created.
-//! * [`TieredEngine`] — the default: every key starts as a compact
-//!   sequential sketch and **promotes in place** to a full Quancurrent
-//!   once its cumulative update pressure crosses
-//!   [`crate::StoreConfig::promotion_threshold`]; idle hot keys demote
-//!   back via an exact summary round-trip on cool-down sweeps
-//!   ([`crate::SketchStore::cool_down`]). Cold keys cost an order of
-//!   magnitude less memory than concurrent ones while hot keys keep the
-//!   concurrent ingestion path.
+//!   footprint (`~8k` words) the moment the key promotes.
+//!
+//! A key starts cold and **promotes in place** once its cumulative update
+//! pressure crosses [`crate::StoreConfig::promotion_threshold`]; idle hot
+//! keys demote back on cool-down sweeps ([`crate::SketchStore::cool_down`]).
+//! The threshold also expresses the pure populations: `u64::MAX` pins every
+//! key cold, `0` makes a key hot on its first write. Both engines implement
+//! every applicable [`qc_common::engine`] trait, so either also runs on its
+//! own behind a `Box<dyn SketchEngine<f64>>`.
 //!
 //! Tier migration in both directions is a summary round-trip
 //! ([`MergeableSketch::to_summary`] → [`MergeableSketch::absorb_summary`])
@@ -40,75 +41,18 @@ use quancurrent::{Quancurrent, Updater};
 use crate::merge::merge_summaries;
 use crate::store::StoreConfig;
 
-/// The memory tier an engine currently occupies (reported per key in
-/// [`crate::StoreStats`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Tier {
-    /// Compact sequential sketch: minimal memory, single-writer.
-    Sequential,
-    /// Full concurrent sketch: fixed Gather&Sort buffers, multi-writer
-    /// ingestion path.
-    Concurrent,
-}
-
-/// A sketch engine the store can construct and maintain — the bound of
-/// [`crate::SketchStore`]'s engine parameter.
-///
-/// `Sync` because the store's read path materializes summaries under a
-/// **shared** stripe lock: any number of reader threads may call the
-/// engine's `&self` methods (`version`, `to_summary`, `stream_len`)
-/// concurrently, while every `&mut self` mutation stays exclusive behind
-/// the stripe's write lock.
-pub trait StoreEngine<T: OrderedBits>: SketchEngine<T> + Send + Sync + 'static {
-    /// Build a fresh engine for one key. `seed` is the key's
-    /// deterministic sampling seed (derived from the store seed and the
-    /// key bytes).
-    fn build(cfg: &StoreConfig, seed: u64) -> Self
-    where
-        Self: Sized;
-
-    /// The tier this engine currently occupies.
-    fn tier(&self) -> Tier;
-
-    /// Retained 64-bit words (summary points, buffers, preallocations) —
-    /// the store's memory proxy.
-    fn footprint(&self) -> usize;
-
-    /// End a cool-down epoch: perform tier maintenance (e.g. demote an
-    /// idle hot key). Returns `true` if the engine changed tier. Called
-    /// under the key's stripe lock by [`crate::SketchStore::cool_down`].
-    fn maintain(&mut self) -> bool {
-        false
-    }
-}
-
-/// The sequential per-key engine: [`qc_sequential::Sketch`] verbatim.
-pub type SequentialEngine<T = f64> = qc_sequential::Sketch<T>;
-
-impl<T: OrderedBits> StoreEngine<T> for SequentialEngine<T> {
-    fn build(cfg: &StoreConfig, seed: u64) -> Self {
-        qc_sequential::Sketch::with_seed(cfg.k, seed)
-    }
-
-    fn tier(&self) -> Tier {
-        Tier::Sequential
-    }
-
-    fn footprint(&self) -> usize {
-        self.num_retained()
-    }
-}
-
-/// A concurrent per-key engine: a [`Quancurrent`] sketch, one resident
-/// [`Updater`] (all store updates for a key run under its stripe lock, so
-/// a single handle is exactly the single-writer discipline the local
-/// buffer expects), and an *absorbed* summary holding everything merged in
-/// from other sketches.
+/// The hot tier of [`TieredEngine`]: a [`Quancurrent`] sketch, one
+/// resident [`Updater`] for `&mut self` writes (the store makes those under
+/// the key's exclusive stripe lock, so one handle is exactly the
+/// single-writer discipline the local buffer expects), leased per-thread
+/// writers for shared-lock writes ([`SharedIngest::try_writer`]), and an
+/// *absorbed* summary holding everything merged in from other sketches.
 ///
 /// Reads compose the sketch's quiescent state, the updater's unflushed
-/// tail, and the absorbed summary with [`merge_summaries`], so queries see
-/// **every** element ever handed to the engine — exactly the keyed-store
-/// read semantics.
+/// tail, the leased writers' spill and the absorbed summary with
+/// [`merge_summaries`], so queries see **every** element ever handed to
+/// the engine whose write has completed — exactly the keyed-store read
+/// semantics.
 pub struct ConcurrentEngine<T: OrderedBits = f64> {
     sketch: Quancurrent<T>,
     /// The resident writer. The mutex exists purely so the engine is
@@ -183,11 +127,13 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     }
 
     /// The engine's full resident summary: shared levels + Gather&Sort
-    /// buffers + unflushed writer tail + absorbed remote weight. Exact
-    /// when no concurrent writers exist — which the store guarantees by
-    /// funneling all of a key's mutations through its stripe write lock —
-    /// and deterministic for a fixed state, so a cached copy is
-    /// indistinguishable from a rebuild.
+    /// buffers + unflushed writer tail + leased-writer spill + absorbed
+    /// remote weight. Exact and deterministic when no leased write is in
+    /// flight, so a cached copy is indistinguishable from a rebuild. A
+    /// leased write racing the read may be partly visible or transiently
+    /// missed; its flush bumps [`VersionedSketch::version`] before and
+    /// after moving weight, so such a view is never tagged with a settled
+    /// version.
     pub fn resident_summary(&self) -> WeightedSummary {
         let quiescent = self.sketch.quiescent_summary();
         let mut bits: Vec<u64> =
@@ -221,6 +167,17 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     /// The underlying concurrent sketch (diagnostics).
     pub fn sketch(&self) -> &Quancurrent<T> {
         &self.sketch
+    }
+
+    /// Retained 64-bit words — the fixed Gather&Sort allocation (2 buffers
+    /// × 2k slot/stamp pairs) plus live level arrays and side state.
+    pub fn footprint(&self) -> usize {
+        8 * self.k
+            + self.sketch.levels_retained()
+            + self.writer.lock().unwrap().pending_len()
+            + self.spill.lock().unwrap().len()
+            + self.absorbed.num_retained()
+            + self.absorb_buffer.iter().map(WeightedSummary::num_retained).sum::<usize>()
     }
 
     /// Completed shared-write flushes (the leased-writer half of the
@@ -414,38 +371,6 @@ impl<T: OrderedBits> InstrumentedSketch for ConcurrentEngine<T> {
     }
 }
 
-impl<T: OrderedBits> StoreEngine<T> for ConcurrentEngine<T> {
-    fn build(cfg: &StoreConfig, seed: u64) -> Self {
-        Self::new(cfg.k, cfg.b, seed)
-    }
-
-    fn tier(&self) -> Tier {
-        Tier::Concurrent
-    }
-
-    fn footprint(&self) -> usize {
-        // Fixed Gather&Sort allocation (2 buffers × 2k slot/stamp pairs)
-        // plus live level arrays and side state.
-        8 * self.k
-            + self.sketch.levels_retained()
-            + self.writer.lock().unwrap().pending_len()
-            + self.spill.lock().unwrap().len()
-            + self.absorbed.num_retained()
-            + self.absorb_buffer.iter().map(WeightedSummary::num_retained).sum::<usize>()
-    }
-
-    /// Not a tier change, but an idle moment: fold the absorb buffer into
-    /// the compacted bulk so a cooled-down key stops paying the buffer's
-    /// memory and read-merge overhead.
-    fn maintain(&mut self) -> bool {
-        if !self.absorb_buffer.is_empty() {
-            self.compact_absorbed();
-            self.version += 1;
-        }
-        false
-    }
-}
-
 impl<T: OrderedBits> std::fmt::Debug for ConcurrentEngine<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ConcurrentEngine")
@@ -460,11 +385,11 @@ impl<T: OrderedBits> std::fmt::Debug for ConcurrentEngine<T> {
 /// The hot variant is boxed so the common case — thousands of cold keys —
 /// pays the sequential sketch's size, not the concurrent engine's.
 enum TierState<T: OrderedBits> {
-    Cold(SequentialEngine<T>),
+    Cold(qc_sequential::Sketch<T>),
     Hot(Box<ConcurrentEngine<T>>),
 }
 
-/// The default store engine: starts every key as a compact sequential
+/// The store's per-key engine: starts every key as a compact sequential
 /// sketch and moves it between tiers as update pressure changes. See the
 /// [module docs](self) for the full tiering story.
 ///
@@ -472,7 +397,7 @@ enum TierState<T: OrderedBits> {
 ///   once cumulative updates reach the configured threshold: the cold
 ///   sketch's summary is absorbed into a fresh [`ConcurrentEngine`], so
 ///   not a single unit of weight is lost.
-/// * **Demotion** (hot → cold) happens on [`StoreEngine::maintain`] when
+/// * **Demotion** (hot → cold) happens on a cool-down sweep when
 ///   an entire epoch passed without updates: the hot engine's resident
 ///   summary round-trips into a fresh sequential sketch, releasing the
 ///   Gather&Sort buffers.
@@ -509,6 +434,40 @@ impl<T: OrderedBits> TieredEngine<T> {
             epoch_updates: 0,
             epoch_shared_watermark: 0,
             version: 0,
+        }
+    }
+
+    /// A cold engine for one key of a store configured by `cfg`; `seed` is
+    /// the key's deterministic sampling seed.
+    pub(crate) fn build(cfg: &StoreConfig, seed: u64) -> Self {
+        Self::new(cfg.k, cfg.b, seed, cfg.promotion_threshold)
+    }
+
+    /// Retained 64-bit words (summary points, buffers, preallocations) —
+    /// the store's memory proxy.
+    pub(crate) fn footprint(&self) -> usize {
+        match &self.state {
+            TierState::Cold(cold) => cold.num_retained(),
+            TierState::Hot(hot) => hot.footprint(),
+        }
+    }
+
+    /// End a cool-down epoch, called under the key's exclusive stripe lock
+    /// by [`crate::SketchStore::cool_down`]: demotes the key iff the
+    /// entire epoch since the previous call saw no updates — on **either**
+    /// write path: exclusive-lock updates count in `epoch_updates`, leased
+    /// shared writes move the hot engine's shared-write counter past the
+    /// epoch watermark. Returns whether the key demoted.
+    pub(crate) fn maintain(&mut self) -> bool {
+        let shared_now = self.shared_writes();
+        let idle = self.epoch_updates == 0 && shared_now == self.epoch_shared_watermark;
+        self.epoch_updates = 0;
+        self.epoch_shared_watermark = shared_now;
+        if idle && self.is_hot() {
+            self.demote_now();
+            true
+        } else {
+            false
         }
     }
 
@@ -629,8 +588,8 @@ impl<T: OrderedBits> StreamIngest<T> for TieredEngine<T> {
         self.after_updates(1);
     }
 
-    /// Overridden (unlike the other engines, whose default suffices) so
-    /// promotion pressure — and the version — is accounted once per batch.
+    /// Overridden so promotion pressure — and the version — is accounted
+    /// once per batch.
     fn update_many(&mut self, xs: &[T]) {
         if xs.is_empty() {
             return;
@@ -687,49 +646,10 @@ impl<T: OrderedBits> InstrumentedSketch for TieredEngine<T> {
     }
 }
 
-impl<T: OrderedBits> StoreEngine<T> for TieredEngine<T> {
-    fn build(cfg: &StoreConfig, seed: u64) -> Self {
-        Self::new(cfg.k, cfg.b, seed, cfg.promotion_threshold)
-    }
-
-    fn tier(&self) -> Tier {
-        match self.state {
-            TierState::Cold(_) => Tier::Sequential,
-            TierState::Hot(_) => Tier::Concurrent,
-        }
-    }
-
-    fn footprint(&self) -> usize {
-        // `footprint` lives on `StoreEngine` (not object-safe), so this
-        // one delegation keeps the two-arm match.
-        match &self.state {
-            TierState::Cold(e) => StoreEngine::<T>::footprint(e),
-            TierState::Hot(e) => StoreEngine::<T>::footprint(&**e),
-        }
-    }
-
-    /// Demotes the key iff the entire epoch since the previous `maintain`
-    /// call saw no updates — on **either** write path: exclusive-lock
-    /// updates count in `epoch_updates`, leased shared writes move the
-    /// hot engine's shared-write counter past the epoch watermark.
-    fn maintain(&mut self) -> bool {
-        let shared_now = self.shared_writes();
-        let idle = self.epoch_updates == 0 && shared_now == self.epoch_shared_watermark;
-        self.epoch_updates = 0;
-        self.epoch_shared_watermark = shared_now;
-        if idle && self.is_hot() {
-            self.demote_now();
-            true
-        } else {
-            false
-        }
-    }
-}
-
 impl<T: OrderedBits> std::fmt::Debug for TieredEngine<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TieredEngine")
-            .field("tier", &StoreEngine::<T>::tier(self))
+            .field("hot", &self.is_hot())
             .field("pressure", &self.pressure)
             .field("stream_len", &QuantileEstimator::stream_len(self))
             .finish()
@@ -747,7 +667,7 @@ mod tests {
     #[test]
     fn tiered_starts_cold_and_promotes_under_pressure() {
         let mut e = TieredEngine::<f64>::build(&cfg(), 7);
-        assert_eq!(StoreEngine::<f64>::tier(&e), Tier::Sequential);
+        assert!(!e.is_hot());
         for i in 0..256 {
             e.update(i as f64);
         }
@@ -775,10 +695,10 @@ mod tests {
         e.update_many(&(0..500).map(f64::from).collect::<Vec<_>>());
         assert!(e.is_hot());
         // First sweep: the busy epoch just ended — no demotion.
-        assert!(!StoreEngine::<f64>::maintain(&mut e));
+        assert!(!e.maintain());
         assert!(e.is_hot());
         // Second sweep with zero updates in between: demote.
-        assert!(StoreEngine::<f64>::maintain(&mut e));
+        assert!(e.maintain());
         assert!(!e.is_hot());
         assert_eq!(QuantileEstimator::stream_len(&e), 500, "demotion conserves weight exactly");
     }
@@ -787,8 +707,8 @@ mod tests {
     fn demoted_key_can_repromote() {
         let mut e = TieredEngine::<f64>::build(&cfg(), 10);
         e.update_many(&(0..500).map(f64::from).collect::<Vec<_>>());
-        StoreEngine::<f64>::maintain(&mut e);
-        StoreEngine::<f64>::maintain(&mut e);
+        e.maintain();
+        e.maintain();
         assert!(!e.is_hot());
         e.update_many(&(0..300).map(f64::from).collect::<Vec<_>>());
         assert!(e.is_hot(), "fresh pressure after demotion re-promotes");
@@ -804,7 +724,7 @@ mod tests {
             cold.update(i as f64);
             hot.update(i as f64);
         }
-        let (c, h) = (StoreEngine::<f64>::footprint(&cold), StoreEngine::<f64>::footprint(&hot));
+        let (c, h) = (cold.footprint(), hot.footprint());
         assert!(c * 10 <= h, "cold {c} words vs hot {h} words");
     }
 
@@ -846,8 +766,8 @@ mod tests {
         t.promote_now();
         let v2 = VersionedSketch::version(&t);
         assert!(v2 > v1, "promotion is an observable state change");
-        assert!(!StoreEngine::<f64>::maintain(&mut t));
-        assert!(StoreEngine::<f64>::maintain(&mut t), "idle hot key demotes");
+        assert!(!t.maintain());
+        assert!(t.maintain(), "idle hot key demotes");
         assert!(VersionedSketch::version(&t) > v2, "demotion bumps the version");
     }
 
@@ -877,12 +797,6 @@ mod tests {
         let s = e.to_summary();
         assert_eq!(s.stream_len(), 320, "compaction conserves weight exactly");
         assert!(s.num_retained() < 320, "crossing the threshold must compact");
-        // An idle maintain sweep folds whatever is still buffered.
-        let v = VersionedSketch::version(&e);
-        assert!(!StoreEngine::<f64>::maintain(&mut e));
-        if VersionedSketch::version(&e) > v {
-            assert_eq!(e.to_summary().stream_len(), 320);
-        }
     }
 
     #[test]
@@ -960,16 +874,16 @@ mod tests {
         let mut w = t.try_writer().expect("hot keys lease");
         // Close the busy epoch, then write through the lease only: the
         // next sweep must see the shared write and not demote.
-        assert!(!StoreEngine::<f64>::maintain(&mut t));
+        assert!(!t.maintain());
         w.update_many(&[1.0, 2.0, 3.0]);
         w.flush();
-        assert!(!StoreEngine::<f64>::maintain(&mut t), "leased writes must count as activity");
+        assert!(!t.maintain(), "leased writes must count as activity");
         assert!(t.is_hot());
         drop(w);
         // Two genuinely idle sweeps demote; the version stays monotone
         // across the fold and the weight stays exact.
         let v_before = VersionedSketch::version(&t);
-        assert!(StoreEngine::<f64>::maintain(&mut t));
+        assert!(t.maintain());
         assert!(!t.is_hot());
         assert!(VersionedSketch::version(&t) > v_before, "demotion fold must not regress");
         assert_eq!(QuantileEstimator::stream_len(&t), 503, "demotion conserves leased weight");

@@ -14,7 +14,6 @@ use std::collections::HashMap;
 
 use qc_common::bits::OrderedBits;
 
-use crate::engine::StoreEngine;
 use crate::store::{SketchStore, WriterLease};
 
 /// A cached lease goes back to its key's pool after sitting unused for
@@ -51,12 +50,7 @@ impl<T: OrderedBits> LeaseCache<T> {
     /// Returns whether a cached lease had gone **stale** (the key was
     /// removed, demoted, rolled, or re-created since it was minted) and
     /// the write fell back; the rejected lease held no weight.
-    pub fn write<E: StoreEngine<T>>(
-        &mut self,
-        store: &SketchStore<T, E>,
-        key: &str,
-        values: &[T],
-    ) -> bool {
+    pub fn write(&mut self, store: &SketchStore<T>, key: &str, values: &[T]) -> bool {
         let mut stale = false;
         if let Some((lease, used)) = self.leases.get_mut(key) {
             if store.update_many_leased(key, lease, values).is_ok() {

@@ -13,16 +13,16 @@
 //! * [`merge`] — [`merge::merge_summaries`]: weight-aware merging of any
 //!   number of summaries with randomized odd-or-even compaction back to a
 //!   `k`-bounded summary, conserving total weight exactly;
-//! * [`engine`] — the store's pluggable per-key backends behind the
-//!   [`qc_common::engine`] traits: [`engine::SequentialEngine`] (compact,
-//!   cold), [`engine::ConcurrentEngine`] (full Quancurrent machinery),
-//!   and the default [`engine::TieredEngine`] that promotes keys from
-//!   cold to hot under update pressure and demotes them on cool-down;
+//! * [`engine`] — the store's per-key engine, [`engine::TieredEngine`]:
+//!   a compact sequential sketch while the key is cold, promoted in place
+//!   to an [`engine::ConcurrentEngine`] (full Quancurrent machinery)
+//!   under update pressure and demoted again on cool-down; both implement
+//!   the [`qc_common::engine`] traits;
 //! * [`store`] — [`store::SketchStore`]: a fixed-stripe, lock-per-stripe
 //!   registry mapping string keys to live engines, with keyed
 //!   update/query, snapshot/ingest through the wire format, and cross-key
-//!   merged queries. Generic over element type and engine;
-//!   `SketchStore` with default parameters is the `f64` tiered store;
+//!   merged queries. Generic over the element type; `SketchStore` with
+//!   the default parameter is the `f64` store;
 //! * [`lease`] — [`lease::LeaseCache`]: the per-thread cache of writer
 //!   leases a long-lived writer (a connection, an ingest processor)
 //!   holds so its repeated batches to hot keys ride the shared-lock
@@ -72,7 +72,7 @@ pub mod store;
 pub mod window;
 pub mod wire;
 
-pub use engine::{ConcurrentEngine, SequentialEngine, StoreEngine, Tier, TieredEngine};
+pub use engine::{ConcurrentEngine, TieredEngine};
 pub use lease::{LeaseCache, LEASE_IDLE_TICKS};
 pub use merge::merge_summaries;
 pub use persist::{

@@ -10,7 +10,8 @@
 //!
 //! 1. every input item of weight `w` is decomposed along the binary
 //!    representation of `w` — one copy at level `j` per set bit `j` (for the
-//!    power-of-two weights our sketches produce this is a single level);
+//!    power-of-two weights our sketches produce this is a single level;
+//!    see [`WeightedSummary::level_runs`]);
 //! 2. per level, the sorted runs contributed by each input summary are
 //!    combined with [`qc_common::merge::merge_sorted_many`];
 //! 3. from the bottom up, any level holding more than `2k` elements is
@@ -56,31 +57,19 @@ where
     assert!(k > 0, "k must be positive");
     let mut rng = Xoshiro256::seed_from_u64(seed);
 
-    // Stage 1+2: per level, gather each summary's sorted run and merge.
-    let mut runs: Vec<Vec<&[u64]>> = vec![Vec::new(); LEVELS];
-    let mut scratch: Vec<Vec<Vec<u64>>> = vec![Vec::new(); LEVELS];
+    // Stage 1+2: per level, merge the sorted runs the inputs contribute.
+    let mut runs: Vec<Vec<Vec<u64>>> = vec![Vec::new(); LEVELS];
     for summary in summaries {
-        // items() is sorted by value; a fixed-weight subsequence is sorted
-        // too, so each (summary, level) pair contributes one sorted run.
-        let mut per_level: Vec<Vec<u64>> = vec![Vec::new(); LEVELS];
-        for item in summary.items() {
-            let mut w = item.weight;
-            while w != 0 {
-                let j = w.trailing_zeros() as usize;
-                per_level[j].push(item.value_bits);
-                w &= w - 1;
-            }
-        }
-        for (j, run) in per_level.into_iter().enumerate() {
+        for (j, run) in summary.level_runs().into_iter().enumerate() {
             if !run.is_empty() {
-                scratch[j].push(run);
+                runs[j].push(run);
             }
         }
     }
-    for j in 0..LEVELS {
-        runs[j] = scratch[j].iter().map(|r| r.as_slice()).collect();
-    }
-    let mut levels: Vec<Vec<u64>> = runs.into_iter().map(|r| merge_sorted_many(&r)).collect();
+    let mut levels: Vec<Vec<u64>> = runs
+        .iter()
+        .map(|level| merge_sorted_many(&level.iter().map(Vec::as_slice).collect::<Vec<_>>()))
+        .collect();
 
     // Stage 3: bottom-up randomized compaction back to <= 2k per level.
     let cap = 2 * k;

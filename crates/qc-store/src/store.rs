@@ -11,11 +11,10 @@
 //!   each stripe an **RwLock** around its own key map — writers on
 //!   different stripes never contend, readers on the *same* stripe never
 //!   contend with each other, and no lock is ever held across stripes;
-//! * each key owns a live engine — any [`StoreEngine`] implementor; the
-//!   default [`crate::engine::TieredEngine`] starts keys as
-//!   compact sequential sketches and promotes them to full Quancurrent
+//! * each key owns a live [`TieredEngine`], which starts the key as a
+//!   compact sequential sketch and promotes it to full Quancurrent
 //!   machinery under update pressure (see [`crate::engine`]);
-//! * the store is backend-generic through the
+//! * the store drives that engine through the
 //!   [`qc_common::engine`] traits: updates go through
 //!   [`qc_common::engine::StreamIngest`], reads through
 //!   [`qc_common::engine::MergeableSketch::to_summary`], and remote state
@@ -106,7 +105,7 @@
 //!
 //! Callers that keep a handle across calls (the serving layer's
 //! [`crate::LeaseCache`]) use [`SketchStore::lease_writer`] /
-//! [`SketchStore::update_many_leased`] / [`SketchStore::return_lease`].
+//! [`SketchStore::update_many_leased`], and drop the lease when done.
 //! `remove`, demotion (`cool_down`), a window roll, and re-creation each
 //! assign the key a fresh generation from a store-wide counter, so a
 //! stale lease can **never** write into a successor engine: every leased
@@ -123,10 +122,14 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use qc_common::bits::OrderedBits;
+use qc_common::engine::{
+    InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest, StreamIngest,
+    VersionedSketch,
+};
 use qc_common::summary::{Summary, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
-use crate::engine::{StoreEngine, Tier, TieredEngine};
+use crate::engine::TieredEngine;
 use crate::merge::merge_summaries;
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
@@ -157,10 +160,11 @@ pub struct StoreConfig {
     pub b: usize,
     /// Base seed; each key derives its own deterministic seed from it.
     pub seed: u64,
-    /// Cumulative per-key update count **past which** a tiered key
-    /// promotes to the concurrent engine — promotion fires on the first
-    /// update beyond the threshold (`0` promotes on the first update,
-    /// `u64::MAX` pins keys cold). Ignored by non-tiered engines.
+    /// Cumulative per-key update count **past which** a key promotes to
+    /// the concurrent engine — promotion fires on the first update beyond
+    /// the threshold. `u64::MAX` pins every key cold (a pure sequential
+    /// population); `0` makes a key hot on its first write (a pure
+    /// concurrent one, until `cool_down` demotes it while idle).
     pub promotion_threshold: u64,
     /// Per-key writer-handle pool capacity: at most this many leased
     /// writer handles exist per key (pooled + checked out). `0` disables
@@ -178,9 +182,8 @@ pub struct StoreConfig {
     /// Durable-log directory. `None` (the default) keeps the store purely
     /// in memory. A directory takes effect only through
     /// [`SketchStore::recover`], which replays whatever the directory
-    /// holds and then logs every mutation into it; the plain constructors
-    /// ([`SketchStore::new`], [`SketchStore::with_engine`]) ignore it, so
-    /// they stay infallible.
+    /// holds and then logs every mutation into it; the plain constructor
+    /// [`SketchStore::new`] ignores it, so it stays infallible.
     pub data_dir: Option<PathBuf>,
     /// When appended log frames reach disk (see [`FsyncPolicy`]).
     /// Irrelevant without [`StoreConfig::data_dir`].
@@ -473,7 +476,7 @@ impl StoreStats {
 /// of the key's [`StoreConfig::writer_pool`] mint slots forever.
 pub struct WriterLease<T> {
     generation: u64,
-    handle: Option<Box<dyn qc_common::engine::StreamIngest<T> + Send>>,
+    handle: Option<Box<dyn StreamIngest<T> + Send>>,
     pool: std::sync::Weak<Mutex<WriterPool<T>>>,
 }
 
@@ -523,8 +526,8 @@ impl std::error::Error for StaleLease {}
 
 /// One key's slot in a stripe map: the live engine, the cached
 /// materialization of its summary, and the leased-writer pool.
-struct KeyEntry<T, E> {
-    engine: E,
+struct KeyEntry<T: OrderedBits> {
+    engine: TieredEngine<T>,
     /// Lease generation: every leased write validates its tag against
     /// this under the shared stripe lock. Assigned from the store-wide
     /// counter at creation and re-assigned (under the write lock) by any
@@ -571,16 +574,16 @@ struct WriterPool<T> {
     /// stripe lock.
     generation: u64,
     /// Handles returned after a flush — they hold no weight while idle.
-    idle: Vec<Box<dyn qc_common::engine::StreamIngest<T> + Send>>,
+    idle: Vec<Box<dyn StreamIngest<T> + Send>>,
     /// Handles minted this generation (idle + checked out), capped by
     /// [`StoreConfig::writer_pool`].
     minted: usize,
 }
 
-impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
+impl<T: OrderedBits> KeyEntry<T> {
     /// A fresh entry; `active_wid` is the first active window of a
     /// windowed key (`None` on an unwindowed store).
-    fn new(engine: E, generation: u64, active_wid: Option<u64>) -> Self {
+    fn new(engine: TieredEngine<T>, generation: u64, active_wid: Option<u64>) -> Self {
         let windows = active_wid.map(|id| {
             let state = WindowState { active_id: id, watermark: id, ..WindowState::default() };
             Box::new(Mutex::new(state))
@@ -614,7 +617,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
     /// Check a leased writer handle out of the pool (minting one from the
     /// engine if under the cap). `None` sends the caller to the
     /// exclusive-lock fallback. Runs under the shared stripe lock.
-    fn checkout(&self, cap: usize) -> Option<Box<dyn qc_common::engine::StreamIngest<T> + Send>> {
+    fn checkout(&self, cap: usize) -> Option<Box<dyn StreamIngest<T> + Send>> {
         if cap == 0 {
             return None;
         }
@@ -632,7 +635,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> KeyEntry<T, E> {
 
     /// Return a (flushed) handle to the pool. The caller holds the shared
     /// stripe lock, so the generation cannot have moved since checkout.
-    fn give_back(&self, handle: Box<dyn qc_common::engine::StreamIngest<T> + Send>) {
+    fn give_back(&self, handle: Box<dyn StreamIngest<T> + Send>) {
         self.pool.lock().unwrap().idle.push(handle);
     }
 }
@@ -663,7 +666,7 @@ impl Target {
 const UNLEASED: &str = "only a leased write can be stale";
 
 /// One stripe: a reader-writer lock around the stripe's key map.
-type Stripe<T, E> = RwLock<HashMap<String, KeyEntry<T, E>>>;
+type Stripe<T> = RwLock<HashMap<String, KeyEntry<T>>>;
 
 /// The store's instrument handles, registered once at construction (the
 /// registry's get-or-register takes a mutex; hot paths must not pay it).
@@ -766,14 +769,10 @@ impl StoreInstruments {
     }
 }
 
-/// Sharded keyed sketch store, generic over the element type and the
-/// per-key engine; see the [module docs](self).
-///
-/// The defaults — `SketchStore` with no parameters — give an `f64` store
-/// over the tiered engine, which is wire- and API-compatible with the
-/// previous `Quancurrent`-only store.
-pub struct SketchStore<T: OrderedBits = f64, E: StoreEngine<T> = TieredEngine<T>> {
-    stripes: Box<[Stripe<T, E>]>,
+/// Sharded keyed sketch store over [`TieredEngine`] keys, generic over the
+/// element type (`f64` by default); see the [module docs](self).
+pub struct SketchStore<T: OrderedBits = f64> {
+    stripes: Box<[Stripe<T>]>,
     mask: usize,
     cfg: StoreConfig,
     /// Normalized window arithmetic, derived once from
@@ -793,7 +792,6 @@ pub struct SketchStore<T: OrderedBits = f64, E: StoreEngine<T> = TieredEngine<T>
     /// else, which makes every logging hook a no-op — including during
     /// recovery replay itself, which runs before this is attached.
     persistence: Option<Persistence>,
-    _marker: std::marker::PhantomData<fn(T) -> T>,
 }
 
 /// Live durability state: the open log behind its append mutex, plus the
@@ -822,33 +820,15 @@ struct Persistence {
     dir: PathBuf,
 }
 
-impl<T: OrderedBits> Default for SketchStore<T, TieredEngine<T>> {
+impl<T: OrderedBits> Default for SketchStore<T> {
     fn default() -> Self {
         Self::new(StoreConfig::default())
     }
 }
 
-impl<T: OrderedBits> SketchStore<T, TieredEngine<T>> {
-    /// Build a store with the default (tiered) engine.
-    ///
-    /// Defined on the concrete default engine so plain
-    /// `SketchStore::new(cfg)` keeps inferring the engine; use
-    /// [`SketchStore::with_engine`] to pick another backend.
+impl<T: OrderedBits> SketchStore<T> {
+    /// Build an in-memory store.
     pub fn new(cfg: StoreConfig) -> Self {
-        Self::with_engine(cfg)
-    }
-
-    /// Recover a default-engine store from `cfg.data_dir` and keep
-    /// logging into it; see [`SketchStore::recover_with_engine`].
-    pub fn recover(cfg: StoreConfig) -> Result<(Self, RecoveryReport), PersistError> {
-        Self::recover_with_engine(cfg)
-    }
-}
-
-impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
-    /// Build a store over an explicit engine type:
-    /// `SketchStore::<f64, SequentialEngine>::with_engine(cfg)`.
-    pub fn with_engine(cfg: StoreConfig) -> Self {
         let stripes = cfg.stripes.max(1).next_power_of_two();
         let table = (0..stripes).map(|_| RwLock::new(HashMap::new())).collect();
         let registry = cfg.telemetry.clone().unwrap_or_else(|| Arc::new(Registry::new()));
@@ -863,7 +843,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
             instruments,
             lease_generation: AtomicU64::new(0),
             persistence: None,
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -879,19 +858,19 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// [`FsyncPolicy::PerFrame`] the recovered store conserves every
     /// key's weight exactly up to the last fsync'd frame.
     ///
-    /// Without [`StoreConfig::data_dir`] this is `with_engine` plus an
-    /// empty report: a purely in-memory store.
+    /// Without [`StoreConfig::data_dir`] this is [`SketchStore::new`] plus
+    /// an empty report: a purely in-memory store.
     ///
     /// Replay drives the ordinary write paths, so store counters
     /// (`updates`, `ingests`, …) include the replayed operations.
-    pub fn recover_with_engine(cfg: StoreConfig) -> Result<(Self, RecoveryReport), PersistError> {
+    pub fn recover(cfg: StoreConfig) -> Result<(Self, RecoveryReport), PersistError> {
         let Some(dir) = cfg.data_dir.clone() else {
-            return Ok((Self::with_engine(cfg), RecoveryReport::default()));
+            return Ok((Self::new(cfg), RecoveryReport::default()));
         };
         let recovered = persist::recover_dir(&dir)?;
         // Build with persistence unattached: replay below runs through the
         // public write paths without re-logging itself.
-        let mut store = Self::with_engine(cfg);
+        let mut store = Self::new(cfg);
         let mut report = recovered.report;
         // Per-key replay floor: a record applies iff its LSN is above the
         // checkpoint's floor for that key (records at or below it are
@@ -1152,7 +1131,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         ((h ^ (h >> 32)) as usize) & self.mask
     }
 
-    fn stripe_of(&self, key: &str) -> &Stripe<T, E> {
+    fn stripe_of(&self, key: &str) -> &Stripe<T> {
         &self.stripes[self.stripe_index(key)]
     }
 
@@ -1300,7 +1279,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                 Self::seal_into(entry.window_state(), active_id, sealed, self.cfg.k, seed);
                 self.instruments.window_seals.incr();
             }
-            entry.engine = E::build(&self.cfg, seed);
+            entry.engine = TieredEngine::build(&self.cfg, seed);
             *entry.cache.get_mut().unwrap() = None;
             self.retire_engine(entry);
             let state = entry.window_state();
@@ -1312,15 +1291,15 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
             // fires inside the engine on update pressure; observe it as a
             // tier flip around the write (exclusive path only — leased
             // writes require an already-hot engine).
-            let tier_before = entry.engine.tier();
+            let was_hot = entry.engine.is_hot();
             entry.engine.update_many(values);
-            tier_before == Tier::Sequential && entry.engine.tier() == Tier::Concurrent
+            !was_hot && entry.engine.is_hot()
         } else if self.window_plan.is_some_and(|plan| plan.admissible(watermark, wid)) {
             // Late but admissible: summarize the batch through a
             // throwaway engine and merge it, exact-weight, into the
             // sealed window covering `wid` (or open a new level-0 one).
             let seed = self.key_seed(key);
-            let mut tmp = E::build(&self.cfg, seed);
+            let mut tmp = TieredEngine::build(&self.cfg, seed);
             tmp.update_many(values);
             Self::seal_into(entry.window_state(), wid, tmp.to_summary(), self.cfg.k, seed);
             false
@@ -1354,16 +1333,16 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// use with `first_wid` as its active window.
     fn entry_or_create<'m>(
         &self,
-        map: &'m mut HashMap<String, KeyEntry<T, E>>,
+        map: &'m mut HashMap<String, KeyEntry<T>>,
         stripe_ix: usize,
         key: &str,
         first_wid: u64,
-    ) -> &'m mut KeyEntry<T, E> {
+    ) -> &'m mut KeyEntry<T> {
         // Probe before inserting: the steady state must not allocate a
         // `String` per call just to use the entry API.
         if !map.contains_key(key) {
             let entry = KeyEntry::new(
-                E::build(&self.cfg, self.key_seed(key)),
+                TieredEngine::build(&self.cfg, self.key_seed(key)),
                 self.next_generation(),
                 self.window_plan.map(|_| first_wid),
             );
@@ -1378,7 +1357,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// outstanding leases are rejected at their next use (and discarded
     /// on drop), and drop the idle pool with it. The caller holds the
     /// exclusive stripe lock.
-    fn retire_engine(&self, entry: &mut KeyEntry<T, E>) {
+    fn retire_engine(&self, entry: &mut KeyEntry<T>) {
         entry.generation = self.next_generation();
         let mut pool = entry.pool.lock().unwrap();
         pool.generation = entry.generation;
@@ -1441,16 +1420,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         self.apply(key, Target::Active, values, Some(lease))
     }
 
-    /// Return a lease to `key`'s pool. Equivalent to dropping it — the
-    /// lease's own drop returns the handle through its weak pool
-    /// back-reference when the generation still matches, and a stale
-    /// lease (generation moved, key gone) is discarded; it holds no
-    /// weight by the lease invariant, so nothing is lost either way.
-    pub fn return_lease(&self, key: &str, lease: WriterLease<T>) {
-        let _ = key;
-        drop(lease);
-    }
-
     /// φ-quantile estimate over everything `key` has seen (local updates
     /// and ingested snapshots). `None` if the key is absent or empty.
     pub fn query(&self, key: &str, phi: f64) -> Option<T> {
@@ -1500,7 +1469,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     /// with the range-read methods (which include the active window
     /// through it). The caller holds the stripe lock (shared or
     /// exclusive) for `entry`.
-    fn cached_summary(&self, entry: &KeyEntry<T, E>) -> Arc<WeightedSummary> {
+    fn cached_summary(&self, entry: &KeyEntry<T>) -> Arc<WeightedSummary> {
         let version = entry.engine.version();
         {
             let cache = entry.cache.lock().unwrap();
@@ -1728,11 +1697,10 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         self.stripes.iter().all(|s| s.read().unwrap().is_empty())
     }
 
-    /// Run one cool-down sweep: every engine gets a
-    /// [`StoreEngine::maintain`] call under its stripe lock. With the
-    /// tiered engine, hot keys that saw **no** updates for one full sweep
-    /// interval demote to the sequential tier, releasing their concurrent
-    /// buffers. Returns the number of keys that changed tier.
+    /// Run one cool-down sweep: every key's engine ends its epoch under the
+    /// key's stripe lock, so hot keys that saw **no** updates for one full
+    /// sweep interval demote to the sequential tier, releasing their
+    /// concurrent buffers. Returns the number of keys that changed tier.
     ///
     /// Call it periodically (e.g. from the serving layer's housekeeping
     /// loop); the sweep interval defines the cool-down window.
@@ -1969,7 +1937,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
         let fallback_writes = self.instruments.fallback_writes.get();
         let mut keys = 0usize;
         let mut stream_len = 0u64;
-        let mut cold_keys = 0usize;
         let mut hot_keys = 0usize;
         let mut retained = 0u64;
         let mut windows = 0usize;
@@ -1986,10 +1953,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
                     stream_len += state.sealed_weight();
                     windows += 1 + state.sealed.len();
                 }
-                match entry.engine.tier() {
-                    Tier::Sequential => cold_keys += 1,
-                    Tier::Concurrent => hot_keys += 1,
-                }
+                hot_keys += usize::from(entry.engine.is_hot());
             }
         }
         StoreStats {
@@ -2001,7 +1965,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
             stream_len,
             bytes_out: self.instruments.bytes_out.get(),
             bytes_in: self.instruments.bytes_in.get(),
-            cold_keys,
+            cold_keys: keys - hot_keys,
             hot_keys,
             retained,
             cache_hits: self.instruments.cache_hits.get(),
@@ -2049,7 +2013,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> SketchStore<T, E> {
     }
 }
 
-impl<T: OrderedBits, E: StoreEngine<T>> Drop for SketchStore<T, E> {
+impl<T: OrderedBits> Drop for SketchStore<T> {
     /// Clean shutdown syncs the log's buffered tail ([`SketchStore::sync`])
     /// so `Interval`/`Off` stores lose nothing acked before a graceful
     /// exit. Skipped mid-panic: an fsync on a poisoned-invariant store
@@ -2063,7 +2027,7 @@ impl<T: OrderedBits, E: StoreEngine<T>> Drop for SketchStore<T, E> {
     }
 }
 
-impl<T: OrderedBits, E: StoreEngine<T>> std::fmt::Debug for SketchStore<T, E> {
+impl<T: OrderedBits> std::fmt::Debug for SketchStore<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let stats = self.stats();
         f.debug_struct("SketchStore")
@@ -2080,7 +2044,6 @@ impl<T: OrderedBits, E: StoreEngine<T>> std::fmt::Debug for SketchStore<T, E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ConcurrentEngine, SequentialEngine};
     use crate::wire::CodecError;
 
     fn small_store(stripes: usize) -> SketchStore {
@@ -2220,13 +2183,15 @@ mod tests {
         assert_eq!(store.stats().bytes_out, 2 * n);
     }
 
-    /// The same store logic runs unchanged over the pure sequential and
-    /// pure concurrent engines — the store is engine-generic.
+    /// The same store logic serves a population pinned cold and one that
+    /// goes hot on its first write.
     #[test]
-    fn explicit_engine_stores_behave_identically() {
-        let cfg = || StoreConfig::default().stripes(4).k(64).b(4).seed(9);
-        let seq = SketchStore::<f64, SequentialEngine>::with_engine(cfg());
-        let conc = SketchStore::<f64, ConcurrentEngine>::with_engine(cfg());
+    fn pinned_cold_and_hot_on_first_write_stores_behave_identically() {
+        let cfg = |threshold| {
+            StoreConfig::default().stripes(4).k(64).b(4).seed(9).promotion_threshold(threshold)
+        };
+        let seq = SketchStore::<f64>::new(cfg(u64::MAX));
+        let conc = SketchStore::<f64>::new(cfg(0));
         let values: Vec<f64> = (0..3000).map(f64::from).collect();
         seq.update_many("x", &values);
         conc.update_many("x", &values);
@@ -2375,7 +2340,7 @@ mod tests {
         let after = store.stats();
         assert_eq!(after.updates, before.updates);
         assert_eq!(after.shared_writes, before.shared_writes);
-        store.return_lease("k", lease);
+        drop(lease);
     }
 
     #[test]
@@ -2401,8 +2366,8 @@ mod tests {
             1,
             "no stale write may land in the successor generation"
         );
-        // Returning the stale lease is a harmless no-op.
-        store.return_lease("k", lease);
+        // Dropping the stale lease is a harmless no-op.
+        drop(lease);
         assert_eq!(store.stats().stream_len, 1);
     }
 
@@ -2452,28 +2417,28 @@ mod tests {
         // exclusive fallback.
         store.update_many("k", &[2.0]);
         assert!(store.stats().fallback_writes >= 1);
-        store.return_lease("k", lease_a);
+        drop(lease_a);
         let lease_c = store.lease_writer("k").expect("returned handles are reusable");
         // Park both handles and sweep: idle leases are dropped and their
         // mint slots freed, so the pool can mint fresh ones afterwards.
-        store.return_lease("k", lease_b);
-        store.return_lease("k", lease_c);
+        drop(lease_b);
+        drop(lease_c);
         store.cool_down();
         store.update_many("k", &[3.0]); // keep the key hot across the sweep
         let fresh_a = store.lease_writer("k").expect("sweep must free idle mint slots");
         let fresh_b = store.lease_writer("k").expect("both slots mint again");
         assert!(store.lease_writer("k").is_none(), "cap still enforced");
-        store.return_lease("k", fresh_a);
-        store.return_lease("k", fresh_b);
+        drop(fresh_a);
+        drop(fresh_b);
         assert_eq!(store.stats().stream_len, 4);
     }
 
     #[test]
     fn dropped_leases_release_their_mint_slots_immediately() {
-        // A lease abandoned without `return_lease` (caller bug, worker
-        // panic unwinding a connection's cache) must not pin its mint
-        // slot: the drop returns the handle through the weak pool
-        // back-reference, no housekeeping sweep required.
+        // A lease dropped anywhere (a finished writer, a worker panic
+        // unwinding a connection's cache) must not pin its mint slot: the
+        // drop returns the handle through the weak pool back-reference, no
+        // housekeeping sweep required.
         let store = SketchStore::new(
             StoreConfig::default()
                 .stripes(2)

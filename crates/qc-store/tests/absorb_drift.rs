@@ -1,31 +1,36 @@
 //! Accuracy drift of repeated small ingests vs one bulk merge.
 //!
-//! Regression for the compounding-compaction bug: every `ingest_bytes`
-//! into a `ConcurrentEngine` used to re-run randomized compaction on the
-//! whole absorbed summary, so N small ingests paid N compaction passes —
-//! each one perturbing ranks — where a single bulk merge pays one. With
-//! the absorb buffer, sub-threshold ingests are retained verbatim and the
-//! buffer folds in one pass per `ABSORB_COMPACT_FACTOR·k` retained
-//! elements, so the incremental path's error stays within the same ε(k)
-//! budget as the bulk path instead of drifting with N.
+//! Regression for the compounding-compaction bug: every summary absorbed
+//! into a `ConcurrentEngine` (a store `ingest_bytes` into a hot key) used
+//! to re-run randomized compaction on the whole absorbed summary, so N
+//! small ingests paid N compaction passes — each one perturbing ranks —
+//! where a single bulk merge pays one. With the absorb buffer,
+//! sub-threshold ingests are retained verbatim and the buffer folds in one
+//! pass per `ABSORB_COMPACT_FACTOR·k` retained elements, so the incremental
+//! path's error stays within the same ε(k) budget as the bulk path instead
+//! of drifting with N.
+//!
+//! The suite drives the engine directly: what it pins is the engine's
+//! absorb buffer, not store behaviour.
 
+use qc_common::engine::MergeableSketch;
 use qc_common::error::sequential_epsilon;
 use qc_common::{OrderedBits, Summary, WeightedSummary};
-use qc_store::{encode_summary, ConcurrentEngine, SketchStore, StoreConfig};
+use qc_store::ConcurrentEngine;
 
 const TOTAL: usize = 8192;
 const CHUNKS: usize = 128;
 const K: usize = 64;
 
-fn store() -> SketchStore<f64, ConcurrentEngine> {
-    SketchStore::with_engine(StoreConfig::default().stripes(2).k(K).b(4).seed(17))
+fn engine() -> ConcurrentEngine {
+    ConcurrentEngine::new(K, 4, 17)
 }
 
-/// Frame holding the given values with unit weight.
-fn frame_of(values: &[f64]) -> Vec<u8> {
+/// Summary holding the given values with unit weight.
+fn summary_of(values: &[f64]) -> WeightedSummary {
     let mut bits: Vec<u64> = values.iter().map(|v| v.to_ordered_bits()).collect();
     bits.sort_unstable();
-    encode_summary(&WeightedSummary::from_parts([(&bits[..], 1u64)]))
+    WeightedSummary::from_parts([(&bits[..], 1u64)])
 }
 
 /// Max |estimated rank − φ| over a φ grid, against the exact uniform
@@ -46,19 +51,18 @@ fn n_small_ingests_match_one_bulk_merge_within_epsilon() {
 
     // Incremental: 128 strided 64-element chunks (each a representative
     // sample of the full range, like periodic shard snapshots).
-    let incremental = store();
+    let mut incremental = engine();
     for c in 0..CHUNKS {
         let chunk: Vec<f64> = (0..TOTAL / CHUNKS).map(|i| (i * CHUNKS + c) as f64).collect();
-        let n = incremental.ingest_bytes("key", &frame_of(&chunk)).expect("chunk ingests");
-        assert_eq!(n as usize, TOTAL / CHUNKS);
+        incremental.absorb_summary(&summary_of(&chunk));
     }
 
-    // Bulk: the same 8192 elements in one frame.
-    let bulk = store();
-    bulk.ingest_bytes("key", &frame_of(&all)).expect("bulk ingests");
+    // Bulk: the same 8192 elements in one summary.
+    let mut bulk = engine();
+    bulk.absorb_summary(&summary_of(&all));
 
-    let inc_summary = incremental.summary_of("key").expect("present");
-    let bulk_summary = bulk.summary_of("key").expect("present");
+    let inc_summary = incremental.to_summary();
+    let bulk_summary = bulk.to_summary();
 
     // Exact conservation on both paths, however many compactions fired.
     assert_eq!(inc_summary.stream_len(), TOTAL as u64);
@@ -82,42 +86,40 @@ fn n_small_ingests_match_one_bulk_merge_within_epsilon() {
 #[test]
 fn small_ingests_stay_buffered_uncompacted_until_threshold() {
     // The sharp structural regression, read off the engine's stored state
-    // via `stats().retained` (the footprint counts buffered absorbed
-    // parts verbatim): 240 unit-weight elements arrive in 24 small
-    // ingests. 240 sits **above** a single merge's per-level cap
-    // (2k = 128) but **below** the absorb-buffer threshold
+    // via `footprint()` (it counts buffered absorbed parts verbatim): 240
+    // unit-weight elements arrive in 24 small absorbs. 240 sits **above**
+    // a single merge's per-level cap (2k = 128) but **below** the
+    // absorb-buffer threshold
     // (ABSORB_COMPACT_FACTOR·k = 256). The pre-fix path re-merged the
     // absorbed summary on every ingest, compacting the moment it crossed
     // 128 retained; the buffered path must hold all 240 words.
-    let store = store();
+    let mut engine = engine();
     for c in 0..24 {
         let chunk: Vec<f64> = (0..10).map(|i| (c * 10 + i) as f64).collect();
-        store.ingest_bytes("key", &frame_of(&chunk)).expect("ingests");
+        engine.absorb_summary(&summary_of(&chunk));
     }
     // ConcurrentEngine footprint = fixed Gather&Sort words (8k) + level
     // arrays (0: no local updates) + pending tail (0) + absorbed words.
-    let gather_sort = 8 * K as u64;
-    let stats = store.stats();
+    let gather_sort = 8 * K;
     assert_eq!(
-        stats.retained,
+        engine.footprint(),
         gather_sort + 240,
         "absorbed parts must stay uncompacted below the threshold"
     );
-    assert_eq!(store.summary_of("key").unwrap().stream_len(), 240);
+    assert_eq!(engine.to_summary().stream_len(), 240);
 
     // Two more chunks cross the threshold: ONE compaction pass folds the
     // whole buffer (and only then), shrinking the stored state.
     for c in 24..26 {
         let chunk: Vec<f64> = (0..10).map(|i| (c * 10 + i) as f64).collect();
-        store.ingest_bytes("key", &frame_of(&chunk)).expect("ingests");
+        engine.absorb_summary(&summary_of(&chunk));
     }
-    let stats = store.stats();
     assert!(
-        stats.retained < gather_sort + 240,
+        engine.footprint() < gather_sort + 240,
         "crossing the threshold must compact the buffer (retained {})",
-        stats.retained
+        engine.footprint()
     );
-    let summary = store.summary_of("key").expect("present");
+    let summary = engine.to_summary();
     assert_eq!(summary.stream_len(), 260, "compaction conserves weight exactly");
 }
 
@@ -125,12 +127,12 @@ fn small_ingests_stay_buffered_uncompacted_until_threshold() {
 fn ingests_below_the_level_cap_read_back_verbatim() {
     // Below 2k total retained nothing may compact anywhere — not in the
     // stored state, not in the read-side merge — so quantiles are exact.
-    let store = store();
+    let mut engine = engine();
     for c in 0..12 {
         let chunk: Vec<f64> = (0..10).map(|i| (c * 10 + i) as f64).collect();
-        store.ingest_bytes("key", &frame_of(&chunk)).expect("ingests");
+        engine.absorb_summary(&summary_of(&chunk));
     }
-    let summary = store.summary_of("key").expect("present");
+    let summary = engine.to_summary();
     assert_eq!(summary.stream_len(), 120);
     assert_eq!(summary.num_retained(), 120);
     assert!(summary.items().iter().all(|it| it.weight == 1));

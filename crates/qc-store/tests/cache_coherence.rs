@@ -10,17 +10,15 @@
 //! for a fixed engine state (fixed merge seeds), so full summary equality
 //! is the strongest possible check.
 //!
-//! The same operation scripts run over all three engines — sequential,
-//! concurrent, and tiered with a tiny promotion threshold so scripts
-//! cross tier migrations (and `cool_down` demotions) routinely.
+//! The same operation scripts run at three promotion thresholds: pinned
+//! cold (`u64::MAX`), hot on the first write (`0`, so `cool_down` demotes
+//! idle keys and the next write re-promotes them), and a tiny threshold
+//! so scripts cross tier migrations routinely.
 
 use proptest::prelude::*;
 use qc_common::OrderedBits;
 use qc_common::Summary;
-use qc_store::{
-    encode_summary, ConcurrentEngine, SequentialEngine, SketchStore, StoreConfig, StoreEngine,
-    TieredEngine,
-};
+use qc_store::{encode_summary, SketchStore, StoreConfig};
 
 const KEYS: usize = 3;
 
@@ -65,14 +63,12 @@ fn remote_frame(n: usize, salt: u64) -> Vec<u8> {
     encode_summary(&summary)
 }
 
-/// Run a script over a store with engine `E`, checking after every single
-/// operation that the cached read path agrees with a fresh
-/// materialization for every key.
-fn check_script<E: StoreEngine<f64>>(ops: &[Op]) -> Result<(), TestCaseError> {
-    // Tiny promotion threshold: tiered keys go hot within one or two
-    // updates, so scripts exercise both tiers and demotion sweeps.
-    let store = SketchStore::<f64, E>::with_engine(
-        StoreConfig::default().stripes(2).k(32).b(4).seed(11).promotion_threshold(64),
+/// Run a script over a store at promotion threshold `threshold`, checking
+/// after every single operation that the cached read path agrees with a
+/// fresh materialization for every key.
+fn check_script(ops: &[Op], threshold: u64) -> Result<(), TestCaseError> {
+    let store = SketchStore::<f64>::new(
+        StoreConfig::default().stripes(2).k(32).b(4).seed(11).promotion_threshold(threshold),
     );
     let mut clock = 0u64;
     for op in ops {
@@ -152,24 +148,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn reads_never_serve_stale_summaries_tiered(
+    fn reads_never_serve_stale_summaries_across_tiers(
         ops in prop::collection::vec(op_strategy(), 1..24)
     ) {
-        check_script::<TieredEngine>(&ops)?;
+        // Keys go hot within one or two updates, so scripts exercise both
+        // tiers and demotion sweeps.
+        check_script(&ops, 64)?;
     }
 
     #[test]
-    fn reads_never_serve_stale_summaries_sequential(
+    fn reads_never_serve_stale_summaries_pinned_cold(
         ops in prop::collection::vec(op_strategy(), 1..24)
     ) {
-        check_script::<SequentialEngine>(&ops)?;
+        check_script(&ops, u64::MAX)?;
     }
 
     #[test]
-    fn reads_never_serve_stale_summaries_concurrent(
+    fn reads_never_serve_stale_summaries_hot_on_first_write(
         ops in prop::collection::vec(op_strategy(), 1..24)
     ) {
-        check_script::<ConcurrentEngine>(&ops)?;
+        check_script(&ops, 0)?;
     }
 }
 

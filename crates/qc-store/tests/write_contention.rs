@@ -163,9 +163,7 @@ fn held_leases_race_removal_with_exact_accounting() {
                     }
                     applied.fetch_add(BATCH as u64, Ordering::Relaxed);
                 }
-                if let Some(held) = lease.take() {
-                    store.return_lease("k", held);
-                }
+                drop(lease);
             });
         }
         // Removal thread: periodically wipe the key mid-traffic, forcing

@@ -197,8 +197,13 @@ impl<T: OrderedBits> Quancurrent<T> {
     /// thread-local buffers (query [`Updater::pending`] for those).
     ///
     /// # Contract
-    /// No updates may run concurrently; with updaters active the result is
-    /// merely a (still safe) approximation.
+    /// Safe to call while updaters run (the keyed store does, on every
+    /// hot-key cache miss). The levels are read first as one atomic
+    /// snapshot, then the buffers, and a buffer whose batch is mid-install
+    /// is skipped — so no element is ever counted twice and the result
+    /// never holds more weight than was placed. It may transiently miss
+    /// elements in flight from a buffer into the levels. With no
+    /// concurrent updates it is exact up to the thread-local buffers.
     pub fn quiescent_summary(&self) -> WeightedSummary {
         let handle = self.shared.domain.register();
         let snap = build_snapshot(&self.shared, &handle);

@@ -14,10 +14,10 @@
 //!   [`ConcurrentIngest`], [`SharedIngest`]), so stores, servers, and
 //!   benches are written once against [`SketchEngine`].
 //! * [`store`] — the sharded keyed sketch store: versioned wire format,
-//!   weight-aware summary merging, and the lock-striped key registry,
-//!   generic over the per-key engine. The default [`TieredEngine`] starts
-//!   keys on the compact sequential tier and promotes them to Quancurrent
-//!   under update pressure.
+//!   weight-aware summary merging, and the lock-striped key registry.
+//!   Every key is a [`TieredEngine`]: it starts on the compact sequential
+//!   tier and promotes to Quancurrent (a [`ConcurrentEngine`]) under
+//!   update pressure.
 //! * [`server`] — the TCP serving layer over the store: binary protocol,
 //!   thread-pooled connection handling, and the blocking client.
 //! * [`ingest`] — the high-rate UDP front door: CRC-checked batched
@@ -28,7 +28,10 @@
 //! * [`workloads`] — stream generators, the exact oracle, and the
 //!   throughput harness used by the benchmark suite.
 //!
-//! See `README.md` for a guided tour and `examples/` for runnable programs.
+//! The guided tour below is `README.md`, whose `rust` examples compile and
+//! run as this crate's doctests; `examples/` holds runnable programs.
+//!
+#![doc = include_str!("../README.md")]
 
 pub mod convert;
 
@@ -49,7 +52,4 @@ pub use qc_common::{
     SharedIngest, SketchEngine, StreamIngest, Summary, VersionedSketch,
 };
 pub use qc_server::{Client, Server, ServerConfig};
-pub use qc_store::{
-    ConcurrentEngine, SequentialEngine, SketchStore, StoreConfig, StoreEngine, Tier, TieredEngine,
-    WireError,
-};
+pub use qc_store::{ConcurrentEngine, SketchStore, StoreConfig, TieredEngine, WireError};
