@@ -12,6 +12,19 @@
 //! the sequential sketch, by Quancurrent query snapshots, and by the FCDS
 //! baseline, which makes estimator behaviour identical across all three —
 //! exactly what the paper's accuracy comparisons (Figures 2, 8, 9) assume.
+//!
+//! Two more shapes answer the same rule without building that list:
+//!
+//! * [`LeveledSummary`] keeps the sorted level runs a sketch is made of,
+//!   each level's weight implied as `2^j` and each run packed — at most 8
+//!   bytes per retained value instead of the flat list's 24;
+//! * [`UnionView`] borrows any number of summaries and answers over their
+//!   union. Rank is additive across disjoint substreams (the mergeability
+//!   property KLL's compactor levels rest on; arXiv 1603.05346), so a
+//!   union rank is a sum of part ranks and a union quantile is a selection
+//!   over the parts' sorted runs — bit-equal to
+//!   [`WeightedSummary::from_items`] over the concatenated items, with no
+//!   merge and no compaction.
 
 use crate::bits::OrderedBits;
 
@@ -252,6 +265,370 @@ impl Summary for WeightedSummary {
             self.total
         } else {
             self.prefix[idx]
+        }
+    }
+}
+
+/// A summary as sorted level runs: every value in run `j` stands for `2^j`
+/// stream elements. This is the shape every sketch level array already has,
+/// with no per-item weight or prefix, and each run is frame-of-reference
+/// packed: at most 8 bytes per retained value, and fewer whenever a run
+/// spans less than the whole `u64` range (a 256-value window of values
+/// drawn from one unit interval packs at about 6.5 bytes each).
+///
+/// Queries answer the paper's selection rule directly over the packed
+/// runs, with the same results as the flattened
+/// [`LeveledSummary::to_weighted`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct LeveledSummary {
+    /// `levels[j]` is the run of weight `2^j`. Empty runs below the top
+    /// stay so the index is the level.
+    levels: Box<[PackedRun]>,
+    /// Total weight: `Σ |levels[j]| · 2^j`.
+    total: u64,
+}
+
+impl LeveledSummary {
+    /// Build from per-level ascending runs, indexed by level.
+    pub fn from_runs(runs: &[Vec<u64>]) -> Self {
+        let top = runs.iter().rposition(|run| !run.is_empty()).map_or(0, |j| j + 1);
+        let levels: Box<[PackedRun]> = runs[..top].iter().map(|run| PackedRun::pack(run)).collect();
+        let total = levels.iter().enumerate().map(|(j, run)| (run.len as u64) << j).sum();
+        Self { levels, total }
+    }
+
+    /// The level runs of a flat summary; an arbitrary weight is split
+    /// across the levels of its set bits (see [`WeightedSummary::level_runs`]).
+    pub fn from_weighted(summary: &WeightedSummary) -> Self {
+        Self::from_runs(&summary.level_runs())
+    }
+
+    /// The runs unpacked, indexed by level, with empty runs below the top
+    /// kept in place — the shape [`WeightedSummary::level_runs`] returns.
+    pub fn level_runs(&self) -> Vec<Vec<u64>> {
+        self.levels.iter().map(PackedRun::unpack).collect()
+    }
+
+    /// Number of retained values across all levels.
+    pub fn num_retained(&self) -> usize {
+        self.levels.iter().map(|run| run.len).sum()
+    }
+
+    /// The flat form: the runs concatenated level by level and sorted, as
+    /// [`WeightedSummary::from_parts`] builds it.
+    pub fn to_weighted(&self) -> WeightedSummary {
+        let runs = self.level_runs();
+        WeightedSummary::from_parts(
+            runs.iter()
+                .enumerate()
+                .filter(|(_, run)| !run.is_empty())
+                .map(|(j, run)| (&run[..], 1u64 << j)),
+        )
+    }
+}
+
+impl Summary for LeveledSummary {
+    fn stream_len(&self) -> u64 {
+        self.total
+    }
+
+    fn quantile_bits(&self, phi: f64) -> Option<u64> {
+        let mut view = UnionView::new();
+        view.push_leveled(self);
+        view.quantile_bits(phi)
+    }
+
+    fn rank_bits(&self, x_bits: u64) -> u64 {
+        let below = |run: &PackedRun| run.partition(0, run.len, |v| v < x_bits) as u64;
+        self.levels.iter().enumerate().map(|(j, run)| below(run) << j).sum()
+    }
+}
+
+/// One ascending run, frame-of-reference packed: value `i` is `base` plus
+/// the `width`-bit offset stored at bit `i · width` of `words`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+struct PackedRun {
+    /// The smallest value.
+    base: u64,
+    len: usize,
+    /// Bits per offset, 1 to 64: enough for the largest value minus `base`.
+    width: u32,
+    /// The offsets back to back, plus one zero word so that every offset
+    /// can be read as the two words it may straddle.
+    words: Box<[u64]>,
+}
+
+impl PackedRun {
+    fn pack(values: &[u64]) -> Self {
+        debug_assert!(crate::merge::is_sorted(values), "run not sorted");
+        let (Some(&base), Some(&top)) = (values.first(), values.last()) else {
+            return Self::default();
+        };
+        let width = (u64::BITS - (top - base).leading_zeros()).max(1);
+        let mut words = vec![0u64; (values.len() * width as usize).div_ceil(64) + 1];
+        for (i, &v) in values.iter().enumerate() {
+            let bit = i * width as usize;
+            let (word, shift) = (bit / 64, bit % 64);
+            let offset = u128::from(v - base) << shift;
+            words[word] |= offset as u64;
+            words[word + 1] |= (offset >> 64) as u64;
+        }
+        Self { base, len: values.len(), width, words: words.into_boxed_slice() }
+    }
+
+    fn get(&self, i: usize) -> u64 {
+        debug_assert!(i < self.len);
+        let bit = i * self.width as usize;
+        let (word, shift) = (bit / 64, bit % 64);
+        let pair = u128::from(self.words[word]) | u128::from(self.words[word + 1]) << 64;
+        self.base + ((pair >> shift) as u64 & (u64::MAX >> (64 - self.width)))
+    }
+
+    fn unpack(&self) -> Vec<u64> {
+        (0..self.len).map(|i| self.get(i)).collect()
+    }
+
+    /// The first index in `lo..hi` whose value fails `below`, given that
+    /// `below` holds on a prefix of the run.
+    fn partition(&self, lo: usize, hi: usize, below: impl Fn(u64) -> bool) -> usize {
+        if lo == hi {
+            return lo;
+        }
+        // A fixed number of halvings with a select instead of a branch, as
+        // `slice::partition_point` does.
+        let (mut at, mut size) = (lo, hi - lo);
+        while size > 1 {
+            let half = size / 2;
+            if below(self.get(at + half)) {
+                at += half;
+            }
+            size -= half;
+        }
+        at + usize::from(below(self.get(at)))
+    }
+}
+
+/// One sorted run of a [`UnionView`].
+#[derive(Clone, Copy, Debug)]
+enum Run<'a> {
+    /// A level run: every value weighs `weight`.
+    Level { run: &'a PackedRun, weight: u64 },
+    /// A flat summary's items with their exclusive prefix weights.
+    Items { items: &'a [WeightedItem], prefix: &'a [u64], total: u64 },
+}
+
+impl Run<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Run::Level { run, .. } => run.len,
+            Run::Items { items, .. } => items.len(),
+        }
+    }
+
+    fn value(&self, i: usize) -> u64 {
+        match self {
+            Run::Level { run, .. } => run.get(i),
+            Run::Items { items, .. } => items[i].value_bits,
+        }
+    }
+
+    /// Total weight of the first `i` values.
+    fn weight_before(&self, i: usize) -> u64 {
+        match *self {
+            Run::Level { weight, .. } => i as u64 * weight,
+            Run::Items { prefix, total, .. } => prefix.get(i).copied().unwrap_or(total),
+        }
+    }
+
+    /// The first index in `lo..hi` whose value fails `below`, given that
+    /// `below` holds on a prefix of the run.
+    fn partition(&self, lo: usize, hi: usize, below: impl Fn(u64) -> bool) -> usize {
+        match self {
+            Run::Level { run, .. } => run.partition(lo, hi, below),
+            Run::Items { items, .. } => {
+                lo + items[lo..hi].partition_point(|it| below(it.value_bits))
+            }
+        }
+    }
+}
+
+/// The union of borrowed summaries, answering queries without merging them.
+///
+/// A rank is the sum of the parts' ranks. A quantile is the smallest retained
+/// value whose summed inclusive rank exceeds `⌊φn⌋` — the paper's rule
+/// applied to the union, and bit-equal to [`WeightedSummary::from_items`]
+/// over every part's items concatenated. Where a merge would flip
+/// compaction coins, the view is exact over the stored parts.
+///
+/// ```
+/// use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
+///
+/// let low = WeightedSummary::from_parts([(&[1u64, 2, 3][..], 1)]);
+/// let high = LeveledSummary::from_runs(&[vec![], vec![10, 20]]);
+/// let mut view = UnionView::new();
+/// view.push_weighted(&low);
+/// view.push_leveled(&high);
+/// assert_eq!(view.stream_len(), 7);
+/// assert_eq!(view.rank_bits(10), 3);
+/// assert_eq!(view.quantile_bits(0.5), Some(10));
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct UnionView<'a> {
+    runs: Vec<Run<'a>>,
+    total: u64,
+}
+
+impl<'a> UnionView<'a> {
+    /// An empty view (the empty stream).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add a flat summary as one part.
+    pub fn push_weighted(&mut self, summary: &'a WeightedSummary) {
+        if !summary.items.is_empty() {
+            self.runs.push(Run::Items {
+                items: &summary.items,
+                prefix: &summary.prefix,
+                total: summary.total,
+            });
+        }
+        self.total += summary.total;
+    }
+
+    /// Add a leveled summary as one part.
+    pub fn push_leveled(&mut self, summary: &'a LeveledSummary) {
+        for (j, run) in summary.levels.iter().enumerate().filter(|(_, run)| run.len > 0) {
+            self.runs.push(Run::Level { run, weight: 1 << j });
+        }
+        self.total += summary.total;
+    }
+}
+
+impl Summary for UnionView<'_> {
+    fn stream_len(&self) -> u64 {
+        self.total
+    }
+
+    fn quantile_bits(&self, phi: f64) -> Option<u64> {
+        if self.total == 0 {
+            return None;
+        }
+        // The same ⌊φn⌋ as `WeightedSummary::quantile_bits`, bit for bit.
+        let target = ((phi.clamp(0.0, 1.0) * self.total as f64).floor() as u64).min(self.total - 1);
+        Some(select(&self.runs, target))
+    }
+
+    fn rank_bits(&self, x_bits: u64) -> u64 {
+        self.runs
+            .iter()
+            .map(|run| run.weight_before(run.partition(0, run.len(), |v| v < x_bits)))
+            .sum()
+    }
+}
+
+/// A run's still-undecided index window `lo..hi` during [`select`].
+struct Cursor<'a> {
+    run: Run<'a>,
+    lo: usize,
+    hi: usize,
+    /// Index of the first value above the current pivot.
+    cut: usize,
+}
+
+/// The smallest value `a` in `runs` whose summed inclusive weight `f(a)`
+/// exceeds `target`, which must be below the runs' total weight.
+///
+/// Each round takes one pick per run and pivots on their count-weighted
+/// median, weighed with one binary search per run. If `f(pivot) <= target`
+/// everything up to the pivot is too small; otherwise the pivot is a
+/// candidate and everything from it up is no better. Values left of a
+/// window are always below every later pivot, and values right of it
+/// above, so each search stays inside its window.
+///
+/// The picks sit where the answer would be if every run were distributed
+/// alike: at the answer's rank among the undecided weight. That usually
+/// settles a query in a handful of rounds. A round that leaves more than
+/// three quarters undecided switches the next one to window midpoints,
+/// whose median always removes at least a quarter, so there are
+/// `O(log n)` rounds of `O(P log k)` at worst.
+fn select(runs: &[Run<'_>], target: u64) -> u64 {
+    let mut live: Vec<Cursor<'_>> =
+        runs.iter().map(|&run| Cursor { run, lo: 0, hi: run.len(), cut: 0 }).collect();
+    // Weight below the windows of runs that have left `live`.
+    let mut settled = 0u64;
+    // `f(u64::MAX)` is the total, so the answer is never above this.
+    let mut best = u64::MAX;
+    let mut picks: Vec<(u64, usize)> = Vec::with_capacity(live.len());
+    let mut interpolate = true;
+    while !live.is_empty() {
+        // The answer's rank within the undecided weight, as the fraction
+        // `num / den`; a half for midpoints. Once `best` holds the answer
+        // the undecided values all lie below it and the fraction can pass
+        // 1, so picks are clamped to the window.
+        let (num, den) = if interpolate {
+            let (mut below, mut open) = (settled, 0u64);
+            for c in &live {
+                let lo = c.run.weight_before(c.lo);
+                below += lo;
+                open += c.run.weight_before(c.hi) - lo;
+            }
+            (2 * u128::from(target - below) + 1, 2 * u128::from(open))
+        } else {
+            (1, 2)
+        };
+        picks.clear();
+        picks.extend(live.iter().map(|c| {
+            let n = c.hi - c.lo;
+            (c.run.value(c.lo + ((n as u128 * num / den) as usize).min(n - 1)), n)
+        }));
+        let undecided: usize = picks.iter().map(|&(_, n)| n).sum();
+        let pivot = weighted_median(&mut picks, undecided.div_ceil(2));
+        let mut weight = settled;
+        for c in &mut live {
+            c.cut = c.run.partition(c.lo, c.hi, |v| v <= pivot);
+            weight += c.run.weight_before(c.cut);
+        }
+        if weight <= target {
+            for c in &mut live {
+                c.lo = c.cut;
+            }
+        } else {
+            best = pivot;
+            for c in &mut live {
+                c.hi = c.run.partition(c.lo, c.cut, |v| v < pivot);
+            }
+        }
+        let mut left = 0usize;
+        live.retain(|c| {
+            left += c.hi - c.lo;
+            let open = c.lo < c.hi;
+            if !open {
+                settled += c.run.weight_before(c.lo);
+            }
+            open
+        });
+        interpolate = 4 * left <= 3 * undecided;
+    }
+    best
+}
+
+/// A value `p` of `items` (pairs of value and count) such that the counts of
+/// pairs below `p` sum to less than `half` and those up to and including `p`
+/// to at least `half`. Expected linear time; reorders `items`.
+fn weighted_median(mut items: &mut [(u64, usize)], mut half: usize) -> u64 {
+    loop {
+        let mid = items.len() / 2;
+        let (below, &mut (value, count), above) =
+            std::mem::take(&mut items).select_nth_unstable_by_key(mid, |m| m.0);
+        let below_count: usize = below.iter().map(|&(_, n)| n).sum();
+        if below_count >= half {
+            items = below;
+        } else if below_count + count >= half {
+            return value;
+        } else {
+            half -= below_count + count;
+            items = above;
         }
     }
 }

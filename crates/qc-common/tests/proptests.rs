@@ -6,7 +6,122 @@ use qc_common::bits::OrderedBits;
 use qc_common::merge::{is_sorted, merge_sorted, merge_sorted_many};
 use qc_common::rng::Xoshiro256;
 use qc_common::sample::{sample_with_parity, Parity};
-use qc_common::summary::{Summary, WeightedItem, WeightedSummary};
+use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedItem, WeightedSummary};
+
+/// Values for union tests: a narrow band forces ties across parts, and the
+/// extremes pin both ends of the bit space.
+fn union_value() -> impl Strategy<Value = u64> {
+    prop_oneof![0u64..16, Just(0u64), Just(u64::MAX), any::<u64>()]
+}
+
+/// One part of a union, as generated.
+#[derive(Clone, Debug)]
+enum Part {
+    /// A flat summary with arbitrary weights, as a decoded remote frame
+    /// carries.
+    Flat(Vec<(u64, u64)>),
+    /// Level runs indexed by level (sorted when built).
+    Leveled(Vec<Vec<u64>>),
+}
+
+fn part() -> impl Strategy<Value = Part> {
+    prop_oneof![
+        prop::collection::vec((union_value(), 1u64..20), 0..12).prop_map(Part::Flat),
+        prop::collection::vec(prop::collection::vec(union_value(), 0..8), 0..6)
+            .prop_map(Part::Leveled),
+    ]
+}
+
+/// A built part the view can borrow.
+enum Built {
+    Flat(WeightedSummary),
+    Leveled(LeveledSummary),
+}
+
+fn build(part: &Part) -> Built {
+    match part {
+        Part::Flat(items) => Built::Flat(WeightedSummary::from_items(
+            items.iter().map(|&(v, w)| WeightedItem { value_bits: v, weight: w }).collect(),
+        )),
+        Part::Leveled(runs) => {
+            let mut runs = runs.clone();
+            for run in &mut runs {
+                run.sort_unstable();
+            }
+            Built::Leveled(LeveledSummary::from_runs(&runs))
+        }
+    }
+}
+
+proptest! {
+    // ---- union queries: exact over the parts, no merge ----
+
+    /// `UnionView` over any parts, and `LeveledSummary` over their
+    /// concatenation, answer exactly what the flat summary of the
+    /// concatenated items answers: equality, not ε-closeness.
+    #[test]
+    fn union_view_and_leveled_summary_equal_the_flat_concatenation(
+        parts in prop::collection::vec(part(), 0..=130),
+        phis in prop::collection::vec(0.0f64..=1.0, 1..8),
+        probes in prop::collection::vec(union_value(), 1..8),
+    ) {
+        let built: Vec<Built> = parts.iter().map(build).collect();
+        let mut view = UnionView::new();
+        let mut items = Vec::new();
+        for part in &built {
+            match part {
+                Built::Flat(s) => {
+                    view.push_weighted(s);
+                    items.extend_from_slice(s.items());
+                }
+                Built::Leveled(s) => {
+                    view.push_leveled(s);
+                    for (j, run) in s.level_runs().iter().enumerate() {
+                        items.extend(run.iter().map(|&v| WeightedItem { value_bits: v, weight: 1 << j }));
+                    }
+                }
+            }
+        }
+        let flat = WeightedSummary::from_items(items);
+        let leveled = LeveledSummary::from_weighted(&flat);
+        prop_assert_eq!(view.stream_len(), flat.stream_len());
+        prop_assert_eq!(leveled.stream_len(), flat.stream_len());
+        prop_assert_eq!(leveled.to_weighted().stream_len(), flat.stream_len());
+        for phi in [0.0, 1.0].into_iter().chain(phis) {
+            let expected = flat.quantile_bits(phi);
+            prop_assert_eq!(view.quantile_bits(phi), expected, "union, phi {}", phi);
+            prop_assert_eq!(leveled.quantile_bits(phi), expected, "leveled, phi {}", phi);
+        }
+        for x in probes.into_iter().chain([0, 1, u64::MAX]) {
+            let expected = flat.rank_bits(x);
+            prop_assert_eq!(view.rank_bits(x), expected, "union, rank of {}", x);
+            prop_assert_eq!(leveled.rank_bits(x), expected, "leveled, rank of {}", x);
+        }
+    }
+
+    /// Packing is lossless at every offset width, including the zero
+    /// width of a run of equal values and the full 64 bits.
+    #[test]
+    fn leveled_runs_unpack_to_what_was_packed(
+        mut runs in prop::collection::vec(prop::collection::vec(union_value(), 0..40), 0..6),
+        repeated in (union_value(), 0usize..5),
+    ) {
+        runs.push(vec![repeated.0; repeated.1]);
+        for run in &mut runs {
+            run.sort_unstable();
+        }
+        let leveled = LeveledSummary::from_runs(&runs);
+        while runs.last().is_some_and(Vec::is_empty) {
+            runs.pop();
+        }
+        prop_assert_eq!(leveled.level_runs(), runs.clone());
+        prop_assert_eq!(leveled.num_retained(), runs.iter().map(Vec::len).sum::<usize>());
+        let flat = WeightedSummary::from_parts(
+            runs.iter().enumerate().filter(|(_, r)| !r.is_empty()).map(|(j, r)| (&r[..], 1u64 << j)),
+        );
+        prop_assert_eq!(leveled.to_weighted(), flat);
+    }
+}
 
 proptest! {
     // ---- OrderedBits: the embedding must be a monotone bijection ----

@@ -12,7 +12,8 @@
 //!   [`wire::WireError`] decode failures — never a panic);
 //! * [`merge`] — [`merge::merge_summaries`]: weight-aware merging of any
 //!   number of summaries with randomized odd-or-even compaction back to a
-//!   `k`-bounded summary, conserving total weight exactly;
+//!   `k`-bounded summary, conserving total weight exactly, over a kernel
+//!   ([`merge::merge_runs`]) that merges level runs without flattening;
 //! * [`engine`] — the store's per-key engine, [`engine::TieredEngine`]:
 //!   a compact sequential sketch while the key is cold, promoted in place
 //!   to an [`engine::ConcurrentEngine`] (full Quancurrent machinery)
@@ -33,7 +34,7 @@
 //!   of torn and corrupt files;
 //! * [`window`] — the time-windowed layer: window-aligned sub-sketches
 //!   per key (active window = live engine, sealed windows = immutable
-//!   summaries), downsampling into coarser windows, retention eviction,
+//!   level runs), downsampling into coarser windows, retention eviction,
 //!   and the event-time arithmetic behind
 //!   [`store::SketchStore::update_at`] /
 //!   [`store::SketchStore::query_range`].
@@ -74,7 +75,7 @@ pub mod wire;
 
 pub use engine::{ConcurrentEngine, TieredEngine};
 pub use lease::{LeaseCache, LEASE_IDLE_TICKS};
-pub use merge::merge_summaries;
+pub use merge::{merge_runs, merge_summaries};
 pub use persist::{
     CheckpointError, CheckpointStats, FsyncPolicy, PersistError, RecordError, RecoveryReport,
 };

@@ -26,14 +26,89 @@
 //! sketches themselves rest on; the merged summary answers quantiles within
 //! the combined bound of a single sketch over the concatenated stream (see
 //! `tests/merge_equivalence.rs`).
+//!
+//! The kernel takes level runs in. [`merge_runs`] hands a
+//! [`LeveledSummary`] out, so summaries already stored as runs (sealed
+//! windows) merge without being flattened; [`merge_summaries`] is the flat
+//! wrapper for [`WeightedSummary`] in and out.
 
 use qc_common::merge::{merge_sorted, merge_sorted_many};
 use qc_common::rng::Xoshiro256;
 use qc_common::sample::{sample_with_parity, Parity};
-use qc_common::summary::WeightedSummary;
+use qc_common::summary::{LeveledSummary, WeightedSummary};
 
 /// Highest level a `u64` weight can populate.
 const LEVELS: usize = 64;
+
+/// Merge any number of summaries given as level runs — each one indexed
+/// by level, as [`WeightedSummary::level_runs`] and
+/// [`LeveledSummary::level_runs`] return them — into one
+/// [`LeveledSummary`] with at most `2k` values per level.
+///
+/// `seed` drives the compaction coins. The result depends only on the
+/// multiset of values each level receives, not on the order the inputs
+/// come in. Total weight is conserved exactly.
+///
+/// # Panics
+/// If `k == 0`.
+pub fn merge_runs<'a, I>(summaries: I, k: usize, seed: u64) -> LeveledSummary
+where
+    I: IntoIterator<Item = &'a [Vec<u64>]>,
+{
+    LeveledSummary::from_runs(&compact(summaries, k, seed))
+}
+
+/// The kernel under [`merge_runs`] and [`merge_summaries`]: the merged,
+/// compacted level runs, indexed by level.
+fn compact<'a, I>(summaries: I, k: usize, seed: u64) -> Vec<Vec<u64>>
+where
+    I: IntoIterator<Item = &'a [Vec<u64>]>,
+{
+    assert!(k > 0, "k must be positive");
+    let mut rng = Xoshiro256::seed_from_u64(seed);
+
+    // Stage 1+2: per level, merge the sorted runs the inputs contribute.
+    let mut inputs: Vec<Vec<&[u64]>> = Vec::new();
+    for runs in summaries {
+        if inputs.len() < runs.len() {
+            inputs.resize_with(runs.len(), Vec::new);
+        }
+        for (level, run) in inputs.iter_mut().zip(runs).filter(|(_, run)| !run.is_empty()) {
+            level.push(run);
+        }
+    }
+    let mut levels: Vec<Vec<u64>> = inputs.iter().map(|level| merge_sorted_many(level)).collect();
+
+    // Stage 3: bottom-up randomized compaction back to <= 2k per level.
+    let cap = 2 * k;
+    let mut j = 0;
+    while j < levels.len() && j < LEVELS - 1 {
+        if levels[j].len() > cap {
+            let arr = std::mem::take(&mut levels[j]);
+            // An odd element count cannot halve cleanly; hold one element
+            // back at this level (random end, to avoid min/max bias) so
+            // weight is conserved exactly.
+            let (withheld, even_part) = if arr.len() % 2 == 1 {
+                if rng.coin() {
+                    (Some(arr[0]), &arr[1..])
+                } else {
+                    (Some(arr[arr.len() - 1]), &arr[..arr.len() - 1])
+                }
+            } else {
+                (None, &arr[..])
+            };
+            let parity = if rng.coin() { Parity::Odd } else { Parity::Even };
+            let promoted = sample_with_parity(even_part, parity);
+            levels[j] = withheld.into_iter().collect();
+            if j + 1 == levels.len() {
+                levels.push(Vec::new());
+            }
+            levels[j + 1] = merge_sorted(&levels[j + 1], &promoted);
+        }
+        j += 1;
+    }
+    levels
+}
 
 /// Merge any number of summaries into one whose per-level population is
 /// bounded by `2k` (so total retained size is `O(k log(n/k))`).
@@ -54,55 +129,15 @@ pub fn merge_summaries<'a, I>(summaries: I, k: usize, seed: u64) -> WeightedSumm
 where
     I: IntoIterator<Item = &'a WeightedSummary>,
 {
-    assert!(k > 0, "k must be positive");
-    let mut rng = Xoshiro256::seed_from_u64(seed);
-
-    // Stage 1+2: per level, merge the sorted runs the inputs contribute.
-    let mut runs: Vec<Vec<Vec<u64>>> = vec![Vec::new(); LEVELS];
-    for summary in summaries {
-        for (j, run) in summary.level_runs().into_iter().enumerate() {
-            if !run.is_empty() {
-                runs[j].push(run);
-            }
-        }
-    }
-    let mut levels: Vec<Vec<u64>> = runs
-        .iter()
-        .map(|level| merge_sorted_many(&level.iter().map(Vec::as_slice).collect::<Vec<_>>()))
-        .collect();
-
-    // Stage 3: bottom-up randomized compaction back to <= 2k per level.
-    let cap = 2 * k;
-    for j in 0..LEVELS - 1 {
-        if levels[j].len() <= cap {
-            continue;
-        }
-        let arr = std::mem::take(&mut levels[j]);
-        // An odd element count cannot halve cleanly; hold one element back
-        // at this level (random end, to avoid min/max bias) so weight is
-        // conserved exactly.
-        let (withheld, even_part) = if arr.len() % 2 == 1 {
-            if rng.coin() {
-                (Some(arr[0]), &arr[1..])
-            } else {
-                (Some(arr[arr.len() - 1]), &arr[..arr.len() - 1])
-            }
-        } else {
-            (None, &arr[..])
-        };
-        let parity = if rng.coin() { Parity::Odd } else { Parity::Even };
-        let promoted = sample_with_parity(even_part, parity);
-        levels[j] = withheld.into_iter().collect();
-        levels[j + 1] = merge_sorted(&levels[j + 1], &promoted);
-    }
-
-    let parts: Vec<(&[u64], u64)> = levels
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| !v.is_empty())
-        .map(|(j, v)| (v.as_slice(), 1u64 << j))
-        .collect();
-    WeightedSummary::from_parts(parts)
+    let runs: Vec<Vec<Vec<u64>>> = summaries.into_iter().map(WeightedSummary::level_runs).collect();
+    let levels = compact(runs.iter().map(Vec::as_slice), k, seed);
+    WeightedSummary::from_parts(
+        levels
+            .iter()
+            .enumerate()
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(j, run)| (&run[..], 1u64 << j)),
+    )
 }
 
 #[cfg(test)]

@@ -46,7 +46,14 @@
 //!   a summary materialized while a leased write was in flight carries a
 //!   tag the write's completion bump supersedes, and no read ever serves
 //!   a summary whose version matches the engine's *settled* state while
-//!   missing weight that state accounts for.
+//!   missing weight that state accounts for;
+//! * **multi-part reads** (`query_range`, `merged_query_range`,
+//!   `merged_query`) clone the `Arc`s of every part they cover — sealed
+//!   windows, cached live summaries — under the shared lock(s), then
+//!   answer over the parts' union as one [`UnionView`] with every lock
+//!   released: ranks add across parts, so nothing is merged. Only the
+//!   summary-returning reads (`range_summary`, `merged_range_summary`,
+//!   `merged_summary`) merge, once, after the locks are gone.
 //!
 //! # Write path: one pipeline
 //!
@@ -126,11 +133,11 @@ use qc_common::engine::{
     InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest, StreamIngest,
     VersionedSketch,
 };
-use qc_common::summary::{Summary, WeightedSummary};
+use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
 use crate::engine::TieredEngine;
-use crate::merge::merge_summaries;
+use crate::merge::merge_runs;
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
     PersistError, RecordOp, RecoveryReport, WaitError, Wal, WalOpRef,
@@ -203,7 +210,7 @@ pub struct StoreConfig {
     /// ([`SketchStore::update_at`]) land in their event-time window,
     /// plain writes land in the key's current active window, and
     /// time-range reads ([`SketchStore::query_range`],
-    /// [`SketchStore::merged_query_range`]) merge only the windows a
+    /// [`SketchStore::merged_query_range`]) read only the windows a
     /// range overlaps.
     pub window: Option<WindowConfig>,
 }
@@ -662,6 +669,39 @@ impl Target {
     }
 }
 
+/// The stored summaries a read combines, gathered under the stripe locks
+/// (`Arc` clones) and combined only after every lock is released.
+#[derive(Default)]
+struct Parts {
+    /// Sealed windows, kept as level runs.
+    sealed: Vec<Arc<LeveledSummary>>,
+    /// Live engines' summaries, through the read cache.
+    live: Vec<Arc<WeightedSummary>>,
+}
+
+impl Parts {
+    /// Answer over the union of the parts without merging them.
+    fn view(&self) -> UnionView<'_> {
+        let mut view = UnionView::new();
+        for summary in &self.sealed {
+            view.push_leveled(summary);
+        }
+        for summary in &self.live {
+            view.push_weighted(summary);
+        }
+        view
+    }
+
+    /// One bounded summary of the parts: a single exact-weight merge of
+    /// every part's level runs.
+    fn merge(&self, k: usize, seed: u64) -> WeightedSummary {
+        let sealed = self.sealed.iter().map(|s| s.level_runs());
+        let live = self.live.iter().map(|s| s.level_runs());
+        let runs: Vec<Vec<Vec<u64>>> = sealed.chain(live).collect();
+        merge_runs(runs.iter().map(Vec::as_slice), k, seed).to_weighted()
+    }
+}
+
 /// Why an unleased [`SketchStore::apply`] cannot fail.
 const UNLEASED: &str = "only a leased write can be stale";
 
@@ -974,9 +1014,8 @@ impl<T: OrderedBits> SketchStore<T> {
         state.sealed.clear();
         for (start, level, frame) in &entry.sealed {
             if let Ok(summary) = decode_summary(frame) {
-                state
-                    .sealed
-                    .insert(*start, SealedWindow { level: *level, summary: Arc::new(summary) });
+                let summary = Arc::new(LeveledSummary::from_weighted(&summary));
+                state.sealed.insert(*start, SealedWindow { level: *level, summary });
             }
         }
     }
@@ -1367,7 +1406,8 @@ impl<T: OrderedBits> SketchStore<T> {
 
     /// Merge a summary into `state`'s sealed set at level-0 slot `start`:
     /// into the (possibly coarse) window already covering the slot via
-    /// exact-weight [`merge_summaries`], or as a fresh level-0 window.
+    /// exact-weight [`merge_runs`] over both sets of level runs, or as a
+    /// fresh level-0 window.
     fn seal_into(
         state: &mut WindowState,
         start: u64,
@@ -1375,13 +1415,16 @@ impl<T: OrderedBits> SketchStore<T> {
         k: usize,
         seed: u64,
     ) {
+        let runs = summary.level_runs();
         match state.covering(start) {
             Some(slot) => {
                 let win = state.sealed.get_mut(&slot).expect("covering slot present");
-                win.summary = Arc::new(merge_summaries([win.summary.as_ref(), &summary], k, seed));
+                let merged = merge_runs([&win.summary.level_runs()[..], &runs[..]], k, seed);
+                win.summary = Arc::new(merged);
             }
             None => {
-                state.sealed.insert(start, SealedWindow { level: 0, summary: Arc::new(summary) });
+                let summary = Arc::new(LeveledSummary::from_runs(&runs));
+                state.sealed.insert(start, SealedWindow { level: 0, summary });
             }
         }
     }
@@ -1503,64 +1546,95 @@ impl<T: OrderedBits> SketchStore<T> {
         summary
     }
 
-    /// Summary over the half-open event-time range `[t0_ms, t1_ms)` of
-    /// `key`'s stream, or `None` if the key is absent.
+    /// Gather into `parts` what a read of `key` over the event-time
+    /// `span` needs, under the shared stripe lock: the **sealed** windows
+    /// overlapping the span — a downsampled window whole whenever the span
+    /// touches any part of it, the coarse-granularity contract
+    /// downsampling trades for memory — plus the **active** window
+    /// (through the summary cache) when the span covers its id. Without a
+    /// span, or on an unwindowed store, the part is the live engine's
+    /// summary. Every part is an `Arc` clone; the lock is released on
+    /// return, before anything is evaluated or merged. Returns whether the
+    /// key exists.
+    fn gather(&self, key: &str, span: Option<(u64, u64)>, parts: &mut Parts) -> bool {
+        let map = self.stripe_of(key).read().unwrap();
+        let Some(entry) = map.get(key) else { return false };
+        let active = match (span, self.window_plan, &entry.windows) {
+            (Some((t0_ms, t1_ms)), Some(plan), Some(cell)) => {
+                let (w0, w1) = plan.range_windows(t0_ms, t1_ms);
+                let state = cell.lock().unwrap();
+                parts.sealed.extend(state.overlapping(w0, w1).cloned());
+                (w0..w1).contains(&state.active_id)
+            }
+            _ => true,
+        };
+        if active {
+            parts.live.push(self.cached_summary(entry));
+        }
+        true
+    }
+
+    /// [`SketchStore::gather`] over every key (absent keys contribute
+    /// nothing), one stripe lock at a time.
+    fn gather_keys<K: AsRef<str>>(&self, keys: &[K], span: Option<(u64, u64)>) -> Parts {
+        let mut parts = Parts::default();
+        for key in keys {
+            self.gather(key.as_ref(), span, &mut parts);
+        }
+        parts
+    }
+
+    /// One bounded summary over the half-open event-time range
+    /// `[t0_ms, t1_ms)` of `key`'s stream, or `None` if the key is absent.
     ///
-    /// Merges (exact-weight, via [`merge_summaries`]) every **sealed**
-    /// window overlapping the range — a downsampled window is merged
-    /// whole whenever the range touches any part of its span, which is
-    /// the coarse-granularity contract downsampling trades for memory —
-    /// plus the **active** window (through the summary cache) when the
-    /// range covers its id. Takes only the shared stripe lock; sealed
-    /// summaries are immutable `Arc` clones.
+    /// Covers the windows [`SketchStore::query_range`] answers over and
+    /// merges them once, exact-weight, with
+    /// [`merge_summaries`](crate::merge::merge_summaries)'s kernel — for
+    /// callers that need a summary to keep or ship rather than an answer.
     ///
     /// Without [`StoreConfig::window`] the store has no time axis: the
     /// range is ignored and the whole stream is the answer.
     pub fn range_summary(&self, key: &str, t0_ms: u64, t1_ms: u64) -> Option<WeightedSummary> {
-        let Some(plan) = self.window_plan else {
+        if self.window_plan.is_none() {
             return self.summary_of(key).map(|s| (*s).clone());
-        };
-        let (w0, w1) = plan.range_windows(t0_ms, t1_ms);
-        let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key)?;
-        let (mut parts, active_id) = {
-            let state = entry.windows.as_ref().expect("windowed keys carry window state");
-            let state = state.lock().unwrap();
-            (state.overlapping(w0, w1), state.active_id)
-        };
-        if w0 <= active_id && active_id < w1 {
-            parts.push(self.cached_summary(entry));
         }
-        Some(merge_summaries(parts.iter().map(Arc::as_ref), self.cfg.k, self.cfg.seed))
+        let mut parts = Parts::default();
+        self.gather(key, Some((t0_ms, t1_ms)), &mut parts)
+            .then(|| parts.merge(self.cfg.k, self.cfg.seed))
     }
 
     /// φ-quantile over the event-time range `[t0_ms, t1_ms)` of `key`'s
     /// stream. `None` if the key is absent or no window in range holds
-    /// any weight. See [`SketchStore::range_summary`] for the coverage
-    /// and granularity contract.
+    /// any weight.
+    ///
+    /// Every **sealed** window overlapping the range counts — a
+    /// downsampled window whole whenever the range touches any part of its
+    /// span — plus the **active** window when the range covers its id. The
+    /// windows are gathered as `Arc` clones under the shared stripe lock
+    /// and answered over after it is released, as one [`UnionView`]: ranks
+    /// add across windows, so nothing is merged and the answer is exact
+    /// over the stored windows.
     pub fn query_range(&self, key: &str, t0_ms: u64, t1_ms: u64, phi: f64) -> Option<T> {
-        self.range_summary(key, t0_ms, t1_ms)?.quantile::<T>(phi)
+        self.gather_keys(&[key], Some((t0_ms, t1_ms))).view().quantile::<T>(phi)
     }
 
-    /// One summary over the union of the given keys' streams restricted
-    /// to the event-time range `[t0_ms, t1_ms)` (absent keys contribute
-    /// nothing). The cross-key analogue of [`SketchStore::range_summary`],
-    /// with the same per-key locking discipline as
-    /// [`SketchStore::merged_summary`].
+    /// One bounded summary over the union of the given keys' streams
+    /// restricted to the event-time range `[t0_ms, t1_ms)` (absent keys
+    /// contribute nothing): every key's windows from
+    /// [`SketchStore::range_summary`], merged once.
     pub fn merged_range_summary<K: AsRef<str>>(
         &self,
         keys: &[K],
         t0_ms: u64,
         t1_ms: u64,
     ) -> WeightedSummary {
-        let parts: Vec<WeightedSummary> =
-            keys.iter().filter_map(|k| self.range_summary(k.as_ref(), t0_ms, t1_ms)).collect();
-        merge_summaries(parts.iter(), self.cfg.k, self.cfg.seed)
+        self.gather_keys(keys, Some((t0_ms, t1_ms))).merge(self.cfg.k, self.cfg.seed)
     }
 
     /// φ-quantile over the union of the given keys' streams restricted to
     /// the event-time range `[t0_ms, t1_ms)`. `None` if nothing in range
-    /// held any weight.
+    /// held any weight. Answered over every key's windows at once, with
+    /// no merge, like [`SketchStore::query_range`].
     pub fn merged_query_range<K: AsRef<str>>(
         &self,
         keys: &[K],
@@ -1568,12 +1642,12 @@ impl<T: OrderedBits> SketchStore<T> {
         t1_ms: u64,
         phi: f64,
     ) -> Option<T> {
-        self.merged_range_summary(keys, t0_ms, t1_ms).quantile::<T>(phi)
+        self.gather_keys(keys, Some((t0_ms, t1_ms))).view().quantile::<T>(phi)
     }
 
     /// The key's full windowed state — active id, watermark, active
-    /// summary, and every sealed window — for diagnostics and the
-    /// exact-oracle tests. `None` if the key is absent or the store is
+    /// summary, and every sealed window, flattened — for diagnostics and
+    /// the exact-oracle tests. `None` if the key is absent or the store is
     /// unwindowed.
     pub fn window_snapshot(&self, key: &str) -> Option<WindowSnapshot> {
         let map = self.stripe_of(key).read().unwrap();
@@ -1584,7 +1658,7 @@ impl<T: OrderedBits> SketchStore<T> {
             let sealed = state
                 .sealed
                 .iter()
-                .map(|(&start, win)| (start, win.level, Arc::clone(&win.summary)))
+                .map(|(&start, win)| (start, win.level, Arc::new(win.summary.to_weighted())))
                 .collect();
             (state.active_id, state.watermark, sealed)
         };
@@ -1642,21 +1716,22 @@ impl<T: OrderedBits> SketchStore<T> {
         Ok(ingested)
     }
 
-    /// One summary over the union of the given keys' streams (absent keys
-    /// contribute nothing). Locks one stripe at a time — and reuses each
-    /// key's cached summary, so a warm multi-key merge materializes
-    /// nothing per key and clones only `Arc` handles before the final
-    /// cross-key merge.
+    /// One bounded summary over the union of the given keys' streams
+    /// (absent keys contribute nothing), for callers that keep or ship it.
+    /// Locks one stripe at a time and reuses each key's cached summary,
+    /// so a warm call materializes nothing per key and clones only `Arc`
+    /// handles before the one cross-key merge.
     pub fn merged_summary<K: AsRef<str>>(&self, keys: &[K]) -> WeightedSummary {
-        let parts: Vec<Arc<WeightedSummary>> =
-            keys.iter().filter_map(|k| self.summary_of(k.as_ref())).collect();
-        merge_summaries(parts.iter().map(Arc::as_ref), self.cfg.k, self.cfg.seed)
+        self.gather_keys(keys, None).merge(self.cfg.k, self.cfg.seed)
     }
 
     /// φ-quantile over the union of the given keys' streams. `None` if no
-    /// key contributed any element.
+    /// key contributed any element. Gathers the same cached summaries as
+    /// [`SketchStore::merged_summary`] but answers over them as one
+    /// [`UnionView`] instead of merging them: exact over the cached
+    /// summaries, with no compaction.
     pub fn merged_query<K: AsRef<str>>(&self, keys: &[K], phi: f64) -> Option<T> {
-        self.merged_summary(keys).quantile::<T>(phi)
+        self.gather_keys(keys, None).view().quantile::<T>(phi)
     }
 
     /// Remove a key and return whether it was present.
@@ -1762,7 +1837,7 @@ impl<T: OrderedBits> SketchStore<T> {
                         let k = self.cfg.k;
                         let state = cell.get_mut().unwrap();
                         let promoted = window::downsample_sweep(state, &plan, |a, b| {
-                            merge_summaries([a, b], k, seed)
+                            merge_runs([&a.level_runs()[..], &b.level_runs()[..]], k, seed)
                         });
                         if promoted > 0 {
                             self.instruments.window_downsamples.add(promoted);
@@ -1890,7 +1965,9 @@ impl<T: OrderedBits> SketchStore<T> {
                         let sealed = state
                             .sealed
                             .iter()
-                            .map(|(&start, win)| (start, win.level, encode_summary(&win.summary)))
+                            .map(|(&start, win)| {
+                                (start, win.level, encode_summary(&win.summary.to_weighted()))
+                            })
                             .collect();
                         (state.active_id, state.watermark, sealed)
                     }

@@ -8,14 +8,15 @@
 //!
 //! * the **active window** of a key is its live engine (the full
 //!   shared-lock leased write path and summary cache apply unchanged);
-//! * **sealed windows** are immutable [`WeightedSummary`] snapshots,
-//!   keyed by their level-0 start id in a [`BTreeMap`] so time-range
-//!   reads walk them in order without any lock beyond the shared stripe
-//!   hold;
+//! * **sealed windows** are immutable [`LeveledSummary`] snapshots —
+//!   packed sorted level runs, at most 8 bytes per retained value — keyed by their
+//!   level-0 start id in a [`BTreeMap`]. A time-range read clones the
+//!   `Arc`s of the windows it overlaps under the shared stripe hold and
+//!   answers over them after the lock is gone, without merging them;
 //! * old sealed windows **downsample** into coarser ones (a level-`l`
 //!   window spans `2^l` level-0 widths) by exact-weight
-//!   [`crate::merge::merge_summaries`], so total weight is conserved
-//!   through every seal → downsample → range-merge chain;
+//!   [`crate::merge::merge_runs`] over their runs, so total weight is
+//!   conserved through every seal → downsample → range-read chain;
 //! * windows older than the retention horizon are **evicted** — the one
 //!   transition that deliberately lets weight leave the store.
 //!
@@ -43,7 +44,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use qc_common::summary::{Summary, WeightedSummary};
+use qc_common::summary::{LeveledSummary, Summary, WeightedSummary};
 
 /// Configuration for the time-windowed layer, set via
 /// [`crate::StoreConfig::window`]. All durations are normalized to whole
@@ -183,7 +184,7 @@ pub(crate) fn parent_start(start: u64, level: u8) -> u64 {
 #[derive(Clone, Debug)]
 pub(crate) struct SealedWindow {
     pub(crate) level: u8,
-    pub(crate) summary: Arc<WeightedSummary>,
+    pub(crate) summary: Arc<LeveledSummary>,
 }
 
 /// Per-key window bookkeeping, held behind the key's stripe lock.
@@ -207,13 +208,18 @@ impl WindowState {
     }
 
     /// Sealed summaries overlapping the half-open id range `[w0, w1)`,
-    /// in time order.
-    pub(crate) fn overlapping(&self, w0: u64, w1: u64) -> Vec<Arc<WeightedSummary>> {
+    /// in time order. An empty or reversed range overlaps nothing, not
+    /// even a coarse window whose span contains `w0`.
+    pub(crate) fn overlapping(
+        &self,
+        w0: u64,
+        w1: u64,
+    ) -> impl Iterator<Item = &Arc<LeveledSummary>> {
+        let end = if w0 < w1 { w1 } else { 0 };
         self.sealed
-            .range(..w1)
-            .filter(|(&start, win)| start + span(win.level) > w0)
-            .map(|(_, win)| Arc::clone(&win.summary))
-            .collect()
+            .range(..end)
+            .filter(move |(&start, win)| start + span(win.level) > w0)
+            .map(|(_, win)| &win.summary)
     }
 
     /// Total weight resident in sealed windows.
@@ -226,7 +232,7 @@ impl WindowState {
 /// `l < plan.levels` whose age (in level-0 windows past its end, against
 /// the watermark) exceeds `fresh << l` promotes one level, merging into
 /// its parent slot via `merge` (exact weight conservation is the
-/// caller's contract — the store passes [`crate::merge::merge_summaries`]).
+/// caller's contract — the store passes [`crate::merge::merge_runs`]).
 /// Candidates are processed in ascending start order so the older
 /// sibling always lands in the parent slot first and the younger merges
 /// into it. One level per pass per window; repeated sweeps converge.
@@ -234,7 +240,7 @@ impl WindowState {
 pub(crate) fn downsample_sweep(
     state: &mut WindowState,
     plan: &WindowPlan,
-    mut merge: impl FnMut(&WeightedSummary, &WeightedSummary) -> WeightedSummary,
+    mut merge: impl FnMut(&LeveledSummary, &LeveledSummary) -> LeveledSummary,
 ) -> u64 {
     if plan.levels == 0 {
         return 0;
@@ -321,9 +327,12 @@ impl WindowSnapshot {
 mod tests {
     use super::*;
 
-    fn unit(range: std::ops::Range<u64>) -> Arc<WeightedSummary> {
-        let bits: Vec<u64> = range.collect();
-        Arc::new(WeightedSummary::from_parts([(&bits[..], 1u64)]))
+    fn unit(range: std::ops::Range<u64>) -> Arc<LeveledSummary> {
+        Arc::new(LeveledSummary::from_runs(&[range.collect()]))
+    }
+
+    fn merge(a: &LeveledSummary, b: &LeveledSummary) -> LeveledSummary {
+        crate::merge::merge_runs([&a.level_runs()[..], &b.level_runs()[..]], 64, 7)
     }
 
     fn plan(width_ms: u64, levels: u8, retention: u64, lateness: u64) -> WindowPlan {
@@ -382,10 +391,13 @@ mod tests {
         let mut state = WindowState::default();
         state.sealed.insert(0, SealedWindow { level: 2, summary: unit(0..4) });
         state.sealed.insert(4, SealedWindow { level: 0, summary: unit(4..5) });
-        // [3, 5) clips the level-2 window — it is still merged whole.
-        assert_eq!(state.overlapping(3, 5).len(), 2);
-        assert_eq!(state.overlapping(4, 5).len(), 1);
-        assert_eq!(state.overlapping(5, 9).len(), 0);
+        // [3, 5) clips the level-2 window — it is still read whole.
+        assert_eq!(state.overlapping(3, 5).count(), 2);
+        assert_eq!(state.overlapping(4, 5).count(), 1);
+        assert_eq!(state.overlapping(5, 9).count(), 0);
+        // An empty or reversed range inside the coarse span reads nothing.
+        assert_eq!(state.overlapping(2, 2).count(), 0);
+        assert_eq!(state.overlapping(3, 1).count(), 0);
     }
 
     #[test]
@@ -395,8 +407,6 @@ mod tests {
         state.sealed.insert(0, SealedWindow { level: 0, summary: unit(0..3) });
         state.sealed.insert(1, SealedWindow { level: 0, summary: unit(3..8) });
         let before = state.sealed_weight();
-        let merge =
-            |a: &WeightedSummary, b: &WeightedSummary| crate::merge::merge_summaries([a, b], 64, 7);
         let promoted = downsample_sweep(&mut state, &p, merge);
         assert_eq!(promoted, 2);
         assert_eq!(state.sealed.len(), 1);
@@ -418,8 +428,7 @@ mod tests {
         let mut state = WindowState { watermark: 4, ..Default::default() };
         state.sealed.insert(0, SealedWindow { level: 0, summary: unit(0..1) });
         // age = 5 - 1 = 4, not > 4: stays put.
-        let n =
-            downsample_sweep(&mut state, &p, |a, b| crate::merge::merge_summaries([a, b], 64, 7));
+        let n = downsample_sweep(&mut state, &p, merge);
         assert_eq!(n, 0);
         assert_eq!(state.sealed[&0].level, 0);
     }

@@ -10,9 +10,9 @@
 use std::time::Duration;
 
 use proptest::prelude::*;
-use qc_common::summary::{Summary, WeightedSummary};
+use qc_common::summary::{Summary, WeightedItem, WeightedSummary};
 use qc_common::OrderedBits;
-use qc_store::{SketchStore, StoreConfig, WindowConfig};
+use qc_store::{merge_summaries, SketchStore, StoreConfig, WindowConfig};
 
 /// One-second level-0 windows: window id == whole seconds of event time.
 const WIDTH_MS: u64 = 1000;
@@ -224,6 +224,105 @@ fn a_range_touching_a_downsampled_window_gets_its_whole_span() {
     let t_probe = start * WIDTH_MS + (u64::from(level)) * WIDTH_MS / 2;
     let got = store.range_summary("k", t_probe, t_probe + 1).unwrap().stream_len();
     assert_eq!(got, weight, "coarse windows are merged whole");
+}
+
+#[test]
+fn an_empty_range_inside_a_downsampled_window_holds_nothing() {
+    let store = SketchStore::new(windowed_cfg(2, 16, 0));
+    for w in 0..12u64 {
+        store.update_at("k", w * WIDTH_MS, &[w as f64]);
+    }
+    for _ in 0..4 {
+        store.cool_down();
+    }
+    let snap = store.window_snapshot("k").unwrap();
+    assert!(
+        snap.sealed.iter().any(|&(start, level, _)| start < 1 && start + (1 << level) > 1),
+        "window 1 sits inside a coarse window: {:?}",
+        snap.sealed.iter().map(|(s, l, _)| (*s, *l)).collect::<Vec<_>>()
+    );
+    // [1500, 1500) and [1700, 1200) lie inside that coarse window's span.
+    for (t0, t1) in [(1500, 1500), (1700, 1200)] {
+        assert_eq!(store.query_range("k", t0, t1, 0.5), None, "[{t0}, {t1}) is empty");
+        assert_eq!(store.range_summary("k", t0, t1).unwrap().stream_len(), 0);
+        assert_eq!(store.merged_query_range(&["k"], t0, t1, 0.5), None);
+        assert_eq!(store.merged_range_summary(&["k"], t0, t1).stream_len(), 0);
+    }
+}
+
+/// Every window `store` holds for `key` that overlaps the half-open time
+/// range `[t0, t1)`, from `window_snapshot`: the sealed windows it touches
+/// plus the active window when the range covers it.
+fn covered_windows(store: &SketchStore, key: &str, t0: u64, t1: u64) -> Vec<WeightedSummary> {
+    let snap = store.window_snapshot(key).expect("windowed key present");
+    let (w0, w1) = (t0 / WIDTH_MS, t1.div_ceil(WIDTH_MS));
+    let mut covered: Vec<WeightedSummary> = snap
+        .sealed
+        .iter()
+        .filter(|&&(start, level, _)| start < w1 && start + (1 << level) > w0)
+        .map(|(_, _, s)| (**s).clone())
+        .collect();
+    if (w0..w1).contains(&snap.active_id) {
+        covered.push((*snap.active).clone());
+    }
+    covered
+}
+
+/// A cross-key range summary is one merge of every covered window, so it
+/// equals `merge_summaries` over exactly those windows with the store's
+/// seed, bit for bit — even when each key's span alone holds more than
+/// `2k` values and a per-key merge would compact first.
+#[test]
+fn merged_range_summary_merges_every_covered_window_once() {
+    let store = SketchStore::new(windowed_cfg(0, 3600, 3600));
+    let keys = ["a", "b"];
+    for (i, key) in keys.iter().enumerate() {
+        for w in 0..6u64 {
+            let values: Vec<f64> = (0..200).map(|v| (v * 7 + w * 3 + i as u64) as f64).collect();
+            store.update_at(key, w * WIDTH_MS, &values);
+        }
+    }
+    for (t0, t1) in [(0, 6000), (1000, 5000), (0, u64::MAX), (2500, 2600)] {
+        let windows: Vec<WeightedSummary> =
+            keys.iter().flat_map(|key| covered_windows(&store, key, t0, t1)).collect();
+        let expected = merge_summaries(&windows, 256, 7);
+        assert_eq!(store.merged_range_summary(&keys, t0, t1), expected, "span [{t0}, {t1})");
+    }
+}
+
+/// With downsampled (compacted, weight > 1) windows in range, a range
+/// quantile is exact over the stored windows: it equals the quantile of
+/// one flat summary built from every covered window's items.
+#[test]
+fn query_range_over_downsampled_windows_is_exact_over_the_stored_windows() {
+    // 32 windows of retention over 2 levels: level-0 windows stay fresh
+    // for 8 windows and level-1 windows for 16, so two sweeps leave
+    // windows at every level, and 300 values per window make every
+    // promotion compact.
+    let store = SketchStore::new(windowed_cfg(2, 32, 120));
+    for w in 0..24u64 {
+        let values: Vec<f64> = (0..300).map(|v| ((v * 13 + w * 101) % 997) as f64).collect();
+        store.update_at("k", w * WIDTH_MS, &values);
+    }
+    store.cool_down();
+    store.cool_down();
+    let snap = store.window_snapshot("k").unwrap();
+    assert!(
+        snap.sealed.iter().any(|(_, _, s)| s.items().iter().any(|it| it.weight > 1)),
+        "some downsampled window compacted"
+    );
+    for (t0, t1) in [(0, 24_000), (0, 8000), (3500, 9100), (16_000, 24_000), (5000, 5001)] {
+        let items: Vec<WeightedItem> =
+            covered_windows(&store, "k", t0, t1).iter().flat_map(|s| s.items().to_vec()).collect();
+        let oracle = WeightedSummary::from_items(items);
+        for phi in [0.0, 0.1, 0.25, 0.5, 0.73, 0.99, 1.0] {
+            assert_eq!(
+                store.query_range("k", t0, t1, phi),
+                oracle.quantile::<f64>(phi),
+                "span [{t0}, {t1}), phi {phi}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
