@@ -44,27 +44,16 @@ pub fn merge_sorted_into(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.extend_from_slice(&b[j..]);
 }
 
-/// Most inputs [`merge_sorted_many`] merges pairwise. Measured on 256-value
-/// runs, pairwise merging still wins at four inputs and sorting the
-/// concatenation wins from six on.
-const PAIRWISE_MAX: usize = 4;
-
 /// k-way merge of ascending slices into one ascending `Vec`.
 ///
-/// Used to combine the runs many summaries contribute to one level.
-/// Up to four inputs go through repeated two-way merges over a size-sorted
-/// worklist; past that, one unstable sort of the concatenation
-/// is cheaper (its partitioning does not mispredict on interleaved runs
-/// the way a merge's compare does) and gives the same output.
+/// Used when draining multiple buffers at once (quiescent drain, FCDS bulk
+/// propagation). Implemented as repeated two-way merges over a size-sorted
+/// worklist, which is optimal enough for the handful of inputs we feed it
+/// and keeps the code free of heap-of-iterators machinery.
 pub fn merge_sorted_many(inputs: &[&[u64]]) -> Vec<u64> {
     match inputs.len() {
         0 => Vec::new(),
         1 => inputs[0].to_vec(),
-        n if n > PAIRWISE_MAX => {
-            let mut out = inputs.concat();
-            out.sort_unstable();
-            out
-        }
         _ => {
             let mut work: Vec<Vec<u64>> = inputs.iter().map(|s| s.to_vec()).collect();
             // Always merge the two shortest runs first (Huffman order) so the

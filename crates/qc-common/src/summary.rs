@@ -233,7 +233,8 @@ impl Summary for WeightedSummary {
     }
 
     fn quantile_bits(&self, phi: f64) -> Option<u64> {
-        if self.items.is_empty() {
+        // Zero-weight items alone stand for the empty stream.
+        if self.total == 0 {
             return None;
         }
         let phi = phi.clamp(0.0, 1.0);
@@ -307,11 +308,6 @@ impl LeveledSummary {
     /// kept in place — the shape [`WeightedSummary::level_runs`] returns.
     pub fn level_runs(&self) -> Vec<Vec<u64>> {
         self.levels.iter().map(PackedRun::unpack).collect()
-    }
-
-    /// Number of retained values across all levels.
-    pub fn num_retained(&self) -> usize {
-        self.levels.iter().map(|run| run.len).sum()
     }
 
     /// The flat form: the runs concatenated level by level and sorted, as
@@ -563,20 +559,23 @@ fn select(runs: &[Run<'_>], target: u64) -> u64 {
     let mut interpolate = true;
     while !live.is_empty() {
         // The answer's rank within the undecided weight, as the fraction
-        // `num / den`; a half for midpoints. Once `best` holds the answer
-        // the undecided values all lie below it and the fraction can pass
-        // 1, so picks are clamped to the window.
-        let (num, den) = if interpolate {
+        // `num / den`; a half for midpoints, and when the undecided values
+        // weigh nothing (zero-weight items, which `from_items` accepts).
+        // Once `best` holds the answer the undecided values all lie below
+        // it and the fraction can pass 1, so picks are clamped to the
+        // window.
+        let (mut num, mut den) = (1, 2);
+        if interpolate {
             let (mut below, mut open) = (settled, 0u64);
             for c in &live {
                 let lo = c.run.weight_before(c.lo);
                 below += lo;
                 open += c.run.weight_before(c.hi) - lo;
             }
-            (2 * u128::from(target - below) + 1, 2 * u128::from(open))
-        } else {
-            (1, 2)
-        };
+            if open > 0 {
+                (num, den) = (2 * u128::from(target - below) + 1, 2 * u128::from(open));
+            }
+        }
         picks.clear();
         picks.extend(live.iter().map(|c| {
             let n = c.hi - c.lo;
@@ -787,6 +786,24 @@ mod tests {
         ]);
         assert_eq!(s.level_runs(), vec![vec![1, 2], vec![], vec![1, 3]]);
         assert!(WeightedSummary::empty().level_runs().is_empty());
+    }
+
+    #[test]
+    fn zero_weight_items_never_answer() {
+        let item = |value_bits, weight| WeightedItem { value_bits, weight };
+        let s = WeightedSummary::from_items(vec![item(5, 0), item(7, 1)]);
+        let mut view = UnionView::new();
+        view.push_weighted(&s);
+        for phi in [0.0, 0.5, 1.0] {
+            assert_eq!(s.quantile_bits(phi), Some(7));
+            assert_eq!(view.quantile_bits(phi), Some(7));
+        }
+        // Weightless items alone are the empty stream.
+        let none = WeightedSummary::from_items(vec![item(5, 0)]);
+        let mut view = UnionView::new();
+        view.push_weighted(&none);
+        assert_eq!(none.quantile_bits(0.5), None);
+        assert_eq!(view.quantile_bits(0.5), None);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! * [`merge`] — [`merge::merge_summaries`]: weight-aware merging of any
 //!   number of summaries with randomized odd-or-even compaction back to a
 //!   `k`-bounded summary, conserving total weight exactly, over a kernel
-//!   ([`merge::merge_runs`]) that merges level runs without flattening;
+//!   that merges level runs without flattening them;
 //! * [`engine`] — the store's per-key engine, [`engine::TieredEngine`]:
 //!   a compact sequential sketch while the key is cold, promoted in place
 //!   to an [`engine::ConcurrentEngine`] (full Quancurrent machinery)
@@ -75,7 +75,7 @@ pub mod wire;
 
 pub use engine::{ConcurrentEngine, TieredEngine};
 pub use lease::{LeaseCache, LEASE_IDLE_TICKS};
-pub use merge::{merge_runs, merge_summaries};
+pub use merge::merge_summaries;
 pub use persist::{
     CheckpointError, CheckpointStats, FsyncPolicy, PersistError, RecordError, RecoveryReport,
 };

@@ -27,10 +27,10 @@
 //! the combined bound of a single sketch over the concatenated stream (see
 //! `tests/merge_equivalence.rs`).
 //!
-//! The kernel takes level runs in. [`merge_runs`] hands a
-//! [`LeveledSummary`] out, so summaries already stored as runs (sealed
-//! windows) merge without being flattened; [`merge_summaries`] is the flat
-//! wrapper for [`WeightedSummary`] in and out.
+//! The kernel takes level runs in, so summaries the store already keeps as
+//! runs (sealed windows, as [`LeveledSummary`]) merge without being
+//! flattened; [`merge_summaries`] is the wrapper for [`WeightedSummary`]
+//! in and out.
 
 use qc_common::merge::{merge_sorted, merge_sorted_many};
 use qc_common::rng::Xoshiro256;
@@ -51,14 +51,30 @@ const LEVELS: usize = 64;
 ///
 /// # Panics
 /// If `k == 0`.
-pub fn merge_runs<'a, I>(summaries: I, k: usize, seed: u64) -> LeveledSummary
+pub(crate) fn merge_runs<'a, I>(summaries: I, k: usize, seed: u64) -> LeveledSummary
 where
     I: IntoIterator<Item = &'a [Vec<u64>]>,
 {
     LeveledSummary::from_runs(&compact(summaries, k, seed))
 }
 
-/// The kernel under [`merge_runs`] and [`merge_summaries`]: the merged,
+/// [`merge_runs`] with a flat summary out, as [`merge_summaries`] returns
+/// it: the compacted runs go straight into the flat list, never packed.
+pub(crate) fn merge_runs_flat<'a, I>(summaries: I, k: usize, seed: u64) -> WeightedSummary
+where
+    I: IntoIterator<Item = &'a [Vec<u64>]>,
+{
+    let levels = compact(summaries, k, seed);
+    WeightedSummary::from_parts(
+        levels
+            .iter()
+            .enumerate()
+            .filter(|(_, run)| !run.is_empty())
+            .map(|(j, run)| (&run[..], 1u64 << j)),
+    )
+}
+
+/// The kernel under [`merge_runs`] and [`merge_runs_flat`]: the merged,
 /// compacted level runs, indexed by level.
 fn compact<'a, I>(summaries: I, k: usize, seed: u64) -> Vec<Vec<u64>>
 where
@@ -130,14 +146,7 @@ where
     I: IntoIterator<Item = &'a WeightedSummary>,
 {
     let runs: Vec<Vec<Vec<u64>>> = summaries.into_iter().map(WeightedSummary::level_runs).collect();
-    let levels = compact(runs.iter().map(Vec::as_slice), k, seed);
-    WeightedSummary::from_parts(
-        levels
-            .iter()
-            .enumerate()
-            .filter(|(_, run)| !run.is_empty())
-            .map(|(j, run)| (&run[..], 1u64 << j)),
-    )
+    merge_runs_flat(runs.iter().map(Vec::as_slice), k, seed)
 }
 
 #[cfg(test)]

@@ -137,7 +137,7 @@ use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
 use crate::engine::TieredEngine;
-use crate::merge::merge_runs;
+use crate::merge::{merge_runs, merge_runs_flat};
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
     PersistError, RecordOp, RecoveryReport, WaitError, Wal, WalOpRef,
@@ -698,7 +698,7 @@ impl Parts {
         let sealed = self.sealed.iter().map(|s| s.level_runs());
         let live = self.live.iter().map(|s| s.level_runs());
         let runs: Vec<Vec<Vec<u64>>> = sealed.chain(live).collect();
-        merge_runs(runs.iter().map(Vec::as_slice), k, seed).to_weighted()
+        merge_runs_flat(runs.iter().map(Vec::as_slice), k, seed)
     }
 }
 

@@ -9,14 +9,15 @@
 //! * the **active window** of a key is its live engine (the full
 //!   shared-lock leased write path and summary cache apply unchanged);
 //! * **sealed windows** are immutable [`LeveledSummary`] snapshots —
-//!   packed sorted level runs, at most 8 bytes per retained value — keyed by their
-//!   level-0 start id in a [`BTreeMap`]. A time-range read clones the
-//!   `Arc`s of the windows it overlaps under the shared stripe hold and
-//!   answers over them after the lock is gone, without merging them;
+//!   packed sorted level runs, at most 8 bytes per retained value —
+//!   keyed by their level-0 start id in a [`BTreeMap`]. A time-range read
+//!   clones the `Arc`s of the windows it overlaps under the shared stripe
+//!   hold and answers over them after the lock is gone, without merging
+//!   them;
 //! * old sealed windows **downsample** into coarser ones (a level-`l`
-//!   window spans `2^l` level-0 widths) by exact-weight
-//!   [`crate::merge::merge_runs`] over their runs, so total weight is
-//!   conserved through every seal → downsample → range-read chain;
+//!   window spans `2^l` level-0 widths) by an exact-weight merge of their
+//!   level runs ([`crate::merge`]'s kernel), so total weight is conserved
+//!   through every seal → downsample → range-read chain;
 //! * windows older than the retention horizon are **evicted** — the one
 //!   transition that deliberately lets weight leave the store.
 //!
