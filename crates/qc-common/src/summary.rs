@@ -411,6 +411,8 @@ enum Run<'a> {
     Level { run: &'a PackedRun, weight: u64 },
     /// A flat summary's items with their exclusive prefix weights.
     Items { items: &'a [WeightedItem], prefix: &'a [u64], total: u64 },
+    /// An unpacked ascending run: every value weighs `weight`.
+    Sorted { values: &'a [u64], weight: u64 },
 }
 
 impl Run<'_> {
@@ -418,6 +420,7 @@ impl Run<'_> {
         match self {
             Run::Level { run, .. } => run.len,
             Run::Items { items, .. } => items.len(),
+            Run::Sorted { values, .. } => values.len(),
         }
     }
 
@@ -425,13 +428,14 @@ impl Run<'_> {
         match self {
             Run::Level { run, .. } => run.get(i),
             Run::Items { items, .. } => items[i].value_bits,
+            Run::Sorted { values, .. } => values[i],
         }
     }
 
     /// Total weight of the first `i` values.
     fn weight_before(&self, i: usize) -> u64 {
         match *self {
-            Run::Level { weight, .. } => i as u64 * weight,
+            Run::Level { weight, .. } | Run::Sorted { weight, .. } => i as u64 * weight,
             Run::Items { prefix, total, .. } => prefix.get(i).copied().unwrap_or(total),
         }
     }
@@ -444,6 +448,7 @@ impl Run<'_> {
             Run::Items { items, .. } => {
                 lo + items[lo..hi].partition_point(|it| below(it.value_bits))
             }
+            Run::Sorted { values, .. } => lo + values[lo..hi].partition_point(|&v| below(v)),
         }
     }
 }
@@ -490,6 +495,16 @@ impl<'a> UnionView<'a> {
             });
         }
         self.total += summary.total;
+    }
+
+    /// Add one ascending run whose every value weighs `weight`: a sketch
+    /// level array, or a tail of unit-weight values sorted once.
+    pub fn push_sorted(&mut self, values: &'a [u64], weight: u64) {
+        debug_assert!(crate::merge::is_sorted(values), "run not sorted");
+        if !values.is_empty() {
+            self.runs.push(Run::Sorted { values, weight });
+        }
+        self.total += values.len() as u64 * weight;
     }
 
     /// Add a leveled summary as one part.

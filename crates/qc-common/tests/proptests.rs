@@ -22,6 +22,9 @@ enum Part {
     Flat(Vec<(u64, u64)>),
     /// Level runs indexed by level (sorted when built).
     Leveled(Vec<Vec<u64>>),
+    /// One run at one weight (sorted when built): empty runs, zero and
+    /// non-power-of-two weights included.
+    Sorted(Vec<u64>, u64),
 }
 
 fn part() -> impl Strategy<Value = Part> {
@@ -29,6 +32,8 @@ fn part() -> impl Strategy<Value = Part> {
         prop::collection::vec((union_value(), 0u64..20), 0..12).prop_map(Part::Flat),
         prop::collection::vec(prop::collection::vec(union_value(), 0..8), 0..6)
             .prop_map(Part::Leveled),
+        (prop::collection::vec(union_value(), 0..12), prop_oneof![0u64..20, Just(1 << 20)])
+            .prop_map(|(run, weight)| Part::Sorted(run, weight)),
     ]
 }
 
@@ -36,6 +41,7 @@ fn part() -> impl Strategy<Value = Part> {
 enum Built {
     Flat(WeightedSummary),
     Leveled(LeveledSummary),
+    Sorted(Vec<u64>, u64),
 }
 
 fn build(part: &Part) -> Built {
@@ -49,6 +55,11 @@ fn build(part: &Part) -> Built {
                 run.sort_unstable();
             }
             Built::Leveled(LeveledSummary::from_runs(&runs))
+        }
+        Part::Sorted(run, weight) => {
+            let mut run = run.clone();
+            run.sort_unstable();
+            Built::Sorted(run, *weight)
         }
     }
 }
@@ -79,6 +90,10 @@ proptest! {
                     for (j, run) in s.level_runs().iter().enumerate() {
                         items.extend(run.iter().map(|&v| WeightedItem { value_bits: v, weight: 1 << j }));
                     }
+                }
+                Built::Sorted(run, weight) => {
+                    view.push_sorted(run, *weight);
+                    items.extend(run.iter().map(|&v| WeightedItem { value_bits: v, weight: *weight }));
                 }
             }
         }

@@ -35,10 +35,10 @@ use qc_common::engine::{
     StreamIngest, VersionedSketch,
 };
 use qc_common::rng::SplitMix64;
-use qc_common::summary::{Summary, WeightedSummary};
+use qc_common::summary::{Summary, UnionView, WeightedSummary};
 use quancurrent::{Quancurrent, Updater};
 
-use crate::merge::merge_summaries;
+use crate::merge::{merge_runs_flat, merge_summaries};
 use crate::store::StoreConfig;
 
 /// The hot tier of [`TieredEngine`]: a [`Quancurrent`] sketch, one
@@ -48,11 +48,13 @@ use crate::store::StoreConfig;
 /// writers for shared-lock writes ([`SharedIngest::try_writer`]), and an
 /// *absorbed* summary holding everything merged in from other sketches.
 ///
-/// Reads compose the sketch's quiescent state, the updater's unflushed
-/// tail, the leased writers' spill and the absorbed summary with
-/// [`merge_summaries`], so queries see **every** element ever handed to
-/// the engine whose write has completed — exactly the keyed-store read
-/// semantics.
+/// Reads gather the engine's state as [`EngineParts`] — the sketch's
+/// level arrays, one sorted tail (Gather&Sort pending, the updater's
+/// unflushed tail, the leased writers' spill) and the absorbed summaries —
+/// and answer over their union without merging them, so queries see
+/// **every** element ever handed to the engine whose write has completed
+/// — exactly the keyed-store read semantics. Only
+/// [`MergeableSketch::to_summary`] merges the parts, once.
 pub struct ConcurrentEngine<T: OrderedBits = f64> {
     sketch: Quancurrent<T>,
     /// The resident writer. The mutex exists purely so the engine is
@@ -61,14 +63,15 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
     /// and concurrent readers take the uncontended lock just long enough
     /// to copy the sub-`b` pending tail.
     writer: Mutex<Updater<T>>,
-    /// Compacted bulk of absorbed remote weight.
-    absorbed: WeightedSummary,
+    /// Compacted bulk of absorbed remote weight. `Arc`ed, like the buffer
+    /// below, so gathering [`EngineParts`] clones handles, not summaries.
+    absorbed: Arc<WeightedSummary>,
     /// Recently absorbed summaries, buffered **uncompacted**: folding each
     /// small ingest straight into `absorbed` would re-run randomized
     /// compaction on every call, compounding its rank perturbation across
     /// N ingests. Folded into `absorbed` in one pass per
     /// [`ABSORB_COMPACT_FACTOR`]`·k` retained elements instead.
-    absorb_buffer: Vec<WeightedSummary>,
+    absorb_buffer: Vec<Arc<WeightedSummary>>,
     k: usize,
     merge_seed: u64,
     /// Advancing seed source for absorb-buffer compactions — each epoch
@@ -95,6 +98,42 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
     shared_ops: Arc<AtomicU64>,
 }
 
+/// A [`ConcurrentEngine`]'s state as the parts a read answers over,
+/// gathered without merging: the sketch's sorted level arrays, one sorted
+/// tail of unit-weight values, and the absorbed summaries.
+///
+/// [`EngineParts::view`] answers over their union — rank is additive
+/// across the parts — exactly as a flat summary of every part's items
+/// would. [`ConcurrentEngine::resident_summary`] merges them once into
+/// the engine's bounded summary.
+#[derive(Debug)]
+pub struct EngineParts {
+    /// The snapshot's level arrays, indexed by level: every value in
+    /// `levels[j]` weighs `2^j`. Levels the snapshot leaves out are empty.
+    levels: Vec<Vec<u64>>,
+    /// Every unit-weight value outside the levels — Gather&Sort pending,
+    /// the resident writer's unflushed tail, the leased writers' spill —
+    /// sorted once.
+    tail: Vec<u64>,
+    /// The absorbed bulk, then the buffered absorbs.
+    absorbed: Vec<Arc<WeightedSummary>>,
+}
+
+impl EngineParts {
+    /// The union of the parts, answering without a merge.
+    pub fn view(&self) -> UnionView<'_> {
+        let mut view = UnionView::new();
+        for (j, run) in self.levels.iter().enumerate() {
+            view.push_sorted(run, 1 << j);
+        }
+        view.push_sorted(&self.tail, 1);
+        for summary in &self.absorbed {
+            view.push_weighted(summary);
+        }
+        view
+    }
+}
+
 /// Buffered absorbed summaries fold into the compacted bulk once their
 /// combined retained size exceeds this multiple of `k` (a bounded read-side
 /// merge cost bought with an `N·s / (factor·k)` reduction in compaction
@@ -115,7 +154,7 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
         Self {
             sketch,
             writer,
-            absorbed: WeightedSummary::empty(),
+            absorbed: Arc::new(WeightedSummary::empty()),
             absorb_buffer: Vec::new(),
             k,
             merge_seed,
@@ -126,41 +165,59 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
         }
     }
 
-    /// The engine's full resident summary: shared levels + Gather&Sort
-    /// buffers + unflushed writer tail + leased-writer spill + absorbed
-    /// remote weight. Exact and deterministic when no leased write is in
-    /// flight, so a cached copy is indistinguishable from a rebuild. A
-    /// leased write racing the read may be partly visible or transiently
-    /// missed; its flush bumps [`VersionedSketch::version`] before and
-    /// after moving weight, so such a view is never tagged with a settled
-    /// version.
+    /// The engine's state as parts: shared levels, one sorted tail
+    /// (Gather&Sort buffers + unflushed writer tail + leased-writer
+    /// spill) and the absorbed remote weight. The levels are read before
+    /// the buffers (see [`Quancurrent::quiescent_parts`]), so nothing is
+    /// counted twice. Exact and deterministic when no leased write is in
+    /// flight, so a cached copy is indistinguishable from a fresh gather.
+    /// A leased write racing the gather may be partly visible or
+    /// transiently missed; its flush bumps [`VersionedSketch::version`]
+    /// before and after moving weight, so such parts are never tagged
+    /// with a settled version.
+    pub fn parts(&self) -> EngineParts {
+        let (snapshot, mut tail) = self.sketch.quiescent_parts();
+        // The snapshot lists its levels highest first.
+        let top = snapshot.first().map_or(0, |(_, weight)| weight.trailing_zeros() as usize + 1);
+        let mut levels = vec![Vec::new(); top];
+        for (run, weight) in snapshot {
+            levels[weight.trailing_zeros() as usize] = run;
+        }
+        tail.extend(self.writer.lock().unwrap().pending().iter().map(|v| v.to_ordered_bits()));
+        tail.extend(self.spill.lock().unwrap().iter().copied());
+        tail.sort_unstable();
+        let absorbed =
+            std::iter::once(&self.absorbed).chain(&self.absorb_buffer).cloned().collect();
+        EngineParts { levels, tail, absorbed }
+    }
+
+    /// The engine's full resident summary: its [`EngineParts`] merged once
+    /// (see [`ConcurrentEngine::parts`] for what is exact when). The level
+    /// arrays go into the merge kernel as the level runs they are and the
+    /// tail as one level-0 run, so every level receives the multiset the
+    /// flat composition `merge_summaries([quiescent, tail, absorbed, ..])`
+    /// gave it, and the compaction coins and the output bits are the same.
     pub fn resident_summary(&self) -> WeightedSummary {
-        let quiescent = self.sketch.quiescent_summary();
-        let mut bits: Vec<u64> =
-            self.writer.lock().unwrap().pending().iter().map(|v| v.to_ordered_bits()).collect();
-        bits.extend(self.spill.lock().unwrap().iter().copied());
-        bits.sort_unstable();
-        let pending = if bits.is_empty() {
-            WeightedSummary::empty()
-        } else {
-            WeightedSummary::from_parts([(&bits[..], 1u64)])
-        };
-        let parts =
-            [&quiescent, &pending, &self.absorbed].into_iter().chain(self.absorb_buffer.iter());
-        merge_summaries(parts, self.k, self.merge_seed)
+        let parts = self.parts();
+        let absorbed: Vec<Vec<Vec<u64>>> =
+            parts.absorbed.iter().map(|summary| summary.level_runs()).collect();
+        let runs = [&parts.levels[..], std::slice::from_ref(&parts.tail)]
+            .into_iter()
+            .chain(absorbed.iter().map(Vec::as_slice));
+        merge_runs_flat(runs, self.k, self.merge_seed)
     }
 
     /// Total absorbed remote weight (compacted bulk + uncompacted buffer).
     fn absorbed_weight(&self) -> u64 {
-        self.absorbed.stream_len() + self.absorb_buffer.iter().map(Summary::stream_len).sum::<u64>()
+        self.absorbed.stream_len() + self.absorb_buffer.iter().map(|s| s.stream_len()).sum::<u64>()
     }
 
     /// Fold the buffered absorbed parts into the bulk summary: one
     /// randomized compaction pass for the whole epoch, with fresh coins.
     fn compact_absorbed(&mut self) {
         let seed = self.compact_rng.next_u64();
-        let parts = std::iter::once(&self.absorbed).chain(self.absorb_buffer.iter());
-        self.absorbed = merge_summaries(parts, self.k, seed);
+        let parts = std::iter::once(&self.absorbed).chain(&self.absorb_buffer).map(|s| &**s);
+        self.absorbed = Arc::new(merge_summaries(parts, self.k, seed));
         self.absorb_buffer.clear();
     }
 
@@ -177,7 +234,7 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
             + self.writer.lock().unwrap().pending_len()
             + self.spill.lock().unwrap().len()
             + self.absorbed.num_retained()
-            + self.absorb_buffer.iter().map(WeightedSummary::num_retained).sum::<usize>()
+            + self.absorb_buffer.iter().map(|s| s.num_retained()).sum::<usize>()
     }
 
     /// Completed shared-write flushes (the leased-writer half of the
@@ -259,8 +316,8 @@ impl<T: OrderedBits> StreamIngest<T> for LeasedWriter<T> {
 
 impl<T: OrderedBits> QuantileEstimator<T> for ConcurrentEngine<T> {
     fn stream_len(&self) -> u64 {
-        // Cheap exact form of `resident_summary().stream_len()`: merge
-        // conserves weight, so the parts can be summed directly.
+        // Cheap exact form of `parts().view().stream_len()`: the parts'
+        // weights summed without gathering them.
         self.sketch.stream_len()
             + self.sketch.buffered_len() as u64
             + self.writer.lock().unwrap().pending_len() as u64
@@ -269,21 +326,22 @@ impl<T: OrderedBits> QuantileEstimator<T> for ConcurrentEngine<T> {
     }
 
     fn query(&self, phi: f64) -> Option<T> {
-        self.resident_summary().quantile_bits(phi).map(T::from_ordered_bits)
+        self.parts().view().quantile(phi)
     }
 
     fn rank_weight(&self, x: T) -> u64 {
-        self.resident_summary().rank_bits(x.to_ordered_bits())
+        self.parts().view().rank_bits(x.to_ordered_bits())
     }
 
     fn cdf(&self, split_points: &[T]) -> Vec<f64> {
         let bits: Vec<u64> = split_points.iter().map(|x| x.to_ordered_bits()).collect();
-        self.resident_summary().cdf_bits(&bits)
+        self.parts().view().cdf_bits(&bits)
     }
 
     fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        let summary = self.resident_summary();
-        phis.iter().map(|&phi| summary.quantile_bits(phi).map(T::from_ordered_bits)).collect()
+        let parts = self.parts();
+        let view = parts.view();
+        phis.iter().map(|&phi| view.quantile(phi)).collect()
     }
 
     fn error_bound(&self) -> f64 {
@@ -310,8 +368,8 @@ impl<T: OrderedBits> StreamIngest<T> for ConcurrentEngine<T> {
         self.version += 1;
     }
 
-    // `flush` is the default no-op: the unflushed tail is composed into
-    // every read by `resident_summary`, so nothing is ever invisible.
+    // `flush` is the default no-op: the unflushed tail is part of every
+    // read's `parts`, so nothing is ever invisible.
 }
 
 impl<T: OrderedBits> MergeableSketch<T> for ConcurrentEngine<T> {
@@ -325,9 +383,9 @@ impl<T: OrderedBits> MergeableSketch<T> for ConcurrentEngine<T> {
             // summaries) stable.
             return;
         }
-        self.absorb_buffer.push(summary.clone());
+        self.absorb_buffer.push(Arc::new(summary.clone()));
         self.version += 1;
-        let buffered: usize = self.absorb_buffer.iter().map(WeightedSummary::num_retained).sum();
+        let buffered: usize = self.absorb_buffer.iter().map(|s| s.num_retained()).sum();
         if buffered > ABSORB_COMPACT_FACTOR * self.k {
             self.compact_absorbed();
         }
@@ -482,6 +540,14 @@ impl<T: OrderedBits> TieredEngine<T> {
     /// Is the key currently on the concurrent tier?
     pub fn is_hot(&self) -> bool {
         matches!(self.state, TierState::Hot(_))
+    }
+
+    /// The hot engine's [`EngineParts`]; `None` while cold.
+    pub(crate) fn parts(&self) -> Option<EngineParts> {
+        match &self.state {
+            TierState::Cold(_) => None,
+            TierState::Hot(hot) => Some(hot.parts()),
+        }
     }
 
     /// A well-mixed seed for a freshly built tier engine. Mixing the
@@ -659,6 +725,7 @@ impl<T: OrderedBits> std::fmt::Debug for TieredEngine<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_common::summary::WeightedItem;
 
     fn cfg() -> StoreConfig {
         StoreConfig::default().k(64).b(4).promotion_threshold(256)
@@ -896,6 +963,102 @@ mod tests {
         let a = ConcurrentEngine::<f64>::new(64, 4, 42);
         let b = ConcurrentEngine::<f64>::new(64, 4, 43);
         assert_ne!(a.merge_seed, b.merge_seed);
+    }
+
+    /// A settled engine holding every part kind: level arrays, Gather&Sort
+    /// pending, the resident writer's tail, a leased writer's spill, an
+    /// absorbed bulk and buffered absorbs. Values repeat across the kinds,
+    /// so every part ties with the others.
+    fn engine_with_every_part_kind(seed: u64, n: u64) -> ConcurrentEngine<f64> {
+        let mut e = ConcurrentEngine::<f64>::new(16, 4, seed);
+        // Five 16-value absorbs pass 4k = 64 buffered values and fold into
+        // the bulk; the sixth stays buffered.
+        for i in 0..6u64 {
+            let mut bits: Vec<u64> =
+                (0..16).map(|j| (((i * 7 + j * 13) % 97) as f64).to_ordered_bits()).collect();
+            bits.sort_unstable();
+            e.absorb_summary(&WeightedSummary::from_parts([(&bits[..], 1u64 << (i % 3))]));
+        }
+        // n ≡ 2 (mod 4) leaves a two-value resident tail, and a count of
+        // placements short of a 2k batch in Gather&Sort.
+        e.update_many(&(0..n).map(|i| ((i * 31) % 101) as f64).collect::<Vec<_>>());
+        let mut w = e.try_writer().unwrap();
+        w.update_many(&[5.0, 50.0, 96.0]);
+        w.flush();
+        drop(w);
+        assert!(e.sketch.levels_retained() > 0, "levels");
+        assert!(e.sketch.buffered_len() > 0, "Gather&Sort pending");
+        assert!(e.writer.lock().unwrap().pending_len() > 0, "resident tail");
+        assert!(!e.spill.lock().unwrap().is_empty(), "spill");
+        assert!(e.absorbed.num_retained() > 0, "absorbed bulk");
+        assert!(!e.absorb_buffer.is_empty(), "buffered absorbs");
+        e
+    }
+
+    /// The unit-weight values outside the sketch: the resident tail and
+    /// the spill, sorted.
+    fn writer_tail_and_spill(e: &ConcurrentEngine<f64>) -> Vec<u64> {
+        let mut bits: Vec<u64> =
+            e.writer.lock().unwrap().pending().iter().map(|v| v.to_ordered_bits()).collect();
+        bits.extend(e.spill.lock().unwrap().iter().copied());
+        bits.sort_unstable();
+        bits
+    }
+
+    #[test]
+    fn to_summary_is_the_flat_composition_bit_for_bit() {
+        for seed in 0..12 {
+            let e = engine_with_every_part_kind(seed, 702 + 40 * seed);
+            // The composition reads used to merge: the quiescent summary,
+            // the writer tail and spill, and the absorbed summaries.
+            let quiescent = e.sketch.quiescent_summary();
+            let bits = writer_tail_and_spill(&e);
+            let pending = WeightedSummary::from_parts([(&bits[..], 1u64)]);
+            let inputs: Vec<&WeightedSummary> = [&quiescent, &pending]
+                .into_iter()
+                .chain(std::iter::once(&e.absorbed).chain(&e.absorb_buffer).map(|s| &**s))
+                .collect();
+            let old = merge_summaries(inputs.iter().copied(), e.k, e.merge_seed);
+            let new = e.to_summary();
+            let retained: usize = inputs.iter().map(|s| s.num_retained()).sum();
+            assert!(new.num_retained() < retained, "the merge must compact");
+            assert_eq!(new.items(), old.items(), "seed {seed}");
+            assert_eq!(new, old);
+        }
+    }
+
+    #[test]
+    fn hot_answers_are_exact_over_the_parts() {
+        for seed in 0..12 {
+            let e = engine_with_every_part_kind(seed, 502 + 64 * seed);
+            let mut items = e.sketch.quiescent_summary().items().to_vec();
+            items.extend(
+                writer_tail_and_spill(&e)
+                    .into_iter()
+                    .map(|value_bits| WeightedItem { value_bits, weight: 1 }),
+            );
+            for summary in std::iter::once(&e.absorbed).chain(&e.absorb_buffer) {
+                items.extend_from_slice(summary.items());
+            }
+            let flat = WeightedSummary::from_items(items);
+            assert_eq!(QuantileEstimator::stream_len(&e), flat.stream_len());
+
+            let phis: Vec<f64> =
+                [0.0, 1.0].into_iter().chain((0..=40).map(|i| i as f64 / 40.0)).collect();
+            for &phi in &phis {
+                assert_eq!(e.query(phi), flat.quantile::<f64>(phi), "seed {seed}, phi {phi}");
+            }
+            let expected: Vec<Option<f64>> = phis.iter().map(|&phi| flat.quantile(phi)).collect();
+            assert_eq!(e.quantiles(&phis), expected);
+
+            let probes: Vec<f64> =
+                [-1.0, 0.0, 5.0, 50.0, 50.5, 96.0, 100.0, 1e9, f64::INFINITY].to_vec();
+            for &x in &probes {
+                assert_eq!(e.rank_weight(x), flat.rank_weight(x), "seed {seed}, rank of {x}");
+            }
+            assert_eq!(e.rank_weight(f64::INFINITY), flat.stream_len());
+            assert_eq!(QuantileEstimator::cdf(&e, &probes), flat.cdf(&probes));
+        }
     }
 
     #[test]

@@ -16,36 +16,45 @@
 //!   machinery under update pressure (see [`crate::engine`]);
 //! * the store drives that engine through the
 //!   [`qc_common::engine`] traits: updates go through
-//!   [`qc_common::engine::StreamIngest`], reads through
+//!   [`qc_common::engine::StreamIngest`], summaries through
 //!   [`qc_common::engine::MergeableSketch::to_summary`], and remote state
 //!   through [`qc_common::engine::MergeableSketch::absorb_summary`] — so
 //!   `query`/`merged_query` see every element ever handed to the store,
 //!   local or ingested, with exact stream-length accounting.
 //!
-//! # Read path: versioned summary caching
+//! # Read path: versioned caching of parts and summaries
 //!
-//! Materializing a key's summary is the expensive part of every read (a
-//! three-way merge of quiescent state, unflushed tail, and absorbed remote
-//! weight). The store therefore caches the last materialized
-//! [`WeightedSummary`] per key, tagged with the engine
-//! [`qc_common::engine::VersionedSketch::version`] that produced it:
+//! A hot key's state is a set of parts ([`EngineParts`]): the sketch's
+//! sorted level arrays, one sorted tail (Gather&Sort pending, unflushed
+//! writer tail, leased-writer spill) and the absorbed summaries. Its
+//! `query`, `rank` and `cdf` answer over their union as a [`UnionView`] —
+//! rank is additive across parts — with no flatten and no merge, exact
+//! over the parts. Only a **summary** — what `summary_of`,
+//! `snapshot_bytes`, the `merged_*` and `*_summary` reads, checkpoints and
+//! demotion take — is materialized by merging the parts once (a cold
+//! key's summary is its sequential sketch's). The store caches both per
+//! key, tagged with the engine
+//! [`qc_common::engine::VersionedSketch::version`] they were built at:
 //!
 //! * **warm reads** (`query`, `rank`, `cdf`, `snapshot_bytes`,
 //!   `merged_query`) take only the **shared** stripe lock, compare the
 //!   engine version against the cache tag, and clone nothing but an
-//!   `Arc<WeightedSummary>` — they never block each other and never
-//!   rebuild;
-//! * **misses** materialize under the same shared lock and publish the
-//!   result for the next reader; the version is read **before**
-//!   materializing, so a summary is never tagged newer than its
-//!   contents;
+//!   `Arc` — they never block each other and never rebuild. A warm hot
+//!   read then runs only the selection over the parts;
+//! * **misses** gather the parts, or materialize the summary, under the
+//!   same shared lock and publish the result for the next reader; the
+//!   version is read
+//!   **before** gathering, so nothing is ever tagged newer than its
+//!   contents. A hot key's answers come from its parts even when a flat
+//!   summary is cached at the same version, so an answer is the same
+//!   whether its read hit or missed;
 //! * **exclusive writers** (`ingest_bytes`, `cool_down`, `remove`, the
 //!   fallback write path) take the exclusive lock; **leased writers**
 //!   (the shared write path below) mutate the engine under the shared
 //!   lock but bump the engine version around every weight movement — so
-//!   a summary materialized while a leased write was in flight carries a
+//!   parts or a summary built while a leased write was in flight carry a
 //!   tag the write's completion bump supersedes, and no read ever serves
-//!   a summary whose version matches the engine's *settled* state while
+//!   a state whose version matches the engine's *settled* state while
 //!   missing weight that state accounts for;
 //! * **multi-part reads** (`query_range`, `merged_query_range`,
 //!   `merged_query`) clone the `Arc`s of every part they cover — sealed
@@ -136,7 +145,7 @@ use qc_common::engine::{
 use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
-use crate::engine::TieredEngine;
+use crate::engine::{EngineParts, TieredEngine};
 use crate::merge::{merge_runs, merge_runs_flat};
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
@@ -359,14 +368,17 @@ pub struct StoreStats {
     /// Retained 64-bit words across all engines (memory proxy). **Sweep**.
     /// Local-only.
     pub retained: u64,
-    /// Reads answered from a cached summary (shared lock + `Arc` clone).
-    /// **Counter**, bumped before the read's `reads` bump. Local-only.
+    /// Reads answered from a cached summary or a hot key's cached parts
+    /// (shared lock + `Arc` clone). **Counter**, bumped before the read's
+    /// `reads` bump. Local-only.
     pub cache_hits: u64,
-    /// Reads that had to materialize a summary. **Counter**, bumped before
-    /// the read's `reads` bump. Local-only.
+    /// Reads that had to materialize a summary or gather a hot key's
+    /// parts. **Counter**, bumped before the read's `reads` bump.
+    /// Local-only.
     pub cache_misses: u64,
-    /// Summary reads served (`summary_of` and everything built on it:
-    /// `query`, `rank`, `cdf`, `snapshot_bytes`, `merged_query` per key).
+    /// Cached reads served (`summary_of` and everything built on it —
+    /// `snapshot_bytes`, `merged_query` per key — plus `query`, `rank` and
+    /// `cdf`, over a hot key's parts or a cold key's summary).
     /// **Counter**, bumped after the read's hit-or-miss classification —
     /// so `cache_hits + cache_misses >= reads` holds for every sample
     /// (see [`StoreStats::consistency`]). Local-only.
@@ -531,8 +543,9 @@ impl std::fmt::Display for StaleLease {
 
 impl std::error::Error for StaleLease {}
 
-/// One key's slot in a stripe map: the live engine, the cached
-/// materialization of its summary, and the leased-writer pool.
+/// One key's slot in a stripe map: the live engine, its read cache (a hot
+/// key's gathered parts, the materialized summary), and the leased-writer
+/// pool.
 struct KeyEntry<T: OrderedBits> {
     engine: TieredEngine<T>,
     /// Lease generation: every leased write validates its tag against
@@ -544,11 +557,12 @@ struct KeyEntry<T: OrderedBits> {
     /// Mirrored into [`WriterPool::generation`] (kept in sync under the
     /// same write-lock sections) for lease-drop-time validation.
     generation: u64,
-    /// Last materialized summary, tagged with the engine version that
-    /// produced it. The inner mutex guards only the tag-compare /
-    /// `Arc`-clone critical section (a handful of instructions), so
-    /// readers sharing the stripe lock barely serialize on it.
-    cache: Mutex<Option<CachedSummary>>,
+    /// The last gathered parts and materialized summary, tagged with the
+    /// engine version that produced them. The inner mutex guards only the
+    /// tag-compare / `Arc`-clone critical section (a handful of
+    /// instructions), so readers sharing the stripe lock barely serialize
+    /// on it.
+    cache: Mutex<Option<CacheSlot>>,
     /// Idle leased writer handles plus the mint count; the mutex guards
     /// only push/pop (writes run **outside** it, so checkouts never
     /// serialize the data path). `Arc`ed so outstanding [`WriterLease`]s
@@ -570,9 +584,35 @@ struct KeyEntry<T: OrderedBits> {
     windows: Option<Box<Mutex<WindowState>>>,
 }
 
-struct CachedSummary {
+/// One key's read cache at one engine version.
+struct CacheSlot {
     version: u64,
-    summary: Arc<WeightedSummary>,
+    /// A hot key's gathered parts, which every `query`, `rank` and `cdf`
+    /// of the key answers over.
+    parts: Option<Arc<EngineParts>>,
+    /// The flat summary, built on first demand: by the summary-returning
+    /// reads, and by every read of a cold key.
+    summary: Option<Arc<WeightedSummary>>,
+}
+
+impl CacheSlot {
+    /// The slot tagged `version`: the cached one if it carries that tag,
+    /// else an empty one put in its place.
+    fn at(cache: &mut Option<CacheSlot>, version: u64) -> &mut CacheSlot {
+        if !matches!(cache, Some(slot) if slot.version == version) {
+            *cache = Some(CacheSlot { version, parts: None, summary: None });
+        }
+        cache.as_mut().expect("just filled")
+    }
+}
+
+/// What a single-key read answers over, taken from the cache under the
+/// shared stripe lock and evaluated after releasing it.
+enum Cached {
+    /// A hot key's parts.
+    Parts(Arc<EngineParts>),
+    /// A cold key's flat summary.
+    Flat(Arc<WeightedSummary>),
 }
 
 struct WriterPool<T> {
@@ -1465,43 +1505,69 @@ impl<T: OrderedBits> SketchStore<T> {
 
     /// φ-quantile estimate over everything `key` has seen (local updates
     /// and ingested snapshots). `None` if the key is absent or empty.
+    ///
+    /// A hot key answers over its cached [`EngineParts`] — the sketch's
+    /// level arrays, one sorted tail and the absorbed summaries — with no
+    /// merge: exact over the parts, and the same on the read that gathers
+    /// them and on every hit. A cold key answers over its cached flat
+    /// summary.
     pub fn query(&self, key: &str, phi: f64) -> Option<T> {
-        self.summary_of(key)?.quantile::<T>(phi)
+        self.answer(key, |s| s.quantile_bits(phi))?.map(T::from_ordered_bits)
     }
 
     /// Normalized rank of `value` within `key`'s stream (0.0 ≤ rank ≤
-    /// 1.0). `None` if the key is absent or empty.
+    /// 1.0). `None` if the key is absent or empty. Answered over the same
+    /// cached state as [`SketchStore::query`].
     pub fn rank(&self, key: &str, value: T) -> Option<f64> {
-        let summary = self.summary_of(key)?;
-        if summary.stream_len() == 0 {
-            return None;
-        }
-        Some(summary.rank_fraction(value))
+        let x = value.to_ordered_bits();
+        self.answer(key, |s| {
+            let n = s.stream_len();
+            (n > 0).then(|| s.rank_bits(x) as f64 / n as f64)
+        })?
     }
 
     /// Estimated CDF of `key`'s stream at each split point. `None` if the
     /// key is absent or empty (the same contract as [`SketchStore::rank`]).
-    /// One cached summary answers all points.
+    /// One cached state — a hot key's parts, a cold key's summary —
+    /// answers all points.
     pub fn cdf(&self, key: &str, split_points: &[T]) -> Option<Vec<f64>> {
-        let summary = self.summary_of(key)?;
-        if summary.stream_len() == 0 {
-            return None;
-        }
-        Some(summary.cdf(split_points))
+        let bits: Vec<u64> = split_points.iter().map(|p| p.to_ordered_bits()).collect();
+        self.answer(key, |s| (s.stream_len() > 0).then(|| s.cdf_bits(&bits)))?
+    }
+
+    /// Ask `question` of `key`'s cached state, or `None` if the key is
+    /// absent: a hot key's parts (through [`SketchStore::cached_parts`]),
+    /// a cold key's flat summary. The state is taken under the shared
+    /// stripe lock and questioned after releasing it.
+    fn answer<R>(&self, key: &str, question: impl FnOnce(&dyn Summary) -> R) -> Option<R> {
+        let cached = {
+            let map = self.stripe_of(key).read().unwrap();
+            let entry = map.get(key)?;
+            if entry.engine.is_hot() {
+                Cached::Parts(self.cached_parts(entry))
+            } else {
+                Cached::Flat(self.cached_summary(entry))
+            }
+        };
+        Some(match &cached {
+            Cached::Parts(parts) => question(&parts.view()),
+            Cached::Flat(summary) => question(&**summary),
+        })
     }
 
     /// The key's full resident summary behind an `Arc`, or `None` if the
-    /// key is absent.
+    /// key is absent — for callers that keep, ship or merge it.
     ///
     /// This is the cached read path: a warm call takes the shared stripe
     /// lock, compares the engine's
     /// [`version`](qc_common::engine::VersionedSketch::version) against
     /// the cache tag, and clones only the `Arc`. A miss materializes the
-    /// summary under the same shared lock and publishes it for subsequent
-    /// readers — exact whenever the engine is settled (no leased write in
-    /// flight); a concurrent leased write can make the materialization a
-    /// transiently relaxed view, whose tag the write's own version bump
-    /// invalidates when its flush completes.
+    /// summary ([`MergeableSketch::to_summary`]) under the same shared lock
+    /// and publishes it for subsequent readers — exact whenever the engine
+    /// is settled (no leased write in flight); a concurrent leased write
+    /// can make the materialization a transiently relaxed view, whose tag
+    /// the write's own version bump invalidates when its flush completes.
+    /// `query`, `rank` and `cdf` of a hot key never read this summary.
     pub fn summary_of(&self, key: &str) -> Option<Arc<WeightedSummary>> {
         let map = self.stripe_of(key).read().unwrap();
         let entry = map.get(key)?;
@@ -1516,15 +1582,14 @@ impl<T: OrderedBits> SketchStore<T> {
         let version = entry.engine.version();
         {
             let cache = entry.cache.lock().unwrap();
-            if let Some(cached) = cache.as_ref() {
-                if cached.version == version {
-                    // Classify (hit) before counting the read: `stats()`
-                    // samples in the opposite order, so
-                    // `cache_hits + cache_misses >= reads` never inverts.
-                    self.instruments.cache_hits.incr();
-                    self.instruments.reads.incr();
-                    return Arc::clone(&cached.summary);
-                }
+            let slot = cache.as_ref().filter(|slot| slot.version == version);
+            if let Some(summary) = slot.and_then(|slot| slot.summary.as_ref()) {
+                // Classify (hit) before counting the read: `stats()`
+                // samples in the opposite order, so
+                // `cache_hits + cache_misses >= reads` never inverts.
+                self.instruments.cache_hits.incr();
+                self.instruments.reads.incr();
+                return Arc::clone(summary);
             }
         }
         // Rebuild outside the cache mutex so a slow materialization never
@@ -1540,10 +1605,36 @@ impl<T: OrderedBits> SketchStore<T> {
         // entry can only sit under a tag no settled state carries.
         self.instruments.cache_misses.incr();
         let summary = Arc::new(entry.engine.to_summary());
-        *entry.cache.lock().unwrap() =
-            Some(CachedSummary { version, summary: Arc::clone(&summary) });
+        CacheSlot::at(&mut entry.cache.lock().unwrap(), version).summary =
+            Some(Arc::clone(&summary));
         self.instruments.reads.incr();
         summary
+    }
+
+    /// [`SketchStore::cached_summary`]'s twin for a hot key's parts: a hit
+    /// clones the `Arc`, a miss gathers the parts from the engine under
+    /// the caller's stripe lock, with the same tag discipline (version
+    /// read before gathering, published unconditionally). A repeat read
+    /// of an idle hot key then runs only the selection over the parts.
+    fn cached_parts(&self, entry: &KeyEntry<T>) -> Arc<EngineParts> {
+        let version = entry.engine.version();
+        let cached = entry
+            .cache
+            .lock()
+            .unwrap()
+            .as_ref()
+            .filter(|slot| slot.version == version)
+            .and_then(|slot| slot.parts.clone());
+        if let Some(parts) = cached {
+            self.instruments.cache_hits.incr();
+            self.instruments.reads.incr();
+            return parts;
+        }
+        self.instruments.cache_misses.incr();
+        let parts = Arc::new(entry.engine.parts().expect("a hot key has parts"));
+        CacheSlot::at(&mut entry.cache.lock().unwrap(), version).parts = Some(Arc::clone(&parts));
+        self.instruments.reads.incr();
+        parts
     }
 
     /// Gather into `parts` what a read of `key` over the event-time
@@ -1818,9 +1909,10 @@ impl<T: OrderedBits> SketchStore<T> {
                         pool.minted -= idle;
                         pool.idle.clear();
                     }
-                    // Housekeeping for the read cache too: drop summaries
-                    // the engine has since moved past, so written-then-idle
-                    // keys do not pin a stale materialization indefinitely.
+                    // Housekeeping for the read cache too: drop parts and
+                    // summaries the engine has since moved past, so
+                    // written-then-idle keys do not pin a stale gather or
+                    // materialization indefinitely.
                     let cache = entry.cache.get_mut().unwrap();
                     if cache.as_ref().is_some_and(|c| c.version != entry.engine.version()) {
                         *cache = None;

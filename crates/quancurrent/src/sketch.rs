@@ -197,26 +197,35 @@ impl<T: OrderedBits> Quancurrent<T> {
     /// thread-local buffers (query [`Updater::pending`] for those).
     ///
     /// # Contract
-    /// Safe to call while updaters run (the keyed store does, on every
-    /// hot-key cache miss). The levels are read first as one atomic
-    /// snapshot, then the buffers, and a buffer whose batch is mid-install
-    /// is skipped — so no element is ever counted twice and the result
-    /// never holds more weight than was placed. It may transiently miss
-    /// elements in flight from a buffer into the levels. With no
-    /// concurrent updates it is exact up to the thread-local buffers.
+    /// The contract of [`Quancurrent::quiescent_parts`], which this
+    /// flattens into one sorted list.
     pub fn quiescent_summary(&self) -> WeightedSummary {
-        let handle = self.shared.domain.register();
-        let snap = build_snapshot(&self.shared, &handle);
-        let mut pending: Vec<u64> = Vec::new();
-        for gs in self.shared.gs.iter() {
-            pending.extend(gs.pending());
-        }
+        let (levels, mut pending) = self.quiescent_parts();
         pending.sort_unstable();
-        let mut parts: Vec<(&[u64], u64)> = snap.parts.iter().map(|(v, w)| (&v[..], *w)).collect();
-        if !pending.is_empty() {
-            parts.push((&pending[..], 1));
-        }
-        WeightedSummary::from_parts(parts)
+        let tail = (!pending.is_empty()).then_some((&pending[..], 1));
+        WeightedSummary::from_parts(levels.iter().map(|(v, w)| (&v[..], *w)).chain(tail))
+    }
+
+    /// The state [`Quancurrent::quiescent_summary`] flattens, as parts: the
+    /// snapshot's sorted level arrays with their weights `2^i`, highest
+    /// level first, and the Gather&Sort-buffered values (weight 1,
+    /// unsorted). A reader can answer over the parts as they are, with no
+    /// flatten and no sort of the levels.
+    ///
+    /// # Contract
+    /// Safe to call while updaters run (the keyed store does, on every
+    /// hot-key read that misses its cache). The levels are read first as
+    /// one atomic snapshot, then the buffers, and a buffer whose batch is
+    /// mid-install is skipped — so no element is ever counted twice and
+    /// the parts never hold more weight than was placed. They may
+    /// transiently miss elements in flight from a buffer into the levels.
+    /// With no concurrent updates they are exact up to the thread-local
+    /// buffers.
+    pub fn quiescent_parts(&self) -> (Vec<(Vec<u64>, u64)>, Vec<u64>) {
+        let handle = self.shared.domain.register();
+        let levels = build_snapshot(&self.shared, &handle).parts;
+        let pending = self.shared.gs.iter().flat_map(GatherSort::pending).collect();
+        (levels, pending)
     }
 
     /// Snapshot of the operation counters.
