@@ -23,10 +23,10 @@
 //!   [`codec::Writer`] cursor pair, [`codec::CodecError`] and
 //!   [`codec::crc32`] that every byte format in the workspace (summary
 //!   frames, WAL, TCP protocol, UDP datagrams) is written on.
-//! * [`engine`] — the unified sketch-engine capability traits
-//!   ([`QuantileEstimator`], [`StreamIngest`], [`MergeableSketch`],
-//!   [`ConcurrentIngest`], [`SharedIngest`]) every backend in the
-//!   workspace implements.
+//! * [`engine`] — the sketch-engine traits: the harness seam
+//!   ([`StreamIngest`], [`ConcurrentIngest`]) Quancurrent and FCDS are
+//!   raced through, and the interchange pair ([`QuantileEstimator`],
+//!   [`MergeableSketch`]) every backend's summaries move through.
 //! * [`error`] — the ε(k) error model of the classic Quantiles sketch and the
 //!   relaxation/staleness error composition of §4.2 of the paper.
 //!
@@ -47,9 +47,6 @@ pub mod sample;
 pub mod summary;
 
 pub use bits::OrderedBits;
-pub use engine::{
-    ConcurrentIngest, InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest,
-    SketchEngine, StreamIngest, VersionedSketch,
-};
+pub use engine::{ConcurrentIngest, MergeableSketch, QuantileEstimator, StreamIngest};
 pub use rng::{SplitMix64, Xoshiro256};
 pub use summary::{Summary, WeightedItem, WeightedSummary};

@@ -26,4 +26,4 @@
 mod sketch;
 mod slots;
 
-pub use sketch::{Fcds, FcdsEngine, FcdsStats, FcdsUpdater, FCDS_LEASED_SLOTS};
+pub use sketch::{Fcds, FcdsEngine, FcdsStats, FcdsUpdater};

@@ -4,10 +4,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, RwLock};
 
 use qc_common::bits::OrderedBits;
-use qc_common::engine::{
-    ConcurrentIngest, InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest,
-    StreamIngest, VersionedSketch,
-};
+use qc_common::engine::{ConcurrentIngest, MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::summary::{Summary, WeightedSummary};
 use qc_sequential::QuantilesSketch;
 
@@ -171,15 +168,6 @@ impl<T: OrderedBits> Fcds<T> {
     /// # Panics
     /// If all slots are taken.
     pub fn updater(&self) -> FcdsUpdater<T> {
-        match self.try_updater() {
-            Some(updater) => updater,
-            None => panic!("all {} FCDS worker slots are registered", self.shared.workers.len()),
-        }
-    }
-
-    /// Register a worker if a slot is free (the non-panicking form of
-    /// [`Fcds::updater`]). Slots are released when the handle drops.
-    pub fn try_updater(&self) -> Option<FcdsUpdater<T>> {
         let start = self.next_worker.fetch_add(1, SeqCst);
         let n = self.shared.workers.len();
         for off in 0..n {
@@ -189,16 +177,16 @@ impl<T: OrderedBits> Fcds<T> {
                 .compare_exchange(false, true, SeqCst, SeqCst)
                 .is_ok()
             {
-                return Some(FcdsUpdater {
+                return FcdsUpdater {
                     shared: Arc::clone(&self.shared),
                     slot,
                     current: 0,
                     pushed: 0,
                     _marker: std::marker::PhantomData,
-                });
+                };
             }
         }
-        None
+        panic!("all {n} FCDS worker slots are registered")
     }
 
     /// Estimate the φ-quantile from the shared sketch.
@@ -314,18 +302,6 @@ impl<T: OrderedBits> MergeableSketch<T> for Fcds<T> {
     }
 }
 
-/// Version capability: the shared sequential sketch is FCDS's only
-/// query-visible state, and every transition of it — a drained buffer, an
-/// absorbed summary — strictly increases its stream length, so the
-/// propagated stream length is an exact version. The background propagator
-/// advances it asynchronously, which is precisely what a summary cache
-/// needs to notice.
-impl<T: OrderedBits> VersionedSketch for Fcds<T> {
-    fn version(&self) -> u64 {
-        Fcds::stream_len(self)
-    }
-}
-
 /// Multi-writer engine capability.
 ///
 /// # Panics
@@ -425,14 +401,14 @@ impl<T: OrderedBits> std::fmt::Debug for FcdsUpdater<T> {
 }
 
 /// A single-object FCDS engine: the shared sketch bundled with one
-/// resident worker handle, so the FCDS baseline satisfies the full
-/// [`qc_common::engine::SketchEngine`] contract (the raw [`Fcds`] offers
-/// only handle-based ingestion).
+/// resident worker handle, so the FCDS baseline ingests through
+/// `&mut self` like the other backends (the raw [`Fcds`] offers only
+/// handle-based ingestion).
 ///
 /// [`StreamIngest::flush`] publishes the worker's partial buffer **and**
 /// drains the propagator, so `stream_len` equals the ingested count
-/// exactly after a flush — which is what the engine-conformance suite and
-/// tier migration rely on.
+/// exactly after a flush — which is what the engine-conformance suite
+/// relies on.
 pub struct FcdsEngine<T: OrderedBits> {
     /// Declared before `fcds`: dropping the handle flushes its buffer,
     /// then the sketch's own drop joins the propagator (which drains all
@@ -441,20 +417,12 @@ pub struct FcdsEngine<T: OrderedBits> {
     fcds: Fcds<T>,
 }
 
-/// Worker slots an [`FcdsEngine`] keeps free for shared-ingest leases on
-/// top of its resident writer (the engine's private [`Fcds`] is built with
-/// `1 +` this many `max_workers`). Spare slots are nearly free: worker
-/// buffers allocate lazily on first use, so an engine that never leases
-/// pays only the slot bookkeeping, not `2·B` words per slot.
-pub const FCDS_LEASED_SLOTS: usize = 7;
-
 impl<T: OrderedBits> FcdsEngine<T> {
     /// Create an engine with level size `k`, worker buffer size `b`, and
-    /// an explicit sampling seed. The engine reserves one worker slot of
-    /// its private [`Fcds`] instance for the resident writer and leaves
-    /// [`FCDS_LEASED_SLOTS`] more for [`SharedIngest`] leases.
+    /// an explicit sampling seed. The engine's private [`Fcds`] instance
+    /// has one worker slot, held by the resident writer.
     pub fn with_seed(k: usize, buffer_size: usize, seed: u64) -> Self {
-        let fcds = Fcds::with_seed(k, buffer_size, 1 + FCDS_LEASED_SLOTS, seed);
+        let fcds = Fcds::with_seed(k, buffer_size, 1, seed);
         let writer = fcds.updater();
         Self { writer, fcds }
     }
@@ -462,31 +430,6 @@ impl<T: OrderedBits> FcdsEngine<T> {
     /// The underlying FCDS instance (propagator stats, relaxation bound).
     pub fn fcds(&self) -> &Fcds<T> {
         &self.fcds
-    }
-}
-
-/// A leased FCDS writer: a worker handle plus enough shared state to wait
-/// for the propagator, so its `flush` gives the **exact** post-flush
-/// visibility [`SharedIngest`] demands (a bare [`FcdsUpdater::flush`] only
-/// publishes; the weight becomes query-visible asynchronously).
-struct LeasedFcdsWriter<T: OrderedBits> {
-    inner: FcdsUpdater<T>,
-    shared: Arc<FcdsShared>,
-}
-
-impl<T: OrderedBits> StreamIngest<T> for LeasedFcdsWriter<T> {
-    fn update(&mut self, x: T) {
-        FcdsUpdater::update(&mut self.inner, x);
-    }
-
-    fn flush(&mut self) {
-        FcdsUpdater::flush(&mut self.inner);
-        // Drain: every published buffer (ours included) is merged into the
-        // shared sketch before we report the flush complete — which is
-        // also what advances `Fcds::version` past the written weight.
-        while self.shared.any_pending() {
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -526,27 +469,6 @@ impl<T: OrderedBits> QuantileEstimator<T> for FcdsEngine<T> {
         QuantileEstimator::error_bound(&self.fcds)
     }
 }
-
-impl<T: OrderedBits> VersionedSketch for FcdsEngine<T> {
-    fn version(&self) -> u64 {
-        VersionedSketch::version(&self.fcds)
-    }
-}
-
-/// Shared-access leases: worker slots beyond the resident writer are
-/// handed out as self-contained handles whose `flush` publishes **and**
-/// drains, so leased weight is exactly visible post-flush. `None` once all
-/// [`FCDS_LEASED_SLOTS`] are out (slots return when handles drop).
-impl<T: OrderedBits> SharedIngest<T> for FcdsEngine<T> {
-    fn try_writer(&self) -> Option<Box<dyn StreamIngest<T> + Send>> {
-        let inner = self.fcds.try_updater()?;
-        Some(Box::new(LeasedFcdsWriter { inner, shared: Arc::clone(&self.fcds.shared) }))
-    }
-}
-
-/// The FCDS baseline keeps no operation counters worth bridging: the
-/// default (no counters) applies.
-impl<T: OrderedBits> InstrumentedSketch for FcdsEngine<T> {}
 
 impl<T: OrderedBits> MergeableSketch<T> for FcdsEngine<T> {
     fn to_summary(&self) -> WeightedSummary {

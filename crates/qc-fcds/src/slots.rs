@@ -30,9 +30,8 @@ impl BufCell {
     /// Starts **unallocated**: a slot costs nothing until its worker
     /// actually pushes (the vector grows amortized to `B` on first fill,
     /// and [`BufCell::try_drain`] hands back full-capacity vectors from
-    /// then on). This is what lets an engine reserve spare worker slots
-    /// for shared-ingest leases without paying `2·B` words per slot that
-    /// may never register.
+    /// then on), so a slot that never registers a worker does not pay
+    /// `2·B` words.
     pub(crate) fn new() -> Self {
         Self { state: AtomicU8::new(WORKER), data: UnsafeCell::new(Vec::new()) }
     }

@@ -3,10 +3,7 @@
 //! programmed against [`qc_common::engine`].
 
 use qc_common::bits::OrderedBits;
-use qc_common::engine::{
-    InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest, StreamIngest,
-    VersionedSketch,
-};
+use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::summary::{Summary, WeightedSummary};
 
 use crate::sketch::QuantilesSketch;
@@ -170,26 +167,6 @@ impl<T: OrderedBits> StreamIngest<T> for Sketch<T> {
     // no-op: every update is immediately visible.
 }
 
-/// Single-writer by nature: the sequential sketch declines shared-access
-/// leases (the trait default, `try_writer` → `None`), which is what tells
-/// a keyed store to keep cold keys on the exclusive-lock write path that
-/// also drives tier promotion.
-impl<T: OrderedBits> SharedIngest<T> for Sketch<T> {}
-
-/// No internal concurrency machinery: the default (no counters) applies.
-impl<T: OrderedBits> InstrumentedSketch for Sketch<T> {}
-
-/// Version capability: every state transition of the sequential sketch —
-/// update, merge, absorb — strictly increases the stream length `n` (and
-/// no transition leaves it unchanged, including mutations through
-/// [`Sketch::as_bits_mut`]), so `n` doubles as an exact version with no
-/// extra bookkeeping.
-impl<T: OrderedBits> VersionedSketch for Sketch<T> {
-    fn version(&self) -> u64 {
-        self.inner.n()
-    }
-}
-
 impl<T: OrderedBits> MergeableSketch<T> for Sketch<T> {
     fn to_summary(&self) -> WeightedSummary {
         self.inner.summary()
@@ -285,22 +262,21 @@ mod tests {
         assert!(s.max_retained().is_none());
     }
 
-    /// The typed sketch is a complete engine through the trait objects
+    /// The typed sketch is a complete engine through the engine traits
     /// alone (the conformance suite at the workspace root goes further;
     /// this pins the basics close to the impl).
     #[test]
     fn engine_traits_cover_the_sketch() {
-        use qc_common::engine::SketchEngine;
-        let mut engine: Box<dyn SketchEngine<f64>> = Box::new(Sketch::<f64>::with_seed(64, 3));
+        let mut engine = Sketch::<f64>::with_seed(64, 3);
         engine.update_many(&(0..1000).map(f64::from).collect::<Vec<_>>());
         engine.flush();
         assert_eq!(engine.stream_len(), 1000);
         assert_eq!(engine.rank_weight(0.0), 0);
         assert!((engine.rank_fraction(500.0) - 0.5).abs() < 0.05);
-        let cdf = engine.cdf(&[250.0, 750.0]);
+        let cdf = QuantileEstimator::cdf(&engine, &[250.0, 750.0]);
         assert!(cdf[0] < cdf[1]);
 
-        let mut other: Box<dyn SketchEngine<f64>> = Box::new(Sketch::<f64>::with_seed(64, 4));
+        let mut other = Sketch::<f64>::with_seed(64, 4);
         other.absorb_summary(&engine.to_summary());
         assert_eq!(other.stream_len(), 1000);
         assert!(other.query(0.5).is_some());

@@ -17,8 +17,10 @@
 //! keys demote back on cool-down sweeps ([`crate::SketchStore::cool_down`]).
 //! The threshold also expresses the pure populations: `u64::MAX` pins every
 //! key cold, `0` makes a key hot on its first write. Both engines implement
-//! every applicable [`qc_common::engine`] trait, so either also runs on its
-//! own behind a `Box<dyn SketchEngine<f64>>`.
+//! the read, write and merge traits of [`qc_common::engine`]; leasing,
+//! versions and internal counters are inherent methods the store calls on
+//! the concrete types, and [`TieredEngine`] dispatches by matching on its
+//! tier.
 //!
 //! Tier migration in both directions is a summary round-trip
 //! ([`MergeableSketch::to_summary`] → [`MergeableSketch::absorb_summary`])
@@ -30,10 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use qc_common::bits::OrderedBits;
-use qc_common::engine::{
-    InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest, SketchEngine,
-    StreamIngest, VersionedSketch,
-};
+use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::rng::SplitMix64;
 use qc_common::summary::{Summary, UnionView, WeightedSummary};
 use quancurrent::{Quancurrent, Updater};
@@ -45,7 +44,7 @@ use crate::store::StoreConfig;
 /// resident [`Updater`] for `&mut self` writes (the store makes those under
 /// the key's exclusive stripe lock, so one handle is exactly the
 /// single-writer discipline the local buffer expects), leased per-thread
-/// writers for shared-lock writes ([`SharedIngest::try_writer`]), and an
+/// writers for shared-lock writes ([`ConcurrentEngine::try_writer`]), and an
 /// *absorbed* summary holding everything merged in from other sketches.
 ///
 /// Reads gather the engine's state as [`EngineParts`] — the sketch's
@@ -86,7 +85,7 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
     /// read, so leased weight is exactly visible post-flush.
     spill: Arc<Mutex<Vec<u64>>>,
     /// Leased-writer flush progress — the shared-write half of
-    /// [`VersionedSketch::version`] (the `&mut self` half is `version`).
+    /// [`ConcurrentEngine::version`] (the `&mut self` half is `version`).
     /// `Arc`ed into every lease. A weight-moving flush bumps it with
     /// `Release` **after** the flushed weight is observable, and also
     /// **before** draining previously-visible spill weight into its
@@ -172,7 +171,7 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     /// counted twice. Exact and deterministic when no leased write is in
     /// flight, so a cached copy is indistinguishable from a fresh gather.
     /// A leased write racing the gather may be partly visible or
-    /// transiently missed; its flush bumps [`VersionedSketch::version`]
+    /// transiently missed; its flush bumps [`ConcurrentEngine::version`]
     /// before and after moving weight, so such parts are never tagged
     /// with a settled version.
     pub fn parts(&self) -> EngineParts {
@@ -244,18 +243,61 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     pub(crate) fn shared_writes(&self) -> u64 {
         self.shared_ops.load(Ordering::Acquire)
     }
+
+    /// A monotone counter identifying the engine's observable state: parts
+    /// or a summary tagged with the version that produced them stay valid
+    /// for exactly as long as `version` returns the same value.
+    ///
+    /// Accounted in two halves: `&mut self` mutations (resident writes,
+    /// absorbs, compactions — exclusive under the store's stripe write
+    /// lock) bump the plain counter, and every leased-writer flush that
+    /// moved weight bumps the shared-ops cell. Both halves only grow, so
+    /// the sum is monotone; reading the shared half with `Acquire`
+    /// *before* materializing a summary guarantees the materialization
+    /// sees at least everything the version accounts for (in-flight leased
+    /// writes may additionally be visible early — they invalidate the tag
+    /// when their flush lands).
+    pub fn version(&self) -> u64 {
+        self.version + self.shared_writes()
+    }
+
+    /// Lease an owned per-thread writer through `&self`, so many threads
+    /// can ingest while their owner holds only a shared lock. Always
+    /// `Some`: the sketch supports any number of concurrent updaters;
+    /// pooling and capping are the owner's concern (see the store's
+    /// per-key writer pool).
+    pub fn try_writer(&self) -> Option<LeasedWriter<T>> {
+        Some(LeasedWriter {
+            updater: self.sketch.updater(),
+            spill: Arc::clone(&self.spill),
+            shared_ops: Arc::clone(&self.shared_ops),
+            b: self.sketch.config().b,
+            unflushed: 0,
+        })
+    }
+
+    /// The wrapped Quancurrent's operation counters (DCAS retries,
+    /// snapshot miss rates, …), unchanged.
+    pub(crate) fn internal_counters(&self) -> Vec<(&'static str, u64)> {
+        self.sketch.internal_counters()
+    }
 }
 
 /// A leased per-thread writer over a [`ConcurrentEngine`]: an owned
 /// [`Updater`] (thread-local buffer → Gather&Sort → DCAS, the paper's
 /// lock-free ingestion path) plus the engine's spill and version cells.
 ///
-/// `flush` gives the exact-visibility guarantee of [`SharedIngest`]: full
-/// `b`-multiples of buffered weight go through Gather&Sort placement, the
-/// sub-`b` remainder is re-homed into the engine's spill (composed into
-/// every read), and the shared-ops counter advances afterwards so cached
-/// summaries of the pre-flush state invalidate.
-struct LeasedWriter<T: OrderedBits> {
+/// The handle is self-contained: it shares ownership of the engine's
+/// internals, so it may be pooled and used from any one thread at a time,
+/// concurrently with other handles and with the engine's `&self` reads.
+/// Writes stay buffered in the handle until `flush`, which makes them
+/// exactly visible: full `b`-multiples of buffered weight go through
+/// Gather&Sort placement, the sub-`b` remainder is re-homed into the
+/// engine's spill (composed into every read), and the shared-ops counter
+/// advances afterwards so cached summaries of the pre-flush state
+/// invalidate. A handle outliving its engine's useful life (e.g. past a
+/// tier migration) must simply go unused; dropping it is always safe.
+pub struct LeasedWriter<T: OrderedBits> {
     updater: Updater<T>,
     spill: Arc<Mutex<Vec<u64>>>,
     shared_ops: Arc<AtomicU64>,
@@ -389,43 +431,6 @@ impl<T: OrderedBits> MergeableSketch<T> for ConcurrentEngine<T> {
         if buffered > ABSORB_COMPACT_FACTOR * self.k {
             self.compact_absorbed();
         }
-    }
-}
-
-/// Version accounting in two halves: `&mut self` mutations (resident
-/// writes, absorbs, compactions — exclusive under the store's stripe write
-/// lock) bump the plain counter, and every leased-writer flush that moved
-/// weight bumps the shared-ops cell. Both halves only grow, so the sum is
-/// monotone; reading the shared half with `Acquire` *before* materializing
-/// a summary guarantees the materialization sees at least everything the
-/// version accounts for (in-flight leased writes may additionally be
-/// visible early — they invalidate the tag when their flush lands).
-impl<T: OrderedBits> VersionedSketch for ConcurrentEngine<T> {
-    fn version(&self) -> u64 {
-        self.version + self.shared_ops.load(Ordering::Acquire)
-    }
-}
-
-/// Shared-access leases: every lease is granted — the sketch supports any
-/// number of concurrent updaters; pooling/capping is the owner's concern
-/// (see the store's per-key writer pool).
-impl<T: OrderedBits> SharedIngest<T> for ConcurrentEngine<T> {
-    fn try_writer(&self) -> Option<Box<dyn StreamIngest<T> + Send>> {
-        Some(Box::new(LeasedWriter {
-            updater: self.sketch.updater(),
-            spill: Arc::clone(&self.spill),
-            shared_ops: Arc::clone(&self.shared_ops),
-            b: self.sketch.config().b,
-            unflushed: 0,
-        }))
-    }
-}
-
-/// Forwards the wrapped Quancurrent's operation counters (DCAS retries,
-/// snapshot miss rates, …) unchanged.
-impl<T: OrderedBits> InstrumentedSketch for ConcurrentEngine<T> {
-    fn internal_counters(&self) -> Vec<(&'static str, u64)> {
-        self.sketch.internal_counters()
     }
 }
 
@@ -596,22 +601,6 @@ impl<T: OrderedBits> TieredEngine<T> {
         }
     }
 
-    /// The current tier's engine as a read-side trait object.
-    fn inner(&self) -> &dyn SketchEngine<T> {
-        match &self.state {
-            TierState::Cold(e) => e,
-            TierState::Hot(e) => &**e,
-        }
-    }
-
-    /// The current tier's engine as a write-side trait object.
-    fn inner_mut(&mut self) -> &mut dyn SketchEngine<T> {
-        match &mut self.state {
-            TierState::Cold(e) => e,
-            TierState::Hot(e) => &mut **e,
-        }
-    }
-
     fn after_updates(&mut self, n: u64) {
         self.pressure = self.pressure.saturating_add(n);
         self.epoch_updates = self.epoch_updates.saturating_add(n);
@@ -619,27 +608,73 @@ impl<T: OrderedBits> TieredEngine<T> {
             self.promote_now();
         }
     }
+
+    /// The state version (see [`ConcurrentEngine::version`]): the
+    /// wrapper's own counter covers `&mut self` mutations and tier
+    /// migrations in either direction (the inner engines' versions reset
+    /// across migrations, so they cannot be forwarded directly), plus the
+    /// hot engine's shared-write half for leased writes. Demotion folds
+    /// the shared half into the plain counter before dropping the hot
+    /// engine, so the sum never regresses.
+    pub fn version(&self) -> u64 {
+        self.version + self.shared_writes()
+    }
+
+    /// Lease a writer, tier-aware: hot keys lease the concurrent engine's
+    /// per-thread writers; cold keys decline (`None`), keeping callers on
+    /// the exclusive path that drives promotion pressure.
+    pub fn try_writer(&self) -> Option<LeasedWriter<T>> {
+        match &self.state {
+            TierState::Cold(_) => None,
+            TierState::Hot(hot) => hot.try_writer(),
+        }
+    }
+
+    /// The hot tier's operation counters; a cold (sequential) tier has
+    /// none. Values reset on demotion, so consumers aggregating across
+    /// keys treat them as point-in-time samples, not monotone series.
+    pub(crate) fn internal_counters(&self) -> Vec<(&'static str, u64)> {
+        match &self.state {
+            TierState::Cold(_) => Vec::new(),
+            TierState::Hot(hot) => hot.internal_counters(),
+        }
+    }
 }
 
 impl<T: OrderedBits> QuantileEstimator<T> for TieredEngine<T> {
     fn stream_len(&self) -> u64 {
-        self.inner().stream_len()
+        match &self.state {
+            TierState::Cold(cold) => cold.stream_len(),
+            TierState::Hot(hot) => hot.stream_len(),
+        }
     }
 
     fn query(&self, phi: f64) -> Option<T> {
-        self.inner().query(phi)
+        match &self.state {
+            TierState::Cold(cold) => cold.query(phi),
+            TierState::Hot(hot) => hot.query(phi),
+        }
     }
 
     fn rank_weight(&self, x: T) -> u64 {
-        self.inner().rank_weight(x)
+        match &self.state {
+            TierState::Cold(cold) => cold.rank_weight(x),
+            TierState::Hot(hot) => hot.rank_weight(x),
+        }
     }
 
     fn cdf(&self, split_points: &[T]) -> Vec<f64> {
-        self.inner().cdf(split_points)
+        match &self.state {
+            TierState::Cold(cold) => QuantileEstimator::cdf(cold, split_points),
+            TierState::Hot(hot) => hot.cdf(split_points),
+        }
     }
 
     fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        self.inner().quantiles(phis)
+        match &self.state {
+            TierState::Cold(cold) => cold.quantiles(phis),
+            TierState::Hot(hot) => hot.quantiles(phis),
+        }
     }
 
     fn error_bound(&self) -> f64 {
@@ -649,7 +684,10 @@ impl<T: OrderedBits> QuantileEstimator<T> for TieredEngine<T> {
 
 impl<T: OrderedBits> StreamIngest<T> for TieredEngine<T> {
     fn update(&mut self, x: T) {
-        self.inner_mut().update(x);
+        match &mut self.state {
+            TierState::Cold(cold) => cold.update(x),
+            TierState::Hot(hot) => hot.update(x),
+        }
         self.version += 1;
         self.after_updates(1);
     }
@@ -660,7 +698,10 @@ impl<T: OrderedBits> StreamIngest<T> for TieredEngine<T> {
         if xs.is_empty() {
             return;
         }
-        self.inner_mut().update_many(xs);
+        match &mut self.state {
+            TierState::Cold(cold) => cold.update_many(xs),
+            TierState::Hot(hot) => hot.update_many(xs),
+        }
         self.version += 1;
         self.after_updates(xs.len() as u64);
     }
@@ -668,47 +709,22 @@ impl<T: OrderedBits> StreamIngest<T> for TieredEngine<T> {
 
 impl<T: OrderedBits> MergeableSketch<T> for TieredEngine<T> {
     fn to_summary(&self) -> WeightedSummary {
-        self.inner().to_summary()
+        match &self.state {
+            TierState::Cold(cold) => cold.to_summary(),
+            TierState::Hot(hot) => hot.to_summary(),
+        }
     }
 
     fn absorb_summary(&mut self, summary: &WeightedSummary) {
-        self.inner_mut().absorb_summary(summary);
+        if summary.stream_len() == 0 && summary.num_retained() == 0 {
+            // Neither tier changes; keep the version (and cached reads).
+            return;
+        }
+        match &mut self.state {
+            TierState::Cold(cold) => cold.absorb_summary(summary),
+            TierState::Hot(hot) => hot.absorb_summary(summary),
+        }
         self.version += 1;
-    }
-}
-
-/// Version accounting: the wrapper's own counter covers `&mut self`
-/// mutations and tier migrations in either direction (the inner engines'
-/// full versions reset across migrations, so they cannot be forwarded
-/// directly), plus the hot engine's shared-write half for leased writes.
-/// Demotion folds the shared half into the plain counter before dropping
-/// the hot engine, so the sum never regresses.
-impl<T: OrderedBits> VersionedSketch for TieredEngine<T> {
-    fn version(&self) -> u64 {
-        self.version + self.shared_writes()
-    }
-}
-
-/// Shared-access leases, tier-aware: hot keys lease the concurrent
-/// engine's per-thread writers; cold keys decline, keeping callers on the
-/// exclusive path that drives promotion pressure.
-impl<T: OrderedBits> SharedIngest<T> for TieredEngine<T> {
-    fn try_writer(&self) -> Option<Box<dyn StreamIngest<T> + Send>> {
-        match &self.state {
-            TierState::Cold(_) => None,
-            TierState::Hot(hot) => hot.try_writer(),
-        }
-    }
-}
-
-/// Forwards the hot tier's counters; a cold (sequential) tier has none.
-/// Values reset on demotion — see the [`InstrumentedSketch`] contract.
-impl<T: OrderedBits> InstrumentedSketch for TieredEngine<T> {
-    fn internal_counters(&self) -> Vec<(&'static str, u64)> {
-        match &self.state {
-            TierState::Cold(_) => Vec::new(),
-            TierState::Hot(hot) => hot.internal_counters(),
-        }
     }
 }
 
@@ -812,30 +828,34 @@ mod tests {
     #[test]
     fn versions_advance_on_mutations_and_hold_on_reads() {
         let mut e = ConcurrentEngine::<f64>::new(64, 4, 5);
-        let v0 = VersionedSketch::version(&e);
+        let v0 = e.version();
         e.update_many(&(0..100).map(f64::from).collect::<Vec<_>>());
-        let v1 = VersionedSketch::version(&e);
+        let v1 = e.version();
         assert!(v1 > v0);
         let snapshot = e.to_summary();
         let _ = e.query(0.5);
         let _ = QuantileEstimator::stream_len(&e);
-        assert_eq!(VersionedSketch::version(&e), v1, "reads leave the version alone");
+        assert_eq!(e.version(), v1, "reads leave the version alone");
         e.absorb_summary(&WeightedSummary::empty());
-        assert_eq!(VersionedSketch::version(&e), v1, "empty absorbs change nothing");
+        assert_eq!(e.version(), v1, "empty absorbs change nothing");
         e.absorb_summary(&snapshot);
-        assert!(VersionedSketch::version(&e) > v1);
+        assert!(e.version() > v1);
 
         let mut t = TieredEngine::<f64>::build(&cfg(), 6);
-        let v0 = VersionedSketch::version(&t);
+        let v0 = t.version();
         t.update(1.0);
-        let v1 = VersionedSketch::version(&t);
+        let v1 = t.version();
         assert!(v1 > v0);
+        t.absorb_summary(&WeightedSummary::empty());
+        assert_eq!(t.version(), v1, "empty absorbs change nothing while cold");
         t.promote_now();
-        let v2 = VersionedSketch::version(&t);
+        let v2 = t.version();
         assert!(v2 > v1, "promotion is an observable state change");
+        t.absorb_summary(&WeightedSummary::empty());
+        assert_eq!(t.version(), v2, "empty absorbs change nothing while hot");
         assert!(!t.maintain());
         assert!(t.maintain(), "idle hot key demotes");
-        assert!(VersionedSketch::version(&t) > v2, "demotion bumps the version");
+        assert!(t.version() > v2, "demotion bumps the version");
     }
 
     #[test]
@@ -869,19 +889,19 @@ mod tests {
     #[test]
     fn leased_writer_weight_is_exact_after_flush() {
         let e = ConcurrentEngine::<f64>::new(64, 4, 21);
-        let v0 = VersionedSketch::version(&e);
+        let v0 = e.version();
         let mut w = e.try_writer().expect("concurrent engine always leases");
         // 10 = 2 full Gather&Sort placements + a sub-b tail of 2.
         w.update_many(&(0..10).map(f64::from).collect::<Vec<_>>());
         w.flush();
         assert_eq!(QuantileEstimator::stream_len(&e), 10, "flushed leased weight must be exact");
         assert_eq!(e.to_summary().stream_len(), 10);
-        assert!(VersionedSketch::version(&e) > v0, "a weight-moving flush must bump the version");
+        assert!(e.version() > v0, "a weight-moving flush must bump the version");
         assert!(e.spill.lock().unwrap().len() < 4, "spill must stay below b");
         // An idle flush is version-neutral (cached summaries stay warm).
-        let v1 = VersionedSketch::version(&e);
+        let v1 = e.version();
         w.flush();
-        assert_eq!(VersionedSketch::version(&e), v1);
+        assert_eq!(e.version(), v1);
     }
 
     #[test]
@@ -906,10 +926,10 @@ mod tests {
         let mut w = e.try_writer().unwrap();
         w.update_many(&[1.0, 2.0, 3.0]);
         w.flush(); // tail of 3 parks in the spill: no drain, one bump
-        let v1 = VersionedSketch::version(&e);
+        let v1 = e.version();
         w.update_many(&[4.0, 5.0, 6.0]);
         w.flush(); // spill reaches 6, drains 4 back through Gather&Sort
-        let v2 = VersionedSketch::version(&e);
+        let v2 = e.version();
         // The drain moves weight that v1 already accounted for out of the
         // spill; the extra bump before the removal is what keeps a reader
         // materializing inside that window from caching the miss against
@@ -949,10 +969,10 @@ mod tests {
         drop(w);
         // Two genuinely idle sweeps demote; the version stays monotone
         // across the fold and the weight stays exact.
-        let v_before = VersionedSketch::version(&t);
+        let v_before = t.version();
         assert!(t.maintain());
         assert!(!t.is_hot());
-        assert!(VersionedSketch::version(&t) > v_before, "demotion fold must not regress");
+        assert!(t.version() > v_before, "demotion fold must not regress");
         assert_eq!(QuantileEstimator::stream_len(&t), 503, "demotion conserves leased weight");
     }
 

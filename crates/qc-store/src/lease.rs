@@ -29,12 +29,12 @@ const LEASE_SWEEP_INTERVAL: u64 = 512;
 /// Dropping the cache returns every lease to its key's pool (a
 /// [`WriterLease`] hands its handle back on drop), so other writers can
 /// reuse the handles instead of waiting for the next housekeeping sweep.
-pub struct LeaseCache<T = f64> {
+pub struct LeaseCache<T: OrderedBits = f64> {
     leases: HashMap<String, (WriterLease<T>, u64)>,
     tick: u64,
 }
 
-impl<T> Default for LeaseCache<T> {
+impl<T: OrderedBits> Default for LeaseCache<T> {
     fn default() -> Self {
         LeaseCache { leases: HashMap::new(), tick: 0 }
     }

@@ -18,7 +18,7 @@
 //!   a compact sequential sketch while the key is cold, promoted in place
 //!   to an [`engine::ConcurrentEngine`] (full Quancurrent machinery)
 //!   under update pressure and demoted again on cool-down; both implement
-//!   the [`qc_common::engine`] traits;
+//!   the read, write and merge traits of [`qc_common::engine`];
 //! * [`store`] — [`store::SketchStore`]: a fixed-stripe, lock-per-stripe
 //!   registry mapping string keys to live engines, with keyed
 //!   update/query, snapshot/ingest through the wire format, and cross-key

@@ -34,7 +34,7 @@
 //! demotion take — is materialized by merging the parts once (a cold
 //! key's summary is its sequential sketch's). The store caches both per
 //! key, tagged with the engine
-//! [`qc_common::engine::VersionedSketch::version`] they were built at:
+//! [`version`](TieredEngine::version) they were built at:
 //!
 //! * **warm reads** (`query`, `rank`, `cdf`, `snapshot_bytes`,
 //!   `merged_query`) take only the **shared** stripe lock, compare the
@@ -68,11 +68,12 @@
 //!
 //! The paper's writers never serialize — each thread fills a local buffer
 //! and synchronizes only at Gather&Sort/DCAS points. The store mirrors
-//! that through [`qc_common::engine::SharedIngest`]: each key carries a
-//! small pool of writer handles tagged with a **generation**, and every
-//! batch — `update`, `update_many`, `update_at`, `update_many_leased`,
-//! and each record of a recovery replay — goes through one private
-//! routine (`SketchStore::apply`) with one fast path and one slow path:
+//! that through leased writers ([`TieredEngine::try_writer`]): each key
+//! carries a small pool of writer handles tagged with a **generation**,
+//! and every batch — `update`, `update_many`, `update_at`,
+//! `update_many_leased`, and each record of a recovery replay — goes
+//! through one private routine (`SketchStore::apply`) with one fast path
+//! and one slow path:
 //!
 //! ```text
 //!  apply(key, Active | Window(id), values, held lease?)
@@ -138,14 +139,11 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use qc_common::bits::OrderedBits;
-use qc_common::engine::{
-    InstrumentedSketch, MergeableSketch, QuantileEstimator, SharedIngest, StreamIngest,
-    VersionedSketch,
-};
+use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
-use crate::engine::{EngineParts, TieredEngine};
+use crate::engine::{EngineParts, LeasedWriter, TieredEngine};
 use crate::merge::{merge_runs, merge_runs_flat};
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
@@ -493,20 +491,20 @@ impl StoreStats {
 /// back-reference, checked atomically with the pool's own generation), so
 /// a lease abandoned on a panic or forgotten by a caller cannot pin one
 /// of the key's [`StoreConfig::writer_pool`] mint slots forever.
-pub struct WriterLease<T> {
+pub struct WriterLease<T: OrderedBits> {
     generation: u64,
-    handle: Option<Box<dyn StreamIngest<T> + Send>>,
+    handle: Option<LeasedWriter<T>>,
     pool: std::sync::Weak<Mutex<WriterPool<T>>>,
 }
 
-impl<T> WriterLease<T> {
+impl<T: OrderedBits> WriterLease<T> {
     /// The key generation this lease was minted under (diagnostics).
     pub fn generation(&self) -> u64 {
         self.generation
     }
 }
 
-impl<T> Drop for WriterLease<T> {
+impl<T: OrderedBits> Drop for WriterLease<T> {
     fn drop(&mut self) {
         let (Some(handle), Some(pool)) = (self.handle.take(), self.pool.upgrade()) else {
             // Key removed (pool deallocated) or handle already returned:
@@ -522,7 +520,7 @@ impl<T> Drop for WriterLease<T> {
     }
 }
 
-impl<T> std::fmt::Debug for WriterLease<T> {
+impl<T: OrderedBits> std::fmt::Debug for WriterLease<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WriterLease").field("generation", &self.generation).finish()
     }
@@ -615,13 +613,13 @@ enum Cached {
     Flat(Arc<WeightedSummary>),
 }
 
-struct WriterPool<T> {
+struct WriterPool<T: OrderedBits> {
     /// Mirror of [`KeyEntry::generation`], so a dropping lease can
     /// validate atomically against concurrent invalidation without the
     /// stripe lock.
     generation: u64,
     /// Handles returned after a flush — they hold no weight while idle.
-    idle: Vec<Box<dyn StreamIngest<T> + Send>>,
+    idle: Vec<LeasedWriter<T>>,
     /// Handles minted this generation (idle + checked out), capped by
     /// [`StoreConfig::writer_pool`].
     minted: usize,
@@ -664,7 +662,7 @@ impl<T: OrderedBits> KeyEntry<T> {
     /// Check a leased writer handle out of the pool (minting one from the
     /// engine if under the cap). `None` sends the caller to the
     /// exclusive-lock fallback. Runs under the shared stripe lock.
-    fn checkout(&self, cap: usize) -> Option<Box<dyn StreamIngest<T> + Send>> {
+    fn checkout(&self, cap: usize) -> Option<LeasedWriter<T>> {
         if cap == 0 {
             return None;
         }
@@ -682,7 +680,7 @@ impl<T: OrderedBits> KeyEntry<T> {
 
     /// Return a (flushed) handle to the pool. The caller holds the shared
     /// stripe lock, so the generation cannot have moved since checkout.
-    fn give_back(&self, handle: Box<dyn StreamIngest<T> + Send>) {
+    fn give_back(&self, handle: LeasedWriter<T>) {
         self.pool.lock().unwrap().idle.push(handle);
     }
 }
@@ -937,6 +935,12 @@ impl<T: OrderedBits> SketchStore<T> {
     /// fresh active segment is opened for new appends. With
     /// [`FsyncPolicy::PerFrame`] the recovered store conserves every
     /// key's weight exactly up to the last fsync'd frame.
+    ///
+    /// A recovered key is ε-equal, not bit-equal, to the live key it
+    /// replaces: its checkpointed state is absorbed through the
+    /// randomized merge, so its retained values can differ within the
+    /// ε(k) rank error. Two recoveries of one directory are
+    /// byte-identical.
     ///
     /// Without [`StoreConfig::data_dir`] this is [`SketchStore::new`] plus
     /// an empty report: a purely in-memory store.
@@ -1559,14 +1563,14 @@ impl<T: OrderedBits> SketchStore<T> {
     /// key is absent — for callers that keep, ship or merge it.
     ///
     /// This is the cached read path: a warm call takes the shared stripe
-    /// lock, compares the engine's
-    /// [`version`](qc_common::engine::VersionedSketch::version) against
-    /// the cache tag, and clones only the `Arc`. A miss materializes the
-    /// summary ([`MergeableSketch::to_summary`]) under the same shared lock
-    /// and publishes it for subsequent readers — exact whenever the engine
-    /// is settled (no leased write in flight); a concurrent leased write
-    /// can make the materialization a transiently relaxed view, whose tag
-    /// the write's own version bump invalidates when its flush completes.
+    /// lock, compares the engine's [`version`](TieredEngine::version)
+    /// against the cache tag, and clones only the `Arc`. A miss
+    /// materializes the summary ([`MergeableSketch::to_summary`]) under the
+    /// same shared lock and publishes it for subsequent readers — exact
+    /// whenever the engine is settled (no leased write in flight); a
+    /// concurrent leased write can make the materialization a transiently
+    /// relaxed view, whose tag the write's own version bump invalidates
+    /// when its flush completes.
     /// `query`, `rank` and `cdf` of a hot key never read this summary.
     pub fn summary_of(&self, key: &str) -> Option<Arc<WeightedSummary>> {
         let map = self.stripe_of(key).read().unwrap();
@@ -2154,12 +2158,11 @@ impl<T: OrderedBits> SketchStore<T> {
     }
 
     /// A telemetry snapshot of the store's registry, extended with the
-    /// engine-internal counters ([`qc_common::engine::InstrumentedSketch`])
-    /// summed across all
-    /// resident keys — Quancurrent's DCAS retries, snapshot miss rates and
-    /// friends, sampled under shared stripe locks and exported as
-    /// `sketch_*` gauges (gauges, not counters: a key's internal counts
-    /// reset when demotion rebuilds its engine, and removal forgets them).
+    /// engine-internal counters summed across all resident keys —
+    /// Quancurrent's DCAS retries, snapshot miss rates and friends,
+    /// sampled under shared stripe locks and exported as `sketch_*` gauges
+    /// (gauges, not counters: a key's internal counts reset when demotion
+    /// rebuilds its engine, and removal forgets them).
     pub fn telemetry_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.registry.snapshot();
         if !self.registry.is_enabled() {

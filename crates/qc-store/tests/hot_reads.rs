@@ -13,7 +13,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::thread;
 
-use qc_common::{OrderedBits, QuantileEstimator, SharedIngest, WeightedSummary};
+use qc_common::{OrderedBits, QuantileEstimator, StreamIngest, WeightedSummary};
 use qc_store::{encode_summary, ConcurrentEngine, SketchStore, StoreConfig};
 
 const PHIS: [f64; 7] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];

@@ -97,7 +97,7 @@ fn tier_transitions_are_counted_and_evented() {
     assert_eq!(snap.counter("store_promotions"), Some(1));
     assert_eq!(snap.counter("store_demotions"), Some(0));
     // The hot key's concurrent engine surfaces its internal counters
-    // through the InstrumentedSketch bridge.
+    // in the snapshot.
     assert!(
         snap.gauge("sketch_batches").is_some(),
         "hot engine counters missing from snapshot: {:?}",

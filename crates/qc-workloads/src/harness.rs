@@ -100,8 +100,8 @@ where
     result
 }
 
-/// Feed `values` through any single-writer engine (trait-object friendly:
-/// `E` may be unsized, e.g. `dyn SketchEngine<f64>`), flush, and measure.
+/// Feed `values` through any single-writer engine (`E` may be unsized,
+/// e.g. `dyn StreamIngest<f64>`), flush, and measure.
 pub fn ingest_throughput<T, E>(engine: &mut E, values: &[T]) -> Throughput
 where
     T: OrderedBits,

@@ -4,10 +4,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use qc_common::bits::OrderedBits;
-use qc_common::engine::{
-    ConcurrentIngest, InstrumentedSketch, QuantileEstimator, SharedIngest, StreamIngest,
-    VersionedSketch,
-};
+use qc_common::engine::{ConcurrentIngest, QuantileEstimator, StreamIngest};
 use qc_common::summary::{Summary, WeightedSummary};
 use qc_mwcas::{Arena, MwcasWord};
 use qc_reclaim::{Domain, DomainConfig, Shared};
@@ -233,6 +230,27 @@ impl<T: OrderedBits> Quancurrent<T> {
         self.shared.counters.snapshot()
     }
 
+    /// The operation counters ([`SketchStats`]) under stable snake_case
+    /// names, so DCAS retries and snapshot miss rates surface in a metrics
+    /// registry next to store- and server-level instruments. Cumulative
+    /// and read with relaxed atomics: exact once the sketch is quiescent.
+    pub fn internal_counters(&self) -> Vec<(&'static str, u64)> {
+        let stats = self.stats();
+        vec![
+            ("batches", stats.batches),
+            ("propagations", stats.propagations),
+            ("merges", stats.merges),
+            ("dcas_retries", stats.dcas_retries),
+            ("level_waits", stats.level_waits),
+            ("snapshots_built", stats.snapshots_built),
+            ("snapshot_retries", stats.snapshot_retries),
+            ("snapshot_cache_hits", stats.cache_hits),
+            ("snapshot_cache_misses", stats.cache_misses),
+            ("holes", stats.holes),
+            ("gs_full_spins", stats.gs_full_spins),
+        ]
+    }
+
     /// Memory diagnostics: reclamation domain counters and DCAS descriptor
     /// footprint in bytes.
     pub fn memory_stats(&self) -> (qc_reclaim::DomainStats, usize) {
@@ -308,68 +326,11 @@ impl<T: OrderedBits> QuantileEstimator<T> for Quancurrent<T> {
     }
 }
 
-/// Version capability: every transition of the shared levels is either a
-/// batch installation or a propagation step, and both bump a counter at
-/// their DCAS linearization point — their sum is a state version.
-///
-/// The counters are `Relaxed`, so a fully unsynchronized reader may see a
-/// version slightly behind the levels it can already observe; under
-/// external synchronization (a store's stripe lock) or at quiescence the
-/// reading is exact, which is what the keyed store's summary cache needs.
-/// Elements still inside Gather&Sort buffers or updater-local tails are
-/// invisible to queries (the r-relaxation), so they correctly do not
-/// advance the version.
-impl<T: OrderedBits> VersionedSketch for Quancurrent<T> {
-    fn version(&self) -> u64 {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.shared.counters.batches.load(Relaxed) + self.shared.counters.propagations.load(Relaxed)
-    }
-}
-
 /// Multi-writer engine capability: each writer is an owned [`Updater`]
 /// feeding the paper's three-level ingestion path.
 impl<T: OrderedBits> ConcurrentIngest<T> for Quancurrent<T> {
     fn writer(&self) -> Box<dyn StreamIngest<T> + Send + '_> {
         Box::new(self.updater())
-    }
-}
-
-/// Shared-access leases: an [`Updater`] shares ownership of the sketch
-/// internals (it holds the `Arc`), so it is exactly the self-contained
-/// handle [`SharedIngest`] asks for and every lease is granted.
-///
-/// The handle keeps the paper's relaxed semantics verbatim: its
-/// [`StreamIngest::flush`] is a no-op, so a sub-`b` thread-local tail
-/// stays invisible to queries (part of the r-relaxation bound). Layers
-/// that need exact post-flush accounting wrap the updater — see the keyed
-/// store's concurrent engine, which re-homes taken tails via
-/// [`Updater::take_pending`].
-impl<T: OrderedBits> SharedIngest<T> for Quancurrent<T> {
-    fn try_writer(&self) -> Option<Box<dyn StreamIngest<T> + Send>> {
-        Some(Box::new(self.updater()))
-    }
-}
-
-/// Telemetry bridge: the paper's operation counters ([`SketchStats`])
-/// exposed under stable names, so DCAS retries and snapshot miss rates
-/// surface in a metrics registry next to store- and server-level
-/// instruments.
-impl<T: OrderedBits> InstrumentedSketch for Quancurrent<T> {
-    fn internal_counters(&self) -> Vec<(&'static str, u64)> {
-        let stats = self.stats();
-        vec![
-            ("batches", stats.batches),
-            ("propagations", stats.propagations),
-            ("merges", stats.merges),
-            ("dcas_retries", stats.dcas_retries),
-            ("level_waits", stats.level_waits),
-            ("snapshots_built", stats.snapshots_built),
-            ("snapshot_retries", stats.snapshot_retries),
-            ("snapshot_cache_hits", stats.cache_hits),
-            ("snapshot_cache_misses", stats.cache_misses),
-            ("holes", stats.holes),
-            ("gs_full_spins", stats.gs_full_spins),
-        ]
     }
 }
 

@@ -1,6 +1,7 @@
-//! Tour of the unified sketch-engine API: the same code drives every
-//! backend in the workspace through `Box<dyn SketchEngine<f64>>`, then a
-//! tiered keyed store shows promotion and cool-down in action.
+//! Tour of the sketch-engine API: one generic function drives every
+//! backend in the workspace through the `StreamIngest` and
+//! `QuantileEstimator` traits, then a tiered keyed store shows promotion
+//! and cool-down in action.
 //!
 //! ```text
 //! cargo run --release --example engine_tour
@@ -9,39 +10,38 @@
 use qc_fcds::FcdsEngine;
 use qc_sequential::Sketch;
 use quancurrent_suite::store::engine::{ConcurrentEngine, TieredEngine};
-use quancurrent_suite::{SketchEngine, SketchStore, StoreConfig};
+use quancurrent_suite::{QuantileEstimator, SketchStore, StoreConfig, StreamIngest};
+
+/// Ingest a skewed stream, flush, query, and print one row.
+fn tour<E: StreamIngest<f64> + QuantileEstimator<f64>>(name: &str, mut engine: E) {
+    for i in 0..100_000u64 {
+        // Smooth ramp with a heavy tail every 1000 elements.
+        let x = if i % 1000 == 0 { 1e6 + i as f64 } else { (i % 10_000) as f64 };
+        engine.update(x);
+    }
+    engine.flush();
+    let [p50, p99] = match engine.quantiles(&[0.5, 0.99])[..] {
+        [a, b] => [a.unwrap(), b.unwrap()],
+        _ => unreachable!(),
+    };
+    println!(
+        "{:<12} {:>10} {:>12.1} {:>12.1} {:>10.5}",
+        name,
+        engine.stream_len(),
+        p50,
+        p99,
+        engine.error_bound()
+    );
+}
 
 fn main() {
     let k = 256;
-    let backends: Vec<(&str, Box<dyn SketchEngine<f64>>)> = vec![
-        ("sequential", Box::new(Sketch::<f64>::with_seed(k, 1))),
-        ("quancurrent", Box::new(ConcurrentEngine::<f64>::new(k, 4, 2))),
-        ("fcds", Box::new(FcdsEngine::<f64>::with_seed(k, 1024, 3))),
-        ("tiered", Box::new(TieredEngine::<f64>::new(k, 4, 4, 4096))),
-    ];
-
-    // One loop, four backends: ingest a skewed stream, flush, query.
+    // One function, four backends.
     println!("{:<12} {:>10} {:>12} {:>12} {:>10}", "engine", "n", "p50", "p99", "eps(k)");
-    for (name, mut engine) in backends {
-        for i in 0..100_000u64 {
-            // Smooth ramp with a heavy tail every 1000 elements.
-            let x = if i % 1000 == 0 { 1e6 + i as f64 } else { (i % 10_000) as f64 };
-            engine.update(x);
-        }
-        engine.flush();
-        let [p50, p99] = match engine.quantiles(&[0.5, 0.99])[..] {
-            [a, b] => [a.unwrap(), b.unwrap()],
-            _ => unreachable!(),
-        };
-        println!(
-            "{:<12} {:>10} {:>12.1} {:>12.1} {:>10.5}",
-            name,
-            engine.stream_len(),
-            p50,
-            p99,
-            engine.error_bound()
-        );
-    }
+    tour("sequential", Sketch::<f64>::with_seed(k, 1));
+    tour("quancurrent", ConcurrentEngine::<f64>::new(k, 4, 2));
+    tour("fcds", FcdsEngine::<f64>::with_seed(k, 1024, 3));
+    tour("tiered", TieredEngine::<f64>::new(k, 4, 4, 4096));
 
     // The tiered store: cold keys stay cheap, the hot key promotes.
     let store = SketchStore::new(

@@ -8,11 +8,11 @@
 //! * [`sequential`] — the Agarwal et al. sequential sketch it builds on.
 //! * [`fcds`] — the FCDS concurrent baseline it is compared against.
 //! * [`common`] — shared kernels (key embeddings, summaries, error math)
-//!   and the unified sketch-engine trait API ([`common::engine`]): every
-//!   backend above implements the applicable capability traits
-//!   ([`QuantileEstimator`], [`StreamIngest`], [`MergeableSketch`],
-//!   [`ConcurrentIngest`], [`SharedIngest`]), so stores, servers, and
-//!   benches are written once against [`SketchEngine`].
+//!   and the sketch-engine traits ([`common::engine`]): every backend
+//!   above implements the applicable ones of [`QuantileEstimator`],
+//!   [`StreamIngest`], [`MergeableSketch`] and [`ConcurrentIngest`], so
+//!   the throughput harness races Quancurrent and FCDS through one seam
+//!   and any backend's summary is absorbable by any other.
 //! * [`store`] — the sharded keyed sketch store: versioned wire format,
 //!   weight-aware summary merging, and the lock-striped key registry.
 //!   Every key is a [`TieredEngine`]: it starts on the compact sequential
@@ -48,8 +48,7 @@ pub use qc_workloads as workloads;
 pub use quancurrent;
 
 pub use qc_common::{
-    ConcurrentIngest, InstrumentedSketch, MergeableSketch, OrderedBits, QuantileEstimator,
-    SharedIngest, SketchEngine, StreamIngest, Summary, VersionedSketch,
+    ConcurrentIngest, MergeableSketch, OrderedBits, QuantileEstimator, StreamIngest, Summary,
 };
 pub use qc_server::{Client, Server, ServerConfig};
 pub use qc_store::{ConcurrentEngine, SketchStore, StoreConfig, TieredEngine, WireError};
