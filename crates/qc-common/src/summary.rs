@@ -227,6 +227,25 @@ impl WeightedSummary {
     }
 }
 
+/// The item whose weight interval `[prefix[i], prefix[i] + w_i)` contains
+/// `target`: the last `i` with `prefix[i] <= target`, found with one binary
+/// search. `target` must be below the items' total weight.
+fn prefix_select(items: &[WeightedItem], prefix: &[u64], target: u64) -> u64 {
+    let idx = match prefix.binary_search(&target) {
+        Ok(mut i) => {
+            // Ties in `prefix` arise only from zero-weight items, which
+            // `from_parts` forbids; still, step to the last equal entry for
+            // robustness.
+            while i + 1 < prefix.len() && prefix[i + 1] == target {
+                i += 1;
+            }
+            i
+        }
+        Err(ins) => ins - 1, // ins >= 1 because prefix[0] == 0 <= target
+    };
+    items[idx].value_bits
+}
+
 impl Summary for WeightedSummary {
     fn stream_len(&self) -> u64 {
         self.total
@@ -241,21 +260,7 @@ impl Summary for WeightedSummary {
         // ⌊φn⌋, clamped into the last weight interval so φ = 1 returns the
         // maximum retained element rather than falling off the end.
         let target = ((phi * self.total as f64).floor() as u64).min(self.total - 1);
-        // Find the item whose weight interval [prefix[i], prefix[i]+w_i)
-        // contains `target`: the last i with prefix[i] <= target.
-        let idx = match self.prefix.binary_search(&target) {
-            Ok(mut i) => {
-                // Ties in `prefix` arise only from zero-weight items, which
-                // `from_parts` forbids; still, step to the last equal entry
-                // for robustness.
-                while i + 1 < self.prefix.len() && self.prefix[i + 1] == target {
-                    i += 1;
-                }
-                i
-            }
-            Err(ins) => ins - 1, // ins >= 1 because prefix[0] == 0 <= target
-        };
-        Some(self.items[idx].value_bits)
+        Some(prefix_select(&self.items, &self.prefix, target))
     }
 
     fn rank_bits(&self, x_bits: u64) -> u64 {
@@ -527,7 +532,12 @@ impl Summary for UnionView<'_> {
         }
         // The same ⌊φn⌋ as `WeightedSummary::quantile_bits`, bit for bit.
         let target = ((phi.clamp(0.0, 1.0) * self.total as f64).floor() as u64).min(self.total - 1);
-        Some(select(&self.runs, target))
+        Some(match self.runs[..] {
+            // One flat part answers with its own prefix search, as the
+            // summary alone would.
+            [Run::Items { items, prefix, .. }] => prefix_select(items, prefix, target),
+            _ => select(&self.runs, target),
+        })
     }
 
     fn rank_bits(&self, x_bits: u64) -> u64 {

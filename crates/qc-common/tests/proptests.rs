@@ -114,6 +114,35 @@ proptest! {
         }
     }
 
+    /// A view of one flat part, beside any number of empty parts, answers
+    /// what the summary alone answers, bit for bit — ties, zero weights and
+    /// both ends of the bit space included.
+    #[test]
+    fn a_one_flat_part_view_equals_the_summary(
+        items in prop::collection::vec((union_value(), 0u64..20), 0..40),
+        empties in 0usize..3,
+        phis in prop::collection::vec(0.0f64..=1.0, 1..8),
+        probes in prop::collection::vec(union_value(), 1..8),
+    ) {
+        let summary = WeightedSummary::from_items(
+            items.iter().map(|&(v, w)| WeightedItem { value_bits: v, weight: w }).collect(),
+        );
+        let (empty, no_levels) = (WeightedSummary::empty(), LeveledSummary::from_runs(&[]));
+        let mut view = UnionView::new();
+        for _ in 0..empties {
+            view.push_weighted(&empty);
+            view.push_leveled(&no_levels);
+            view.push_sorted(&[], 1);
+        }
+        view.push_weighted(&summary);
+        prop_assert_eq!(view.stream_len(), summary.stream_len());
+        for phi in [0.0, 1.0].into_iter().chain(phis) {
+            prop_assert_eq!(view.quantile_bits(phi), summary.quantile_bits(phi), "phi {}", phi);
+        }
+        let probes: Vec<u64> = probes.into_iter().chain([0, 1, u64::MAX]).collect();
+        prop_assert_eq!(view.cdf_bits(&probes), summary.cdf_bits(&probes));
+    }
+
     /// Packing is lossless at every offset width, including the zero
     /// width of a run of equal values and the full 64 bits.
     #[test]

@@ -9,7 +9,6 @@
 //!
 //! * [`QuantilesSketch`] — the core, operating on 64-bit ordered keys.
 //! * [`Sketch`] — typed wrapper over any [`qc_common::OrderedBits`] type.
-//! * [`SketchBuilder`] — choose `k` directly or from a target error.
 //!
 //! ```
 //! use qc_sequential::Sketch;
@@ -26,10 +25,8 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 #![forbid(unsafe_code)]
 
-mod builder;
 mod sketch;
 mod typed;
 
-pub use builder::SketchBuilder;
 pub use sketch::QuantilesSketch;
 pub use typed::Sketch;

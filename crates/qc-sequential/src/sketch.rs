@@ -132,7 +132,7 @@ impl QuantilesSketch {
     /// This is the mergeable-summaries primitive generalized to weighted
     /// input: it lets a *concurrent* sketch's snapshot (levels of weight
     /// `2^i`) be folded into a sequential sketch, making Quancurrent
-    /// snapshots mergeable (see the workspace's `convert` module).
+    /// snapshots mergeable (see [`QuantilesSketch::absorb_summary`]).
     ///
     /// # Panics
     /// For `level > 0`, `sorted.len()` must be a multiple of `k` (level
@@ -513,6 +513,28 @@ mod tests {
         s.absorb_summary(&other);
         assert_eq!(s.n(), 1500);
         assert_eq!(s.summary().stream_len(), 1500);
+    }
+
+    #[test]
+    fn absorb_summary_of_a_concurrent_snapshot_keeps_estimates() {
+        // A Quancurrent snapshot's shape: full level arrays of `2k` and `k`
+        // values at weights `2^j`, plus a ragged unit-weight buffer.
+        let k = 64u64;
+        let spread = |len: u64, offset: u64| -> Vec<u64> {
+            (0..len).map(|i| i * 100_000 / len + offset).collect()
+        };
+        let (level1, level3, buffer) = (spread(2 * k, 3), spread(k, 7), vec![11, 50_000, 99_999]);
+        let snapshot =
+            WeightedSummary::from_parts([(&buffer[..], 1), (&level1[..], 2), (&level3[..], 8)]);
+        let mut s = QuantilesSketch::with_seed(k as usize, 3);
+        s.absorb_summary(&snapshot);
+        assert_eq!(s.n(), snapshot.stream_len());
+        assert_eq!(s.summary().stream_len(), snapshot.stream_len());
+        let n = snapshot.stream_len() as f64;
+        for phi in [0.1, 0.5, 0.9] {
+            let rank = snapshot.rank_bits(s.quantile_bits(phi).unwrap()) as f64 / n;
+            assert!((rank - phi).abs() <= 4.0 * s.epsilon() + 8.0 / n, "phi={phi}: rank {rank}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! demotions.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use qc_common::bits::OrderedBits;
 use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
@@ -103,8 +103,8 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
 ///
 /// [`EngineParts::view`] answers over their union — rank is additive
 /// across the parts — exactly as a flat summary of every part's items
-/// would. [`ConcurrentEngine::resident_summary`] merges them once into
-/// the engine's bounded summary.
+/// would. [`EngineParts::summary`] merges them once into the engine's
+/// bounded summary and keeps it.
 #[derive(Debug)]
 pub struct EngineParts {
     /// The snapshot's level arrays, indexed by level: every value in
@@ -116,12 +116,24 @@ pub struct EngineParts {
     tail: Vec<u64>,
     /// The absorbed bulk, then the buffered absorbs.
     absorbed: Vec<Arc<WeightedSummary>>,
+    /// The engine's level size and merge seed, which [`EngineParts::summary`]
+    /// merges with.
+    k: usize,
+    merge_seed: u64,
+    /// The merged summary, built on first demand.
+    summary: OnceLock<Arc<WeightedSummary>>,
 }
 
 impl EngineParts {
     /// The union of the parts, answering without a merge.
     pub fn view(&self) -> UnionView<'_> {
         let mut view = UnionView::new();
+        self.push_into(&mut view);
+        view
+    }
+
+    /// Add every part to `view`.
+    pub fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
         for (j, run) in self.levels.iter().enumerate() {
             view.push_sorted(run, 1 << j);
         }
@@ -129,7 +141,26 @@ impl EngineParts {
         for summary in &self.absorbed {
             view.push_weighted(summary);
         }
-        view
+    }
+
+    /// The parts merged once into the engine's bounded summary, on the
+    /// first call, and shared by every later one.
+    pub fn summary(&self) -> Arc<WeightedSummary> {
+        Arc::clone(self.summary.get_or_init(|| Arc::new(self.merge())))
+    }
+
+    /// One merge of the parts. The level arrays go into the merge kernel as
+    /// the level runs they are and the tail as one level-0 run, so every
+    /// level receives the multiset the flat composition
+    /// `merge_summaries([quiescent, tail, absorbed, ..])` gave it, and the
+    /// compaction coins and the output bits are the same.
+    fn merge(&self) -> WeightedSummary {
+        let absorbed: Vec<Vec<Vec<u64>>> =
+            self.absorbed.iter().map(|summary| summary.level_runs()).collect();
+        let runs = [&self.levels[..], std::slice::from_ref(&self.tail)]
+            .into_iter()
+            .chain(absorbed.iter().map(Vec::as_slice));
+        merge_runs_flat(runs, self.k, self.merge_seed)
     }
 }
 
@@ -187,23 +218,14 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
         tail.sort_unstable();
         let absorbed =
             std::iter::once(&self.absorbed).chain(&self.absorb_buffer).cloned().collect();
-        EngineParts { levels, tail, absorbed }
+        let (k, merge_seed) = (self.k, self.merge_seed);
+        EngineParts { levels, tail, absorbed, k, merge_seed, summary: OnceLock::new() }
     }
 
     /// The engine's full resident summary: its [`EngineParts`] merged once
-    /// (see [`ConcurrentEngine::parts`] for what is exact when). The level
-    /// arrays go into the merge kernel as the level runs they are and the
-    /// tail as one level-0 run, so every level receives the multiset the
-    /// flat composition `merge_summaries([quiescent, tail, absorbed, ..])`
-    /// gave it, and the compaction coins and the output bits are the same.
+    /// (see [`ConcurrentEngine::parts`] for what is exact when).
     pub fn resident_summary(&self) -> WeightedSummary {
-        let parts = self.parts();
-        let absorbed: Vec<Vec<Vec<u64>>> =
-            parts.absorbed.iter().map(|summary| summary.level_runs()).collect();
-        let runs = [&parts.levels[..], std::slice::from_ref(&parts.tail)]
-            .into_iter()
-            .chain(absorbed.iter().map(Vec::as_slice));
-        merge_runs_flat(runs, self.k, self.merge_seed)
+        self.parts().merge()
     }
 
     /// Total absorbed remote weight (compacted bulk + uncompacted buffer).

@@ -22,47 +22,54 @@
 //!   `query`/`merged_query` see every element ever handed to the store,
 //!   local or ingested, with exact stream-length accounting.
 //!
-//! # Read path: versioned caching of parts and summaries
+//! # Read path: one pipeline
 //!
-//! A hot key's state is a set of parts ([`EngineParts`]): the sketch's
-//! sorted level arrays, one sorted tail (Gather&Sort pending, unflushed
-//! writer tail, leased-writer spill) and the absorbed summaries. Its
-//! `query`, `rank` and `cdf` answer over their union as a [`UnionView`] —
-//! rank is additive across parts — with no flatten and no merge, exact
-//! over the parts. Only a **summary** — what `summary_of`,
-//! `snapshot_bytes`, the `merged_*` and `*_summary` reads, checkpoints and
-//! demotion take — is materialized by merging the parts once (a cold
-//! key's summary is its sequential sketch's). The store caches both per
-//! key, tagged with the engine
-//! [`version`](TieredEngine::version) they were built at:
+//! Every read — `query`, `rank`, `cdf`, `summary_of`, `snapshot_bytes`,
+//! `query_range`, `merged_query`, `merged_query_range`,
+//! `merged_range_summary` and `window_snapshot` — is one call of the
+//! private `SketchStore::read`, the read-side twin of `apply` below:
 //!
-//! * **warm reads** (`query`, `rank`, `cdf`, `snapshot_bytes`,
-//!   `merged_query`) take only the **shared** stripe lock, compare the
-//!   engine version against the cache tag, and clone nothing but an
-//!   `Arc` — they never block each other and never rebuild. A warm hot
-//!   read then runs only the selection over the parts;
-//! * **misses** gather the parts, or materialize the summary, under the
-//!   same shared lock and publish the result for the next reader; the
-//!   version is read
-//!   **before** gathering, so nothing is ever tagged newer than its
-//!   contents. A hot key's answers come from its parts even when a flat
-//!   summary is cached at the same version, so an answer is the same
-//!   whether its read hit or missed;
-//! * **exclusive writers** (`ingest_bytes`, `cool_down`, `remove`, the
-//!   fallback write path) take the exclusive lock; **leased writers**
-//!   (the shared write path below) mutate the engine under the shared
-//!   lock but bump the engine version around every weight movement — so
-//!   parts or a summary built while a leased write was in flight carry a
-//!   tag the write's completion bump supersedes, and no read ever serves
-//!   a state whose version matches the engine's *settled* state while
-//!   missing weight that state accounts for;
-//! * **multi-part reads** (`query_range`, `merged_query_range`,
-//!   `merged_query`) clone the `Arc`s of every part they cover — sealed
-//!   windows, cached live summaries — under the shared lock(s), then
-//!   answer over the parts' union as one [`UnionView`] with every lock
-//!   released: ranks add across parts, so nothing is merged. Only the
-//!   summary-returning reads (`range_summary`, `merged_range_summary`,
-//!   `merged_summary`) merge, once, after the locks are gone.
+//! ```text
+//!  read(keys, span?)                                        key by key
+//!    │
+//!    ├─ SHARED stripe lock
+//!    │    the sealed windows the span covers                (Arc clones)
+//!    │    the key's one form, if the span covers its live engine:
+//!    │      cached at the engine's version?  hit → Arc clone
+//!    │      else miss → gather it (version read first) and publish it
+//!    │        hot key:  EngineParts      (level arrays, sorted tail, absorbed)
+//!    │        cold key: WeightedSummary  (the sequential sketch's)
+//!    │
+//!    └─ NO lock: ReadView
+//!         ├─ view()         → UnionView: quantile, rank, cdf; ranks add
+//!         │                   across parts, nothing is merged
+//!         └─ into_summary() → one bounded summary: a lone live key's flat
+//!                             summary as is, else one exact-weight merge
+//!                             of every part's level runs
+//! ```
+//!
+//! * **One form per key per tier.** A hot key answers over its parts and
+//!   a cold key over its summary, whichever read asks, so `query(k)`,
+//!   `merged_query(&[k])` and an unwindowed `query_range(k, ..)` agree bit
+//!   for bit. A hot key's flat summary is merged from its cached parts by
+//!   the first summary read at that version, and kept with them.
+//! * **Versioned cache.** The form is tagged with the engine
+//!   [`version`](TieredEngine::version) read **before** gathering, so
+//!   nothing is tagged newer than its contents, and published
+//!   unconditionally. Leased writers (the shared write path below) mutate
+//!   the engine under the shared lock but bump the version around every
+//!   weight movement, so a form gathered while a leased write was in
+//!   flight carries a tag the write's completion bump supersedes: no read
+//!   serves a state whose version matches the engine's *settled* state
+//!   while missing weight that state accounts for. Exclusive writers
+//!   (`ingest_bytes`, `cool_down`, `remove`, the fallback write path) take
+//!   the exclusive lock.
+//! * **Spans.** Without a span, or on an unwindowed store, a read covers
+//!   each key's live engine only. With one, it covers every sealed window
+//!   overlapping `[t0, t1)` — a downsampled window whole whenever the span
+//!   touches any part of it, the coarse-granularity contract downsampling
+//!   trades for memory — plus the active window when the span covers its
+//!   id.
 //!
 //! # Write path: one pipeline
 //!
@@ -366,20 +373,18 @@ pub struct StoreStats {
     /// Retained 64-bit words across all engines (memory proxy). **Sweep**.
     /// Local-only.
     pub retained: u64,
-    /// Reads answered from a cached summary or a hot key's cached parts
-    /// (shared lock + `Arc` clone). **Counter**, bumped before the read's
-    /// `reads` bump. Local-only.
+    /// Key reads whose form — a hot key's parts, a cold key's summary —
+    /// was cached at the engine's version (shared lock + `Arc` clone).
+    /// **Counter**, bumped before the read's `reads` bump. Local-only.
     pub cache_hits: u64,
-    /// Reads that had to materialize a summary or gather a hot key's
-    /// parts. **Counter**, bumped before the read's `reads` bump.
-    /// Local-only.
+    /// Key reads that had to gather a hot key's parts or materialize a
+    /// cold key's summary. **Counter**, bumped before the read's `reads`
+    /// bump. Local-only.
     pub cache_misses: u64,
-    /// Cached reads served (`summary_of` and everything built on it —
-    /// `snapshot_bytes`, `merged_query` per key — plus `query`, `rank` and
-    /// `cdf`, over a hot key's parts or a cold key's summary).
-    /// **Counter**, bumped after the read's hit-or-miss classification —
-    /// so `cache_hits + cache_misses >= reads` holds for every sample
-    /// (see [`StoreStats::consistency`]). Local-only.
+    /// Key forms read: one per present key per read that covers the key's
+    /// live engine. **Counter**, bumped after the read's hit-or-miss
+    /// classification — so `cache_hits + cache_misses >= reads` holds for
+    /// every sample (see [`StoreStats::consistency`]). Local-only.
     pub reads: u64,
     /// Write batches that rode the shared-lock fast path (a leased
     /// per-thread writer handle). **Counter**, bumped after `updates`
@@ -541,9 +546,8 @@ impl std::fmt::Display for StaleLease {
 
 impl std::error::Error for StaleLease {}
 
-/// One key's slot in a stripe map: the live engine, its read cache (a hot
-/// key's gathered parts, the materialized summary), and the leased-writer
-/// pool.
+/// One key's slot in a stripe map: the live engine, its read cache (the
+/// key's one form), and the leased-writer pool.
 struct KeyEntry<T: OrderedBits> {
     engine: TieredEngine<T>,
     /// Lease generation: every leased write validates its tag against
@@ -555,11 +559,10 @@ struct KeyEntry<T: OrderedBits> {
     /// Mirrored into [`WriterPool::generation`] (kept in sync under the
     /// same write-lock sections) for lease-drop-time validation.
     generation: u64,
-    /// The last gathered parts and materialized summary, tagged with the
-    /// engine version that produced them. The inner mutex guards only the
-    /// tag-compare / `Arc`-clone critical section (a handful of
-    /// instructions), so readers sharing the stripe lock barely serialize
-    /// on it.
+    /// The last gathered form, tagged with the engine version that
+    /// produced it. The inner mutex guards only the tag-compare /
+    /// `Arc`-clone critical section (a handful of instructions), so readers
+    /// sharing the stripe lock barely serialize on it.
     cache: Mutex<Option<CacheSlot>>,
     /// Idle leased writer handles plus the mint count; the mutex guards
     /// only push/pop (writes run **outside** it, so checkouts never
@@ -582,35 +585,38 @@ struct KeyEntry<T: OrderedBits> {
     windows: Option<Box<Mutex<WindowState>>>,
 }
 
-/// One key's read cache at one engine version.
+/// One key's read cache: its form at one engine version.
 struct CacheSlot {
     version: u64,
-    /// A hot key's gathered parts, which every `query`, `rank` and `cdf`
-    /// of the key answers over.
-    parts: Option<Arc<EngineParts>>,
-    /// The flat summary, built on first demand: by the summary-returning
-    /// reads, and by every read of a cold key.
-    summary: Option<Arc<WeightedSummary>>,
+    form: Form,
 }
 
-impl CacheSlot {
-    /// The slot tagged `version`: the cached one if it carries that tag,
-    /// else an empty one put in its place.
-    fn at(cache: &mut Option<CacheSlot>, version: u64) -> &mut CacheSlot {
-        if !matches!(cache, Some(slot) if slot.version == version) {
-            *cache = Some(CacheSlot { version, parts: None, summary: None });
-        }
-        cache.as_mut().expect("just filled")
-    }
-}
-
-/// What a single-key read answers over, taken from the cache under the
-/// shared stripe lock and evaluated after releasing it.
-enum Cached {
-    /// A hot key's parts.
-    Parts(Arc<EngineParts>),
+/// A key's one answering form, by tier: what every read of the key
+/// answers over.
+#[derive(Clone)]
+enum Form {
+    /// A hot key's parts, which merge into its flat summary on demand.
+    Hot(Arc<EngineParts>),
     /// A cold key's flat summary.
-    Flat(Arc<WeightedSummary>),
+    Cold(Arc<WeightedSummary>),
+}
+
+impl Form {
+    /// Add the key's state to `view` as parts.
+    fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
+        match self {
+            Form::Hot(parts) => parts.push_into(view),
+            Form::Cold(summary) => view.push_weighted(summary),
+        }
+    }
+
+    /// The key's flat summary.
+    fn summary(&self) -> Arc<WeightedSummary> {
+        match self {
+            Form::Hot(parts) => parts.summary(),
+            Form::Cold(summary) => Arc::clone(summary),
+        }
+    }
 }
 
 struct WriterPool<T: OrderedBits> {
@@ -707,36 +713,41 @@ impl Target {
     }
 }
 
-/// The stored summaries a read combines, gathered under the stripe locks
-/// (`Arc` clones) and combined only after every lock is released.
+/// What one read covers, gathered under the keys' stripe locks (`Arc`
+/// clones) and evaluated only after every lock is released.
 #[derive(Default)]
-struct Parts {
-    /// Sealed windows, kept as level runs.
-    sealed: Vec<Arc<LeveledSummary>>,
-    /// Live engines' summaries, through the read cache.
-    live: Vec<Arc<WeightedSummary>>,
+struct ReadView {
+    /// Sealed windows as `(start id, window)`, key by key in time order.
+    sealed: Vec<(u64, SealedWindow)>,
+    /// Each present key's form, when the read covers its live engine.
+    live: Vec<Form>,
+    /// `(active id, watermark)` of the last windowed key a span read.
+    ids: Option<(u64, u64)>,
 }
 
-impl Parts {
-    /// Answer over the union of the parts without merging them.
+impl ReadView {
+    /// The union of the parts, answering without a merge.
     fn view(&self) -> UnionView<'_> {
         let mut view = UnionView::new();
-        for summary in &self.sealed {
-            view.push_leveled(summary);
+        for (_, window) in &self.sealed {
+            view.push_leveled(&window.summary);
         }
-        for summary in &self.live {
-            view.push_weighted(summary);
+        for form in &self.live {
+            form.push_into(&mut view);
         }
         view
     }
 
-    /// One bounded summary of the parts: a single exact-weight merge of
-    /// every part's level runs.
-    fn merge(&self, k: usize, seed: u64) -> WeightedSummary {
-        let sealed = self.sealed.iter().map(|s| s.level_runs());
-        let live = self.live.iter().map(|s| s.level_runs());
+    /// One bounded summary of the parts: a lone live key's flat summary as
+    /// is, else a single exact-weight merge of every part's level runs.
+    fn into_summary(self, k: usize, seed: u64) -> Arc<WeightedSummary> {
+        if let ([], [form]) = (&self.sealed[..], &self.live[..]) {
+            return form.summary();
+        }
+        let sealed = self.sealed.iter().map(|(_, window)| window.summary.level_runs());
+        let live = self.live.iter().map(|form| form.summary().level_runs());
         let runs: Vec<Vec<Vec<u64>>> = sealed.chain(live).collect();
-        merge_runs_flat(runs.iter().map(Vec::as_slice), k, seed)
+        Arc::new(merge_runs_flat(runs.iter().map(Vec::as_slice), k, seed))
     }
 }
 
@@ -1353,7 +1364,7 @@ impl<T: OrderedBits> SketchStore<T> {
         if wid > active_id {
             // Roll forward: seal the live engine's contents for the old
             // active window, then open a fresh engine for the new one.
-            // The old engine's leases and cached summary die with it —
+            // The old engine's leases and cached form die with it —
             // the same retirement as tier demotion, so a stale lease can
             // never write into the new window.
             let seed = self.key_seed(key);
@@ -1509,227 +1520,123 @@ impl<T: OrderedBits> SketchStore<T> {
 
     /// φ-quantile estimate over everything `key` has seen (local updates
     /// and ingested snapshots). `None` if the key is absent or empty.
-    ///
-    /// A hot key answers over its cached [`EngineParts`] — the sketch's
-    /// level arrays, one sorted tail and the absorbed summaries — with no
-    /// merge: exact over the parts, and the same on the read that gathers
-    /// them and on every hit. A cold key answers over its cached flat
-    /// summary.
     pub fn query(&self, key: &str, phi: f64) -> Option<T> {
-        self.answer(key, |s| s.quantile_bits(phi))?.map(T::from_ordered_bits)
+        self.read(&[key], None).view().quantile(phi)
     }
 
     /// Normalized rank of `value` within `key`'s stream (0.0 ≤ rank ≤
-    /// 1.0). `None` if the key is absent or empty. Answered over the same
-    /// cached state as [`SketchStore::query`].
+    /// 1.0). `None` if the key is absent or empty.
     pub fn rank(&self, key: &str, value: T) -> Option<f64> {
-        let x = value.to_ordered_bits();
-        self.answer(key, |s| {
-            let n = s.stream_len();
-            (n > 0).then(|| s.rank_bits(x) as f64 / n as f64)
-        })?
+        let read = self.read(&[key], None);
+        let view = read.view();
+        let n = view.stream_len();
+        (n > 0).then(|| view.rank_bits(value.to_ordered_bits()) as f64 / n as f64)
     }
 
     /// Estimated CDF of `key`'s stream at each split point. `None` if the
     /// key is absent or empty (the same contract as [`SketchStore::rank`]).
-    /// One cached state — a hot key's parts, a cold key's summary —
-    /// answers all points.
     pub fn cdf(&self, key: &str, split_points: &[T]) -> Option<Vec<f64>> {
         let bits: Vec<u64> = split_points.iter().map(|p| p.to_ordered_bits()).collect();
-        self.answer(key, |s| (s.stream_len() > 0).then(|| s.cdf_bits(&bits)))?
-    }
-
-    /// Ask `question` of `key`'s cached state, or `None` if the key is
-    /// absent: a hot key's parts (through [`SketchStore::cached_parts`]),
-    /// a cold key's flat summary. The state is taken under the shared
-    /// stripe lock and questioned after releasing it.
-    fn answer<R>(&self, key: &str, question: impl FnOnce(&dyn Summary) -> R) -> Option<R> {
-        let cached = {
-            let map = self.stripe_of(key).read().unwrap();
-            let entry = map.get(key)?;
-            if entry.engine.is_hot() {
-                Cached::Parts(self.cached_parts(entry))
-            } else {
-                Cached::Flat(self.cached_summary(entry))
-            }
-        };
-        Some(match &cached {
-            Cached::Parts(parts) => question(&parts.view()),
-            Cached::Flat(summary) => question(&**summary),
-        })
+        let read = self.read(&[key], None);
+        let view = read.view();
+        (view.stream_len() > 0).then(|| view.cdf_bits(&bits))
     }
 
     /// The key's full resident summary behind an `Arc`, or `None` if the
-    /// key is absent — for callers that keep, ship or merge it.
-    ///
-    /// This is the cached read path: a warm call takes the shared stripe
-    /// lock, compares the engine's [`version`](TieredEngine::version)
-    /// against the cache tag, and clones only the `Arc`. A miss
-    /// materializes the summary ([`MergeableSketch::to_summary`]) under the
-    /// same shared lock and publishes it for subsequent readers — exact
-    /// whenever the engine is settled (no leased write in flight); a
-    /// concurrent leased write can make the materialization a transiently
-    /// relaxed view, whose tag the write's own version bump invalidates
-    /// when its flush completes.
-    /// `query`, `rank` and `cdf` of a hot key never read this summary.
+    /// key is absent — for callers that keep, ship or merge it. Exact
+    /// whenever the engine is settled (no leased write in flight).
     pub fn summary_of(&self, key: &str) -> Option<Arc<WeightedSummary>> {
-        let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key)?;
-        Some(self.cached_summary(entry))
+        let read = self.read(&[key], None);
+        (!read.live.is_empty()).then(|| read.into_summary(self.cfg.k, self.cfg.seed))
     }
 
-    /// The cached-read-path core of [`SketchStore::summary_of`], shared
-    /// with the range-read methods (which include the active window
-    /// through it). The caller holds the stripe lock (shared or
-    /// exclusive) for `entry`.
-    fn cached_summary(&self, entry: &KeyEntry<T>) -> Arc<WeightedSummary> {
-        let version = entry.engine.version();
-        {
-            let cache = entry.cache.lock().unwrap();
-            let slot = cache.as_ref().filter(|slot| slot.version == version);
-            if let Some(summary) = slot.and_then(|slot| slot.summary.as_ref()) {
-                // Classify (hit) before counting the read: `stats()`
-                // samples in the opposite order, so
-                // `cache_hits + cache_misses >= reads` never inverts.
-                self.instruments.cache_hits.incr();
-                self.instruments.reads.incr();
-                return Arc::clone(summary);
-            }
-        }
-        // Rebuild outside the cache mutex so a slow materialization never
-        // blocks warm readers of the previous version. Leased writers may
-        // move the engine under this same shared lock, so two concurrent
-        // misses can materialize *different* summaries — but never under
-        // a settled tag: `version` was read before materializing (a
-        // summary is never tagged newer than its contents), and every
-        // leased flush bumps the version both before draining previously
-        // visible weight and after landing it, so whatever stale value a
-        // racing miss publishes is invalidated by the flush's completion
-        // bump. Publishing unconditionally is therefore safe: a wrong
-        // entry can only sit under a tag no settled state carries.
-        self.instruments.cache_misses.incr();
-        let summary = Arc::new(entry.engine.to_summary());
-        CacheSlot::at(&mut entry.cache.lock().unwrap(), version).summary =
-            Some(Arc::clone(&summary));
-        self.instruments.reads.incr();
-        summary
-    }
-
-    /// [`SketchStore::cached_summary`]'s twin for a hot key's parts: a hit
-    /// clones the `Arc`, a miss gathers the parts from the engine under
-    /// the caller's stripe lock, with the same tag discipline (version
-    /// read before gathering, published unconditionally). A repeat read
-    /// of an idle hot key then runs only the selection over the parts.
-    fn cached_parts(&self, entry: &KeyEntry<T>) -> Arc<EngineParts> {
-        let version = entry.engine.version();
-        let cached = entry
-            .cache
-            .lock()
-            .unwrap()
-            .as_ref()
-            .filter(|slot| slot.version == version)
-            .and_then(|slot| slot.parts.clone());
-        if let Some(parts) = cached {
-            self.instruments.cache_hits.incr();
-            self.instruments.reads.incr();
-            return parts;
-        }
-        self.instruments.cache_misses.incr();
-        let parts = Arc::new(entry.engine.parts().expect("a hot key has parts"));
-        CacheSlot::at(&mut entry.cache.lock().unwrap(), version).parts = Some(Arc::clone(&parts));
-        self.instruments.reads.incr();
-        parts
-    }
-
-    /// Gather into `parts` what a read of `key` over the event-time
-    /// `span` needs, under the shared stripe lock: the **sealed** windows
-    /// overlapping the span — a downsampled window whole whenever the span
-    /// touches any part of it, the coarse-granularity contract
-    /// downsampling trades for memory — plus the **active** window
-    /// (through the summary cache) when the span covers its id. Without a
-    /// span, or on an unwindowed store, the part is the live engine's
-    /// summary. Every part is an `Arc` clone; the lock is released on
-    /// return, before anything is evaluated or merged. Returns whether the
-    /// key exists.
-    fn gather(&self, key: &str, span: Option<(u64, u64)>, parts: &mut Parts) -> bool {
-        let map = self.stripe_of(key).read().unwrap();
-        let Some(entry) = map.get(key) else { return false };
-        let active = match (span, self.window_plan, &entry.windows) {
-            (Some((t0_ms, t1_ms)), Some(plan), Some(cell)) => {
+    /// Gather what a read of `keys` over the event-time `span` (half-open,
+    /// in ms) answers over, one shared stripe lock at a time; absent keys
+    /// contribute nothing. See the module docs' read path.
+    fn read<K: AsRef<str>>(&self, keys: &[K], span: Option<(u64, u64)>) -> ReadView {
+        let mut read = ReadView::default();
+        for key in keys {
+            let key = key.as_ref();
+            let map = self.stripe_of(key).read().unwrap();
+            let Some(entry) = map.get(key) else { continue };
+            let mut live = true;
+            if let (Some((t0_ms, t1_ms)), Some(plan), Some(cell)) =
+                (span, self.window_plan, &entry.windows)
+            {
                 let (w0, w1) = plan.range_windows(t0_ms, t1_ms);
                 let state = cell.lock().unwrap();
-                parts.sealed.extend(state.overlapping(w0, w1).cloned());
-                (w0..w1).contains(&state.active_id)
+                let sealed = state.overlapping(w0, w1);
+                read.sealed.extend(sealed.map(|(start, window)| (start, window.clone())));
+                read.ids = Some((state.active_id, state.watermark));
+                live = (w0..w1).contains(&state.active_id);
             }
-            _ => true,
+            if live {
+                read.live.push(self.form(entry));
+            }
+        }
+        read
+    }
+
+    /// `entry`'s form at its engine's current version: the cached one on
+    /// a hit; on a miss, gathered from the engine under the caller's
+    /// stripe lock and published. Rebuilding happens outside the cache
+    /// mutex, so a slow gather never blocks warm readers of the previous
+    /// version; two racing misses may publish different forms, but only
+    /// under a tag no settled state carries (see the module docs).
+    fn form(&self, entry: &KeyEntry<T>) -> Form {
+        let version = entry.engine.version();
+        let cache = entry.cache.lock().unwrap();
+        let cached = cache.as_ref().filter(|slot| slot.version == version).map(|s| s.form.clone());
+        drop(cache);
+        // Classify (hit or miss) before counting the read: `stats()`
+        // samples in the opposite order, so `cache_hits + cache_misses >=
+        // reads` never inverts.
+        let form = match cached {
+            Some(form) => {
+                self.instruments.cache_hits.incr();
+                form
+            }
+            None => {
+                self.instruments.cache_misses.incr();
+                let form = match entry.engine.parts() {
+                    Some(parts) => Form::Hot(Arc::new(parts)),
+                    None => Form::Cold(Arc::new(entry.engine.to_summary())),
+                };
+                *entry.cache.lock().unwrap() = Some(CacheSlot { version, form: form.clone() });
+                form
+            }
         };
-        if active {
-            parts.live.push(self.cached_summary(entry));
-        }
-        true
-    }
-
-    /// [`SketchStore::gather`] over every key (absent keys contribute
-    /// nothing), one stripe lock at a time.
-    fn gather_keys<K: AsRef<str>>(&self, keys: &[K], span: Option<(u64, u64)>) -> Parts {
-        let mut parts = Parts::default();
-        for key in keys {
-            self.gather(key.as_ref(), span, &mut parts);
-        }
-        parts
-    }
-
-    /// One bounded summary over the half-open event-time range
-    /// `[t0_ms, t1_ms)` of `key`'s stream, or `None` if the key is absent.
-    ///
-    /// Covers the windows [`SketchStore::query_range`] answers over and
-    /// merges them once, exact-weight, with
-    /// [`merge_summaries`](crate::merge::merge_summaries)'s kernel — for
-    /// callers that need a summary to keep or ship rather than an answer.
-    ///
-    /// Without [`StoreConfig::window`] the store has no time axis: the
-    /// range is ignored and the whole stream is the answer.
-    pub fn range_summary(&self, key: &str, t0_ms: u64, t1_ms: u64) -> Option<WeightedSummary> {
-        if self.window_plan.is_none() {
-            return self.summary_of(key).map(|s| (*s).clone());
-        }
-        let mut parts = Parts::default();
-        self.gather(key, Some((t0_ms, t1_ms)), &mut parts)
-            .then(|| parts.merge(self.cfg.k, self.cfg.seed))
+        self.instruments.reads.incr();
+        form
     }
 
     /// φ-quantile over the event-time range `[t0_ms, t1_ms)` of `key`'s
     /// stream. `None` if the key is absent or no window in range holds
-    /// any weight.
+    /// any weight. Exact over the stored windows: nothing is merged.
     ///
-    /// Every **sealed** window overlapping the range counts — a
-    /// downsampled window whole whenever the range touches any part of its
-    /// span — plus the **active** window when the range covers its id. The
-    /// windows are gathered as `Arc` clones under the shared stripe lock
-    /// and answered over after it is released, as one [`UnionView`]: ranks
-    /// add across windows, so nothing is merged and the answer is exact
-    /// over the stored windows.
+    /// Without [`StoreConfig::window`] the store has no time axis: the
+    /// range is ignored and the whole stream is the answer.
     pub fn query_range(&self, key: &str, t0_ms: u64, t1_ms: u64, phi: f64) -> Option<T> {
-        self.gather_keys(&[key], Some((t0_ms, t1_ms))).view().quantile::<T>(phi)
+        self.read(&[key], Some((t0_ms, t1_ms))).view().quantile(phi)
     }
 
     /// One bounded summary over the union of the given keys' streams
     /// restricted to the event-time range `[t0_ms, t1_ms)` (absent keys
-    /// contribute nothing): every key's windows from
-    /// [`SketchStore::range_summary`], merged once.
+    /// contribute nothing), for callers that keep or ship it: every
+    /// covered window merged once.
     pub fn merged_range_summary<K: AsRef<str>>(
         &self,
         keys: &[K],
         t0_ms: u64,
         t1_ms: u64,
     ) -> WeightedSummary {
-        self.gather_keys(keys, Some((t0_ms, t1_ms))).merge(self.cfg.k, self.cfg.seed)
+        let read = self.read(keys, Some((t0_ms, t1_ms)));
+        Arc::unwrap_or_clone(read.into_summary(self.cfg.k, self.cfg.seed))
     }
 
     /// φ-quantile over the union of the given keys' streams restricted to
     /// the event-time range `[t0_ms, t1_ms)`. `None` if nothing in range
-    /// held any weight. Answered over every key's windows at once, with
-    /// no merge, like [`SketchStore::query_range`].
+    /// held any weight.
     pub fn merged_query_range<K: AsRef<str>>(
         &self,
         keys: &[K],
@@ -1737,7 +1644,7 @@ impl<T: OrderedBits> SketchStore<T> {
         t1_ms: u64,
         phi: f64,
     ) -> Option<T> {
-        self.gather_keys(keys, Some((t0_ms, t1_ms))).view().quantile::<T>(phi)
+        self.read(keys, Some((t0_ms, t1_ms))).view().quantile(phi)
     }
 
     /// The key's full windowed state — active id, watermark, active
@@ -1745,19 +1652,18 @@ impl<T: OrderedBits> SketchStore<T> {
     /// the exact-oracle tests. `None` if the key is absent or the store is
     /// unwindowed.
     pub fn window_snapshot(&self, key: &str) -> Option<WindowSnapshot> {
-        let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key)?;
-        let cell = entry.windows.as_ref()?;
-        let (active_id, watermark, sealed) = {
-            let state = cell.lock().unwrap();
-            let sealed = state
-                .sealed
-                .iter()
-                .map(|(&start, win)| (start, win.level, Arc::new(win.summary.to_weighted())))
-                .collect();
-            (state.active_id, state.watermark, sealed)
-        };
-        Some(WindowSnapshot { active_id, watermark, active: self.cached_summary(entry), sealed })
+        let read = self.read(&[key], Some((0, u64::MAX)));
+        let (active_id, watermark) = read.ids?;
+        let sealed = read
+            .sealed
+            .iter()
+            .map(|(start, window)| (*start, window.level, Arc::new(window.summary.to_weighted())));
+        Some(WindowSnapshot {
+            active_id,
+            watermark,
+            sealed: sealed.collect(),
+            active: read.live.first().map_or_else(Default::default, Form::summary),
+        })
     }
 
     /// The key's resident summary materialized directly from the engine,
@@ -1811,22 +1717,10 @@ impl<T: OrderedBits> SketchStore<T> {
         Ok(ingested)
     }
 
-    /// One bounded summary over the union of the given keys' streams
-    /// (absent keys contribute nothing), for callers that keep or ship it.
-    /// Locks one stripe at a time and reuses each key's cached summary,
-    /// so a warm call materializes nothing per key and clones only `Arc`
-    /// handles before the one cross-key merge.
-    pub fn merged_summary<K: AsRef<str>>(&self, keys: &[K]) -> WeightedSummary {
-        self.gather_keys(keys, None).merge(self.cfg.k, self.cfg.seed)
-    }
-
     /// φ-quantile over the union of the given keys' streams. `None` if no
-    /// key contributed any element. Gathers the same cached summaries as
-    /// [`SketchStore::merged_summary`] but answers over them as one
-    /// [`UnionView`] instead of merging them: exact over the cached
-    /// summaries, with no compaction.
+    /// key contributed any element.
     pub fn merged_query<K: AsRef<str>>(&self, keys: &[K], phi: f64) -> Option<T> {
-        self.gather_keys(keys, None).view().quantile::<T>(phi)
+        self.read(keys, None).view().quantile(phi)
     }
 
     /// Remove a key and return whether it was present.
@@ -1913,10 +1807,9 @@ impl<T: OrderedBits> SketchStore<T> {
                         pool.minted -= idle;
                         pool.idle.clear();
                     }
-                    // Housekeeping for the read cache too: drop parts and
-                    // summaries the engine has since moved past, so
-                    // written-then-idle keys do not pin a stale gather or
-                    // materialization indefinitely.
+                    // Housekeeping for the read cache too: drop a form the
+                    // engine has since moved past, so written-then-idle
+                    // keys do not pin a stale one indefinitely.
                     let cache = entry.cache.get_mut().unwrap();
                     if cache.as_ref().is_some_and(|c| c.version != entry.engine.version()) {
                         *cache = None;
@@ -2298,7 +2191,7 @@ mod tests {
             (3500.0..6500.0).contains(&med),
             "union median {med} should sit near the key boundary"
         );
-        assert_eq!(store.merged_summary(&["lo", "hi"]).stream_len(), 10_000);
+        assert_eq!(store.merged_range_summary(&["lo", "hi"], 0, u64::MAX).stream_len(), 10_000);
     }
 
     #[test]

@@ -208,19 +208,19 @@ impl WindowState {
         (start + span(win.level) > wid).then_some(start)
     }
 
-    /// Sealed summaries overlapping the half-open id range `[w0, w1)`,
-    /// in time order. An empty or reversed range overlaps nothing, not
-    /// even a coarse window whose span contains `w0`.
+    /// Sealed windows overlapping the half-open id range `[w0, w1)`, as
+    /// `(start id, window)` in time order. An empty or reversed range
+    /// overlaps nothing, not even a coarse window whose span contains `w0`.
     pub(crate) fn overlapping(
         &self,
         w0: u64,
         w1: u64,
-    ) -> impl Iterator<Item = &Arc<LeveledSummary>> {
+    ) -> impl Iterator<Item = (u64, &SealedWindow)> {
         let end = if w0 < w1 { w1 } else { 0 };
         self.sealed
             .range(..end)
             .filter(move |(&start, win)| start + span(win.level) > w0)
-            .map(|(_, win)| &win.summary)
+            .map(|(&start, win)| (start, win))
     }
 
     /// Total weight resident in sealed windows.

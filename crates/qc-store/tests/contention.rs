@@ -10,7 +10,7 @@
 //!   handed to `update_many` is represented in the final summaries;
 //! * snapshots taken mid-hammer are always decodable and their stream
 //!   lengths per key never decrease (a key only ever gains weight);
-//! * `merged_summary` consistently skips missing and removed keys, while
+//! * `merged_range_summary` consistently skips missing and removed keys, while
 //!   counting every survivor exactly once.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -173,7 +173,7 @@ fn single_stripe_hammer_conserves_weight_and_skips_removed_keys() {
     assert_eq!(stats.stream_len, hot_total, "resident weight disagrees with summaries");
     assert!(stats.consistency(), "quiescent stats inconsistent: {stats:?}");
 
-    // merged_summary skips missing and removed keys and counts every
+    // merged_range_summary skips missing and removed keys and counts every
     // survivor exactly once — including duplicates in the key list? No:
     // each listed key contributes its summary each time it appears, so
     // pass each once; absent keys contribute nothing.
@@ -181,11 +181,11 @@ fn single_stripe_hammer_conserves_weight_and_skips_removed_keys() {
     probe.push("doomed-0".into()); // removed
     probe.push("doomed-1".into()); // removed
     probe.push("never-existed".into()); // missing
-    let merged = store.merged_summary(&probe);
+    let merged = store.merged_range_summary(&probe, 0, u64::MAX);
     assert_eq!(
         merged.stream_len(),
         hot_total,
-        "merged_summary must skip removed/missing keys and count survivors once"
+        "merged_range_summary must skip removed/missing keys and count survivors once"
     );
 
     // And the merged quantiles stay inside the written range.
@@ -237,7 +237,7 @@ fn concurrent_remove_and_update_on_one_key_never_lose_the_lock() {
         Some(summary) => assert_eq!(stats.stream_len, summary.stream_len()),
         None => assert_eq!(stats.stream_len, 0),
     }
-    // merged_summary over the flickering key plus garbage stays sound.
-    let merged = store.merged_summary(&["flicker", "ghost"]);
+    // merged_range_summary over the flickering key plus garbage stays sound.
+    let merged = store.merged_range_summary(&["flicker", "ghost"], 0, u64::MAX);
     assert_eq!(merged.stream_len(), stats.stream_len);
 }

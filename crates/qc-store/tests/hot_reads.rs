@@ -4,8 +4,9 @@
 //!
 //! 1. **Deterministic:** a hot key's `query`, `rank` and `cdf` return the
 //!    same answers on the miss that gathers the parts and on the hits that
-//!    follow, whatever else the key's cache holds at that version (a flat
-//!    summary a `summary_of` built, say).
+//!    follow, and the parts are gathered once per version whichever read
+//!    comes first (a `summary_of`, which merges its flat summary from them,
+//!    say).
 //! 2. **Bounded under concurrency:** with N > 1 leased writers on one hot
 //!    key, the weight a read sees stays inside the relaxation sandwich
 //!    `flushed_before_read − r ≤ weight ≤ handed_before_read_end`.
@@ -67,15 +68,19 @@ fn hot_answers_are_the_same_on_the_gathering_miss_and_the_hits() {
         }
         assert_eq!(store.stats().hot_keys, 1, "the key is hot from its first write");
 
-        // Odd steps cache the flat summary first: the answers still come
-        // from parts, gathered by the first read at this version.
+        // Odd steps read the flat summary first: it gathers the parts the
+        // answers then come from, as the key's one form at this version.
+        let mut gathered = 0;
         if step % 2 == 1 {
+            let before = store.stats().cache_misses;
             let _ = store.summary_of("hot");
+            gathered = store.stats().cache_misses - before;
+            assert_eq!(gathered, 1, "step {step}: summary_of gathers the parts");
         }
-        // The first read gathers the parts; every later one hits them,
-        // also after `summary_of` caches the flat summary beside them.
+        // The first read at this version gathers the parts; every later
+        // one hits them, also after `summary_of` merged its summary.
         let (miss, missed) = read_round(&store, "hot");
-        assert_eq!(missed, 1, "step {step}: only the first read gathers");
+        assert_eq!(missed, 1 - gathered, "step {step}: only the first read gathers");
         let (hit, missed) = read_round(&store, "hot");
         assert_eq!(missed, 0);
         assert_eq!(miss, hit, "step {step}: hit differs from the gathering miss");
@@ -213,4 +218,42 @@ fn store_leases_against_hot_reads() {
     assert_eq!(missed, 0);
     assert_eq!(again, first);
     assert_eq!(first.ranks[PROBES.len() - 1], Some(1.0), "every value sits below 1e9");
+}
+
+/// One key has one answering form per tier, whatever the entry point: on
+/// an unwindowed store, `merged_query` of the key alone and `query_range`
+/// over all time answer `query`'s question over the same state, so they
+/// agree with it bit for bit on every φ — on a cold key, and on a key
+/// promoted mid-stream and a key hot from its first write, each of which
+/// then absorbs a remote frame.
+#[test]
+fn single_key_reads_agree_across_entry_points() {
+    let tiered = SketchStore::<f64>::new(StoreConfig::default().seed(21));
+    let hot = SketchStore::<f64>::new(StoreConfig::default().seed(22).promotion_threshold(0));
+    let keys = [(&tiered, "cold", 2_000), (&tiered, "promoted", 20_000), (&hot, "t0", 20_000)];
+    let mut disagreements = Vec::new();
+    for (store, key, n) in keys {
+        let mut state: u64 = n;
+        let stream: Vec<f64> = (0..n)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 1000.0
+            })
+            .collect();
+        for batch in stream.chunks(64) {
+            store.update_many(key, batch);
+        }
+        if key != "cold" {
+            // Absorbed parts too, beside the sketch's levels and tail.
+            store.ingest_bytes(key, &tiered.snapshot_bytes("cold").unwrap()).unwrap();
+        }
+        let differing = (1..100).map(|i| f64::from(i) / 100.0).filter(|&phi| {
+            let single = store.query(key, phi).map(f64::to_bits);
+            store.merged_query(&[key], phi).map(f64::to_bits) != single
+                || store.query_range(key, 0, u64::MAX, phi).map(f64::to_bits) != single
+        });
+        disagreements.push((key, differing.count()));
+    }
+    assert_eq!(tiered.stats().hot_keys, 1, "the promoted key is hot, the cold one is not");
+    assert_eq!(disagreements, [("cold", 0), ("promoted", 0), ("t0", 0)], "φ of 99 that disagree");
 }

@@ -67,7 +67,7 @@ fn acceptance_ingest_snapshot_then_merged_query_matches_exact() {
     // The union of origin and its mirror is the stream duplicated; its
     // exact quantiles equal the single stream's (duplication invariance),
     // which gives a crisp reference for merged_query over both keys.
-    let merged = store.merged_summary(&["origin", "mirror"]);
+    let merged = store.merged_range_summary(&["origin", "mirror"], 0, u64::MAX);
     assert_eq!(merged.stream_len(), 2 * n);
     let oracle = ExactOracle::from_values(&stream);
     let budget = 3.0 * sequential_epsilon(K) + 2.0 * B as f64 / n as f64 + 0.005;
@@ -87,7 +87,7 @@ fn merged_query_over_disjoint_keys_matches_exact() {
     store.update_many("even", &stream_a);
     store.update_many("odd", &stream_b);
 
-    let merged = store.merged_summary(&["even", "odd"]);
+    let merged = store.merged_range_summary(&["even", "odd"], 0, u64::MAX);
     assert_eq!(merged.stream_len(), n_total, "merge conserves weight exactly");
 
     let combined: Vec<f64> = (0..n_total).map(|i| i as f64).collect();

@@ -61,11 +61,11 @@ fn values_on_window_boundaries_land_in_the_right_window() {
     assert_eq!(snap.total_weight(), 4, "every boundary value retained exactly once");
 
     // Range reads respect the same boundaries (half-open, ms-granular).
-    assert_eq!(store.range_summary("k", 0, 1000).unwrap().stream_len(), 1);
-    assert_eq!(store.range_summary("k", 1000, 2000).unwrap().stream_len(), 2);
-    assert_eq!(store.range_summary("k", 0, 1).unwrap().stream_len(), 1);
-    assert_eq!(store.range_summary("k", 2000, 3000).unwrap().stream_len(), 1, "active covered");
-    assert_eq!(store.range_summary("k", 0, 3000).unwrap().stream_len(), 4);
+    assert_eq!(store.merged_range_summary(&["k"], 0, 1000).stream_len(), 1);
+    assert_eq!(store.merged_range_summary(&["k"], 1000, 2000).stream_len(), 2);
+    assert_eq!(store.merged_range_summary(&["k"], 0, 1).stream_len(), 1);
+    assert_eq!(store.merged_range_summary(&["k"], 2000, 3000).stream_len(), 1, "active covered");
+    assert_eq!(store.merged_range_summary(&["k"], 0, 3000).stream_len(), 4);
     assert_eq!(store.query_range("k", 500, 500, 0.5), None, "empty range holds nothing");
 }
 
@@ -222,7 +222,7 @@ fn a_range_touching_a_downsampled_window_gets_its_whole_span() {
     // A 1 ms probe into the coarse window returns its entire merged span:
     // the granularity contract downsampling trades for memory.
     let t_probe = start * WIDTH_MS + (u64::from(level)) * WIDTH_MS / 2;
-    let got = store.range_summary("k", t_probe, t_probe + 1).unwrap().stream_len();
+    let got = store.merged_range_summary(&["k"], t_probe, t_probe + 1).stream_len();
     assert_eq!(got, weight, "coarse windows are merged whole");
 }
 
@@ -244,7 +244,6 @@ fn an_empty_range_inside_a_downsampled_window_holds_nothing() {
     // [1500, 1500) and [1700, 1200) lie inside that coarse window's span.
     for (t0, t1) in [(1500, 1500), (1700, 1200)] {
         assert_eq!(store.query_range("k", t0, t1, 0.5), None, "[{t0}, {t1}) is empty");
-        assert_eq!(store.range_summary("k", t0, t1).unwrap().stream_len(), 0);
         assert_eq!(store.merged_query_range(&["k"], t0, t1, 0.5), None);
         assert_eq!(store.merged_range_summary(&["k"], t0, t1).stream_len(), 0);
     }

@@ -33,8 +33,6 @@
 //!
 #![doc = include_str!("../README.md")]
 
-pub mod convert;
-
 pub use qc_common as common;
 pub use qc_fcds as fcds;
 pub use qc_ingest as ingest;
