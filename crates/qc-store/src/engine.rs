@@ -103,8 +103,9 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
 ///
 /// [`EngineParts::view`] answers over their union — rank is additive
 /// across the parts — exactly as a flat summary of every part's items
-/// would. [`EngineParts::summary`] merges them once into the engine's
-/// bounded summary and keeps it.
+/// would. The store's read cache merges them once into the engine's
+/// bounded summary, on the first read that needs one, and keeps it beside
+/// them.
 #[derive(Debug)]
 pub struct EngineParts {
     /// The snapshot's level arrays, indexed by level: every value in
@@ -116,8 +117,8 @@ pub struct EngineParts {
     tail: Vec<u64>,
     /// The absorbed bulk, then the buffered absorbs.
     absorbed: Vec<Arc<WeightedSummary>>,
-    /// The engine's level size and merge seed, which [`EngineParts::summary`]
-    /// merges with.
+    /// The engine's level size and merge seed, which `summary` merges
+    /// with.
     k: usize,
     merge_seed: u64,
     /// The merged summary, built on first demand.
@@ -133,7 +134,7 @@ impl EngineParts {
     }
 
     /// Add every part to `view`.
-    pub fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
+    pub(crate) fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
         for (j, run) in self.levels.iter().enumerate() {
             view.push_sorted(run, 1 << j);
         }
@@ -145,7 +146,7 @@ impl EngineParts {
 
     /// The parts merged once into the engine's bounded summary, on the
     /// first call, and shared by every later one.
-    pub fn summary(&self) -> Arc<WeightedSummary> {
+    pub(crate) fn summary(&self) -> Arc<WeightedSummary> {
         Arc::clone(self.summary.get_or_init(|| Arc::new(self.merge())))
     }
 

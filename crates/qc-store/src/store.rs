@@ -721,7 +721,7 @@ struct ReadView {
     sealed: Vec<(u64, SealedWindow)>,
     /// Each present key's form, when the read covers its live engine.
     live: Vec<Form>,
-    /// `(active id, watermark)` of the last windowed key a span read.
+    /// `(active id, watermark)` of the last windowed key read with a span.
     ids: Option<(u64, u64)>,
 }
 
