@@ -95,7 +95,7 @@ impl Options {
 }
 
 /// Accept `10000000`, `10M`, `500k`, `1G`.
-pub fn parse_human_u64(s: &str) -> Result<u64, String> {
+fn parse_human_u64(s: &str) -> Result<u64, String> {
     let s = s.trim();
     let (digits, mult) = match s.chars().last() {
         Some('k') | Some('K') => (&s[..s.len() - 1], 1_000),

@@ -63,7 +63,7 @@ impl QcSetup {
 /// the single measurement path behind [`qc_update_throughput`] and
 /// [`fcds_update_throughput`], and it accepts any future backend that
 /// implements the trait.
-pub fn engine_update_throughput<S>(
+fn engine_update_throughput<S>(
     sketch: &S,
     threads: usize,
     n_total: u64,

@@ -130,16 +130,6 @@ impl OrderedBits for f32 {
     }
 }
 
-/// Convert a slice of typed values into ordered bit space.
-pub fn to_bits_vec<T: OrderedBits>(xs: &[T]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_ordered_bits()).collect()
-}
-
-/// Convert a slice of ordered bits back into typed values.
-pub fn from_bits_vec<T: OrderedBits>(bits: &[u64]) -> Vec<T> {
-    bits.iter().map(|&b| T::from_ordered_bits(b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,20 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn bulk_conversions_roundtrip() {
-        let xs = vec![-2.5f64, 0.0, 3.25, -7.75];
-        assert_eq!(from_bits_vec::<f64>(&to_bits_vec(&xs)), xs);
-    }
-
-    #[test]
     fn sorting_in_bit_space_matches_value_order() {
-        let mut xs = vec![3.5f64, -1.25, 0.0, -0.0, 99.0, -1e10];
-        let mut bits = to_bits_vec(&xs);
+        let mut xs = [3.5f64, -1.25, 0.0, -0.0, 99.0, -1e10];
+        let mut bits: Vec<u64> = xs.iter().map(|x| x.to_ordered_bits()).collect();
         bits.sort_unstable();
         xs.sort_by(f64::total_cmp); // total order puts -0.0 before +0.0, like the embedding
-        let via_bits = from_bits_vec::<f64>(&bits);
+
         // -0.0 / +0.0 tie order is pinned by the embedding; compare by bits.
-        let a: Vec<u64> = via_bits.iter().map(|x| x.to_bits()).collect();
+        let a: Vec<u64> = bits.iter().map(|&b| f64::from_ordered_bits(b).to_bits()).collect();
         let b: Vec<u64> = xs.iter().map(|x| x.to_bits()).collect();
         assert_eq!(a, b);
     }

@@ -23,17 +23,6 @@ pub fn sequential_epsilon(k: usize) -> f64 {
     1.76 / (k as f64).powf(0.93)
 }
 
-/// Inverse of [`sequential_epsilon`]: the smallest power-of-two `k` whose
-/// error bound is at most `eps`.
-pub fn k_for_epsilon(eps: f64) -> usize {
-    assert!(eps > 0.0 && eps < 1.0, "eps must be in (0, 1)");
-    let mut k = 2usize;
-    while sequential_epsilon(k) > eps {
-        k = k.checked_mul(2).expect("k overflow — eps too small");
-    }
-    k
-}
-
 /// Relaxation error ε_r = ε_c + (r/n)(1 − ε_c) for a stream of size `n`
 /// processed by an `r`-relaxed sketch (Rinberg et al., quoted in §4.2).
 ///
@@ -88,15 +77,6 @@ mod tests {
         // DataSketches documents ≈1.93% at k=128 for the classic sketch.
         let e = sequential_epsilon(128);
         assert!((e - 0.0193).abs() < 0.002, "eps(128) = {e}");
-    }
-
-    #[test]
-    fn k_for_epsilon_is_inverse() {
-        for eps in [0.05, 0.02, 0.01, 0.005] {
-            let k = k_for_epsilon(eps);
-            assert!(sequential_epsilon(k) <= eps);
-            assert!(k == 2 || sequential_epsilon(k / 2) > eps);
-        }
     }
 
     #[test]

@@ -57,12 +57,6 @@ impl Xoshiro256 {
         Self { s }
     }
 
-    /// Construct directly from raw state. At least one word must be nonzero.
-    pub fn from_state(s: [u64; 4]) -> Self {
-        assert!(s.iter().any(|&w| w != 0), "xoshiro256 state must be nonzero");
-        Self { s }
-    }
-
     /// Next 64 random bits.
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
@@ -133,7 +127,7 @@ mod tests {
     /// with state {1, 2, 3, 4}.
     #[test]
     fn xoshiro_matches_reference() {
-        let mut g = Xoshiro256::from_state([1, 2, 3, 4]);
+        let mut g = Xoshiro256 { s: [1, 2, 3, 4] };
         let expected =
             [11520u64, 0, 1509978240, 1215971899390074240, 1216172134540287360, 607988272756665600];
         for e in expected {
@@ -148,12 +142,6 @@ mod tests {
         let b = g.next_u64();
         assert_ne!(a, 0);
         assert_ne!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero")]
-    fn all_zero_state_rejected() {
-        let _ = Xoshiro256::from_state([0; 4]);
     }
 
     #[test]

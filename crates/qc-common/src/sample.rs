@@ -49,17 +49,6 @@ pub fn sample_odd_or_even(src: &[u64], rng: &mut Xoshiro256) -> Vec<u64> {
     sample_with_parity(src, Parity::flip(rng))
 }
 
-/// In-place variant writing into a reusable buffer (hot propagation path).
-pub fn sample_with_parity_into(src: &[u64], parity: Parity, out: &mut Vec<u64>) {
-    out.clear();
-    out.reserve(src.len() / 2 + 1);
-    let offset = match parity {
-        Parity::Even => 0,
-        Parity::Odd => 1,
-    };
-    out.extend(src.iter().skip(offset).step_by(2).copied());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,18 +106,6 @@ mod tests {
             }
         }
         assert!(saw_even && saw_odd);
-    }
-
-    #[test]
-    fn into_variant_matches_and_reuses() {
-        let src: Vec<u64> = (0..64).collect();
-        let mut buf = Vec::new();
-        sample_with_parity_into(&src, Parity::Odd, &mut buf);
-        assert_eq!(buf, sample_with_parity(&src, Parity::Odd));
-        let cap = buf.capacity();
-        sample_with_parity_into(&src, Parity::Even, &mut buf);
-        assert_eq!(buf, sample_with_parity(&src, Parity::Even));
-        assert!(buf.capacity() >= cap);
     }
 
     /// Each element must survive a single compaction with probability 1/2 —

@@ -190,16 +190,6 @@ impl WeightedSummary {
         runs
     }
 
-    /// Smallest retained element, in bit space.
-    pub fn min_bits(&self) -> Option<u64> {
-        self.items.first().map(|it| it.value_bits)
-    }
-
-    /// Largest retained element, in bit space.
-    pub fn max_bits(&self) -> Option<u64> {
-        self.items.last().map(|it| it.value_bits)
-    }
-
     /// **Normalized** rank of `value`: the estimated fraction of the stream
     /// strictly below it, in `[0, 1]`. Returns `0.0` on an empty summary.
     ///
@@ -829,13 +819,6 @@ mod tests {
         view.push_weighted(&none);
         assert_eq!(none.quantile_bits(0.5), None);
         assert_eq!(view.quantile_bits(0.5), None);
-    }
-
-    #[test]
-    fn min_max_retained() {
-        let s = unit_summary(&[42, 7, 99]);
-        assert_eq!(s.min_bits(), Some(7));
-        assert_eq!(s.max_bits(), Some(99));
     }
 
     #[test]

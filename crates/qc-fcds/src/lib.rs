@@ -15,6 +15,12 @@
 //! updates never touch the shared sketch — while staying within safe Rust;
 //! see DESIGN.md).
 //!
+//! Workers ingest only through per-thread handles ([`Fcds::updater`], or
+//! [`ConcurrentIngest::writer`](qc_common::engine::ConcurrentIngest::writer)
+//! for harness code); a dropped or flushed handle publishes its partial
+//! buffer, and [`Fcds::drain`] returns once the propagator has merged
+//! every published buffer.
+//!
 //! The framework satisfies relaxed consistency with relaxation up to
 //! `2·N·B`, so matching Quancurrent's freshness requires small `B` — and
 //! with small `B` the single propagator saturates. Figure 10 of the paper
@@ -26,4 +32,4 @@
 mod sketch;
 mod slots;
 
-pub use sketch::{Fcds, FcdsEngine, FcdsStats, FcdsUpdater};
+pub use sketch::{Fcds, FcdsStats, FcdsUpdater};

@@ -372,8 +372,7 @@ impl<T: OrderedBits> FcdsUpdater<T> {
 }
 
 /// Writer-side engine capability. `flush` publishes the partial buffer;
-/// pair it with [`Fcds::drain`] (or use [`FcdsEngine`]) to make every
-/// update query-visible.
+/// pair it with [`Fcds::drain`] to make every update query-visible.
 impl<T: OrderedBits> StreamIngest<T> for FcdsUpdater<T> {
     fn update(&mut self, x: T) {
         FcdsUpdater::update(self, x);
@@ -397,91 +396,5 @@ impl<T: OrderedBits> std::fmt::Debug for FcdsUpdater<T> {
             .field("slot", &self.slot)
             .field("pushed", &self.pushed)
             .finish()
-    }
-}
-
-/// A single-object FCDS engine: the shared sketch bundled with one
-/// resident worker handle, so the FCDS baseline ingests through
-/// `&mut self` like the other backends (the raw [`Fcds`] offers only
-/// handle-based ingestion).
-///
-/// [`StreamIngest::flush`] publishes the worker's partial buffer **and**
-/// drains the propagator, so `stream_len` equals the ingested count
-/// exactly after a flush — which is what the engine-conformance suite
-/// relies on.
-pub struct FcdsEngine<T: OrderedBits> {
-    /// Declared before `fcds`: dropping the handle flushes its buffer,
-    /// then the sketch's own drop joins the propagator (which drains all
-    /// published buffers before exiting).
-    writer: FcdsUpdater<T>,
-    fcds: Fcds<T>,
-}
-
-impl<T: OrderedBits> FcdsEngine<T> {
-    /// Create an engine with level size `k`, worker buffer size `b`, and
-    /// an explicit sampling seed. The engine's private [`Fcds`] instance
-    /// has one worker slot, held by the resident writer.
-    pub fn with_seed(k: usize, buffer_size: usize, seed: u64) -> Self {
-        let fcds = Fcds::with_seed(k, buffer_size, 1, seed);
-        let writer = fcds.updater();
-        Self { writer, fcds }
-    }
-
-    /// The underlying FCDS instance (propagator stats, relaxation bound).
-    pub fn fcds(&self) -> &Fcds<T> {
-        &self.fcds
-    }
-}
-
-impl<T: OrderedBits> StreamIngest<T> for FcdsEngine<T> {
-    fn update(&mut self, x: T) {
-        FcdsUpdater::update(&mut self.writer, x);
-    }
-
-    fn flush(&mut self) {
-        FcdsUpdater::flush(&mut self.writer);
-        self.fcds.drain();
-    }
-}
-
-impl<T: OrderedBits> QuantileEstimator<T> for FcdsEngine<T> {
-    fn stream_len(&self) -> u64 {
-        self.fcds.stream_len()
-    }
-
-    fn query(&self, phi: f64) -> Option<T> {
-        self.fcds.query(phi)
-    }
-
-    fn rank_weight(&self, x: T) -> u64 {
-        QuantileEstimator::rank_weight(&self.fcds, x)
-    }
-
-    fn cdf(&self, split_points: &[T]) -> Vec<f64> {
-        QuantileEstimator::cdf(&self.fcds, split_points)
-    }
-
-    fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        QuantileEstimator::quantiles(&self.fcds, phis)
-    }
-
-    fn error_bound(&self) -> f64 {
-        QuantileEstimator::error_bound(&self.fcds)
-    }
-}
-
-impl<T: OrderedBits> MergeableSketch<T> for FcdsEngine<T> {
-    fn to_summary(&self) -> WeightedSummary {
-        self.fcds.summary()
-    }
-
-    fn absorb_summary(&mut self, summary: &WeightedSummary) {
-        MergeableSketch::absorb_summary(&mut self.fcds, summary);
-    }
-}
-
-impl<T: OrderedBits> std::fmt::Debug for FcdsEngine<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FcdsEngine").field("fcds", &self.fcds).finish()
     }
 }

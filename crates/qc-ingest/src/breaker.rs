@@ -84,11 +84,6 @@ impl CircuitBreaker {
         CircuitBreaker { cfg, state: State::Closed { consecutive_full: 0 } }
     }
 
-    /// True while the circuit is open (diagnostics/gauge).
-    pub fn is_open(&self) -> bool {
-        matches!(self.state, State::Open { .. } | State::HalfOpen { .. })
-    }
-
     /// Decide one datagram's fate. `Admit::Try` means attempt the queue
     /// and report the outcome back via [`CircuitBreaker::on_enqueued`] or
     /// [`CircuitBreaker::on_queue_full`]; `Admit::Shed` means drop it now.
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(b.on_queue_full(t0), None);
         assert_eq!(b.on_queue_full(t0), None);
         assert_eq!(b.on_queue_full(t0), Some(Transition::Opened(Duration::from_millis(10))));
-        assert!(b.is_open());
+        assert!(matches!(b.state, State::Open { .. }));
     }
 
     #[test]
@@ -212,7 +207,7 @@ mod tests {
         now += Duration::from_millis(500);
         assert_eq!(b.admit(now), Admit::Try);
         assert_eq!(b.on_enqueued(), Some(Transition::Closed));
-        assert!(!b.is_open());
+        assert!(matches!(b.state, State::Closed { .. }));
         assert_eq!(b.admit(now), Admit::Try);
     }
 }

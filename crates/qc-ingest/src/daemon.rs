@@ -272,11 +272,6 @@ impl IngestHandle {
         self.local_addr
     }
 
-    /// Current queue depth in datagrams (diagnostics).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Graceful shutdown. Ordering contract (pinned by the regression
     /// suite): **(1)** the socket thread is severed and joined — from
     /// this point no datagram is accepted; **(2)** the queue closes and

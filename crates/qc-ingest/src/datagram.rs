@@ -141,7 +141,7 @@ impl DatagramBuilder {
     }
 
     /// Bytes the datagram would occupy if finished now.
-    pub fn encoded_len(&self) -> usize {
+    fn encoded_len(&self) -> usize {
         self.framed_len(self.records, self.body.len())
     }
 

@@ -105,16 +105,6 @@ impl<T> Shared<T> {
         Self { ptr: std::ptr::null_mut(), _marker: PhantomData }
     }
 
-    /// Header address of a raw word value, for [`crate::Guard::protect`]'s
-    /// decode closure. Returns `None` for 0 (no protection needed).
-    pub fn header_of_raw(raw: u64) -> Option<*mut ()> {
-        if raw == 0 {
-            None
-        } else {
-            Some(raw as *mut ())
-        }
-    }
-
     /// Read the payload.
     ///
     /// # Safety
@@ -185,11 +175,5 @@ mod tests {
         assert_eq!(n.into_raw(), 0);
         let back = unsafe { Shared::<String>::from_raw(0) };
         assert!(back.is_null());
-    }
-
-    #[test]
-    fn header_of_raw_filters_null() {
-        assert!(Shared::<u64>::header_of_raw(0).is_none());
-        assert!(Shared::<u64>::header_of_raw(8).is_some());
     }
 }

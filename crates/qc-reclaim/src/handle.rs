@@ -189,7 +189,7 @@ impl LocalHandle {
     }
 
     /// Is the thread currently pinned?
-    pub fn is_pinned(&self) -> bool {
+    fn is_pinned(&self) -> bool {
         self.pin_depth.get() > 0
     }
 }

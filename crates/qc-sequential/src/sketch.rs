@@ -126,45 +126,16 @@ impl QuantilesSketch {
         }
     }
 
-    /// Absorb a sorted array whose elements each stand for `2^level`
-    /// stream elements (level 0 = raw weight-1 input).
-    ///
-    /// This is the mergeable-summaries primitive generalized to weighted
-    /// input: it lets a *concurrent* sketch's snapshot (levels of weight
-    /// `2^i`) be folded into a sequential sketch, making Quancurrent
-    /// snapshots mergeable (see [`QuantilesSketch::absorb_summary`]).
-    ///
-    /// # Panics
-    /// For `level > 0`, `sorted.len()` must be a multiple of `k` (level
-    /// arrays always are: they hold `k` or `2k` elements).
-    pub fn absorb_level(&mut self, sorted: &[u64], level: u32) {
-        debug_assert!(qc_common::merge::is_sorted(sorted), "absorb_level needs ascending input");
-        if level == 0 {
-            self.ingest_sorted(sorted);
-            return;
-        }
-        assert!(
-            sorted.len().is_multiple_of(self.k),
-            "weighted input length {} is not a multiple of k = {}",
-            sorted.len(),
-            self.k
-        );
-        for chunk in sorted.chunks(self.k) {
-            self.carry_into(chunk.to_vec(), level as usize - 1);
-        }
-        self.n += sorted.len() as u64 * (1u64 << level);
-    }
-
     /// Absorb an arbitrary [`WeightedSummary`] into this sketch,
     /// conserving its total weight **exactly**.
     ///
-    /// Unlike [`QuantilesSketch::absorb_level`], this is **total**: weights
-    /// need not be powers of two (they are decomposed binarily) and level
-    /// populations need not be multiples of `k`. A ragged remainder of
-    /// `m < k` elements at level `L` is pushed down one level with each
-    /// element duplicated — one element of weight `2^L` is exactly two of
-    /// weight `2^(L-1)` — until it either completes a `k`-array or reaches
-    /// the base buffer, which accepts any count. Each level contributes
+    /// This is **total**: weights need not be powers of two (they are
+    /// decomposed binarily) and level populations need not be multiples
+    /// of `k`. A ragged remainder of `m < k` elements at level `L` is
+    /// pushed down one level with each element duplicated — one element
+    /// of weight `2^L` is exactly two of weight `2^(L-1)` — until it
+    /// either completes a `k`-array or reaches the base buffer, which
+    /// accepts any count. Each level contributes
     /// fewer than `k` descending elements, so the extra work is
     /// `O(k · levels)`, not `O(total weight)`.
     ///
@@ -428,49 +399,6 @@ mod tests {
         s.ingest_sorted(&chunk);
         assert_eq!(s.n(), 5 + 4 * k as u64);
         assert_eq!(s.summary().stream_len(), s.n());
-    }
-
-    #[test]
-    fn absorb_level_zero_is_ingest() {
-        let data: Vec<u64> = (0..100).collect();
-        let mut a = QuantilesSketch::with_seed(8, 1);
-        let mut b = QuantilesSketch::with_seed(8, 1);
-        a.absorb_level(&data, 0);
-        b.ingest_sorted(&data);
-        assert_eq!(a.n(), b.n());
-        assert_eq!(a.summary().items(), b.summary().items());
-    }
-
-    #[test]
-    fn absorb_weighted_level_accounts_n() {
-        let k = 8;
-        let mut s = QuantilesSketch::with_seed(k, 2);
-        let level3: Vec<u64> = (0..k as u64).map(|i| i * 10).collect();
-        s.absorb_level(&level3, 3);
-        assert_eq!(s.n(), k as u64 * 8);
-        assert_eq!(s.summary().stream_len(), s.n());
-        // The absorbed elements sit at paper level 3 (weight 8).
-        let (_, levels) = s.level_sizes();
-        assert_eq!(levels[2], k, "k elements at paper level 3 (slot 2)");
-    }
-
-    #[test]
-    fn absorb_2k_level_cascades_once() {
-        let k = 4;
-        let mut s = QuantilesSketch::with_seed(k, 3);
-        let two_k: Vec<u64> = (0..2 * k as u64).collect();
-        s.absorb_level(&two_k, 2);
-        // Two k-chunks at level 2: the first settles, the second merges
-        // and carries to level 3.
-        assert_eq!(s.n(), 2 * k as u64 * 4);
-        assert_eq!(s.summary().stream_len(), s.n());
-    }
-
-    #[test]
-    #[should_panic(expected = "multiple of k")]
-    fn absorb_rejects_ragged_weighted_input() {
-        let mut s = QuantilesSketch::with_seed(8, 4);
-        s.absorb_level(&[1, 2, 3], 1);
     }
 
     #[test]

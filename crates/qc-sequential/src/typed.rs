@@ -92,40 +92,6 @@ impl<T: OrderedBits> Sketch<T> {
     pub fn epsilon(&self) -> f64 {
         self.inner.epsilon()
     }
-
-    /// Smallest element retained (exact: the minimum always survives
-    /// sampling into *some* level or the base buffer with probability
-    /// depending on compaction; this is the smallest *retained* element).
-    pub fn min_retained(&self) -> Option<T> {
-        self.inner.summary().min_bits().map(T::from_ordered_bits)
-    }
-
-    /// Largest retained element.
-    pub fn max_retained(&self) -> Option<T> {
-        self.inner.summary().max_bits().map(T::from_ordered_bits)
-    }
-
-    /// Confidence bracket for the φ-quantile: the estimates at
-    /// `φ − ε(k)` and `φ + ε(k)`. With probability ≥ 1 − δ the true
-    /// φ-quantile's value lies within this bracket (the PAC guarantee of
-    /// §2.1 read off the summary itself).
-    pub fn quantile_bounds(&self, phi: f64) -> Option<(T, T)> {
-        let eps = self.epsilon();
-        let summary = self.inner.summary();
-        let lo = summary.quantile_bits((phi - eps).max(0.0))?;
-        let hi = summary.quantile_bits((phi + eps).min(1.0))?;
-        Some((T::from_ordered_bits(lo), T::from_ordered_bits(hi)))
-    }
-
-    /// Access the untyped core (for harness code operating in bit space).
-    pub fn as_bits(&self) -> &QuantilesSketch {
-        &self.inner
-    }
-
-    /// Mutable access to the untyped core.
-    pub fn as_bits_mut(&mut self) -> &mut QuantilesSketch {
-        &mut self.inner
-    }
 }
 
 impl<T: OrderedBits> QuantileEstimator<T> for Sketch<T> {
@@ -226,40 +192,6 @@ mod tests {
         }
         assert!(cdf[0] < 0.05);
         assert!((cdf[4] - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn min_max_retained_bracket_stream() {
-        let mut s = Sketch::<i64>::with_seed(32, 5);
-        for x in -1000..1000i64 {
-            s.update(x);
-        }
-        let lo = s.min_retained().unwrap();
-        let hi = s.max_retained().unwrap();
-        assert!((-1000..0).contains(&lo));
-        assert!((0..1000).contains(&hi));
-        assert!(lo < hi);
-    }
-
-    #[test]
-    fn quantile_bounds_bracket_the_estimate() {
-        let mut s = Sketch::<f64>::with_seed(128, 7);
-        for i in 0..100_000 {
-            s.update(i as f64);
-        }
-        let (lo, hi) = s.quantile_bounds(0.5).unwrap();
-        let mid = s.quantile(0.5).unwrap();
-        assert!(lo <= mid && mid <= hi, "{lo} ≤ {mid} ≤ {hi}");
-        // The bracket width tracks ε·n.
-        assert!(hi - lo <= 6.0 * s.epsilon() * 100_000.0, "bracket too wide: {}", hi - lo);
-    }
-
-    #[test]
-    fn bounds_on_empty_sketch_are_none() {
-        let s = Sketch::<f64>::new(16);
-        assert!(s.quantile_bounds(0.5).is_none());
-        assert!(s.min_retained().is_none());
-        assert!(s.max_retained().is_none());
     }
 
     /// The typed sketch is a complete engine through the engine traits

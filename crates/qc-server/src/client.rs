@@ -100,7 +100,7 @@ impl Client {
     }
 
     /// Connect, capping response frames at `max_frame_len` bytes.
-    pub fn connect_with_max_frame<A: ToSocketAddrs>(
+    fn connect_with_max_frame<A: ToSocketAddrs>(
         addr: A,
         max_frame_len: usize,
     ) -> std::io::Result<Client> {

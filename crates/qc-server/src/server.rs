@@ -63,8 +63,7 @@ pub struct ServerConfig {
     pub accept_backlog: usize,
     /// Per-frame body cap; larger frames are rejected before allocation.
     pub max_frame_len: usize,
-    /// Configuration for the store built by [`Server::bind`] (ignored by
-    /// [`Server::bind_with_store`]).
+    /// Configuration for the store [`Server::bind`] builds.
     pub store: StoreConfig,
     /// Interval between store cool-down sweeps
     /// ([`SketchStore::cool_down`]): each sweep demotes hot-tier keys that
@@ -140,9 +139,8 @@ impl Server {
         Self::bind_with_store(addr, cfg, store)
     }
 
-    /// Bind `addr` and serve an existing store (lets one process expose a
-    /// store it also updates in-process).
-    pub fn bind_with_store<A: ToSocketAddrs>(
+    /// Bind `addr` and serve `store`.
+    fn bind_with_store<A: ToSocketAddrs>(
         addr: A,
         cfg: ServerConfig,
         store: Arc<SketchStore>,
@@ -403,11 +401,6 @@ impl ServerHandle {
     /// `Metrics` frame, one [`Registry::render_text`] exposition).
     pub fn telemetry(&self) -> &Arc<Registry> {
         self.store.telemetry()
-    }
-
-    /// Number of currently live connections.
-    pub fn active_connections(&self) -> usize {
-        self.conns.lock().map(|m| m.len()).unwrap_or(0)
     }
 
     /// The UDP ingest daemon's bound address, when

@@ -223,12 +223,6 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
         EngineParts { levels, tail, absorbed, k, merge_seed, summary: OnceLock::new() }
     }
 
-    /// The engine's full resident summary: its [`EngineParts`] merged once
-    /// (see [`ConcurrentEngine::parts`] for what is exact when).
-    pub fn resident_summary(&self) -> WeightedSummary {
-        self.parts().merge()
-    }
-
     /// Total absorbed remote weight (compacted bulk + uncompacted buffer).
     fn absorbed_weight(&self) -> u64 {
         self.absorbed.stream_len() + self.absorb_buffer.iter().map(|s| s.stream_len()).sum::<u64>()
@@ -439,7 +433,7 @@ impl<T: OrderedBits> StreamIngest<T> for ConcurrentEngine<T> {
 
 impl<T: OrderedBits> MergeableSketch<T> for ConcurrentEngine<T> {
     fn to_summary(&self) -> WeightedSummary {
-        self.resident_summary()
+        self.parts().merge()
     }
 
     fn absorb_summary(&mut self, summary: &WeightedSummary) {
@@ -587,7 +581,7 @@ impl<T: OrderedBits> TieredEngine<T> {
     }
 
     /// Force promotion to the concurrent tier (no-op if already hot).
-    pub fn promote_now(&mut self) {
+    fn promote_now(&mut self) {
         if let TierState::Cold(cold) = &self.state {
             let summary = MergeableSketch::to_summary(cold);
             let mut hot = ConcurrentEngine::new(self.k, self.b, self.migration_seed(0x9E37_79B9));

@@ -657,12 +657,12 @@ pub fn parse_checkpoint(bytes: &[u8]) -> Result<Vec<CheckpointEntry>, Checkpoint
 // ---------------------------------------------------------------------------
 
 /// File name of log segment `seq`.
-pub fn segment_file_name(seq: u64) -> String {
+fn segment_file_name(seq: u64) -> String {
     format!("wal-{seq:016x}.log")
 }
 
 /// File name of checkpoint `seq` (covers segments `<= seq`).
-pub fn checkpoint_file_name(seq: u64) -> String {
+fn checkpoint_file_name(seq: u64) -> String {
     format!("ckpt-{seq:016x}.ck")
 }
 

@@ -8,8 +8,9 @@
 //! * no deadlock (the suite finishes; CI adds an external timeout);
 //! * exact total-weight conservation for surviving keys — every element
 //!   handed to `update_many` is represented in the final summaries;
-//! * snapshots taken mid-hammer are always decodable and their stream
-//!   lengths per key never decrease (a key only ever gains weight);
+//! * snapshots taken mid-hammer are always decodable, and a snapshot's
+//!   stream length never falls more than the hot key's relaxation bound
+//!   below any earlier snapshot of that key (see [`MAX_SNAPSHOT_DROP`]);
 //! * `merged_range_summary` consistently skips missing and removed keys, while
 //!   counting every survivor exactly once.
 
@@ -24,6 +25,29 @@ const HOT_KEYS: usize = 4;
 const WRITERS_PER_KEY: usize = 2;
 const BATCHES: usize = 60;
 const BATCH: usize = 200;
+const K: usize = 128;
+const B: usize = 4;
+
+/// The most a mid-hammer snapshot's stream length may fall below any
+/// earlier snapshot of the same hot key.
+///
+/// A read never counts an element twice, and every element one read
+/// counts is counted by each later read too, except while it moves into
+/// the levels behind that later read's level snapshot. `hot_reads`
+/// bounds how much can be in such transit at once for an engine with `N`
+/// concurrent leased writers:
+/// * two `2k` Gather&Sort batches mid-install, `4k`;
+/// * per writer, one spill drain its flush has taken but not yet placed,
+///   at most `b` each;
+/// * the under-`b` spill at rest, which a drain can take into that path.
+///
+/// So a later read sees at least the earlier one's weight minus
+/// `r = 4k + (N + 1)·b`. Here `N = WRITERS_PER_KEY`: every hot-key write
+/// is one `update_many` holding one writer handle, and only the
+/// key's own writers touch its engine. A cold key's reads are exact and
+/// promotion moves its weight whole, so the bound covers the migration
+/// too.
+const MAX_SNAPSHOT_DROP: u64 = (4 * K + (WRITERS_PER_KEY + 1) * B) as u64;
 
 fn hot_key(i: usize) -> String {
     format!("hot-{i}")
@@ -32,7 +56,7 @@ fn hot_key(i: usize) -> String {
 #[test]
 fn single_stripe_hammer_conserves_weight_and_skips_removed_keys() {
     // One stripe: every key collides by construction.
-    let store = Arc::new(SketchStore::new(StoreConfig::default().stripes(1).k(128).b(4).seed(9)));
+    let store = Arc::new(SketchStore::new(StoreConfig::default().stripes(1).k(K).b(B).seed(9)));
     assert_eq!(store.num_stripes(), 1);
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -56,23 +80,25 @@ fn single_stripe_hammer_conserves_weight_and_skips_removed_keys() {
         }
 
         // Snapshotters: continuously serialize hot keys; every frame must
-        // decode, and per-key stream length must be monotone.
+        // decode, and no stream length may fall more than the relaxation
+        // bound below an earlier one.
         for reader in 0..2 {
             let store = Arc::clone(&store);
             let stop = Arc::clone(&stop);
             s.spawn(move || {
                 let key = hot_key(reader % HOT_KEYS);
-                let mut last_len = 0u64;
+                let mut peak = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     if let Some(frame) = store.snapshot_bytes(&key) {
                         let summary = decode_summary(&frame)
                             .expect("mid-hammer snapshot frames always decode");
                         let len = summary.stream_len();
                         assert!(
-                            len >= last_len,
-                            "stream length went backwards on {key}: {last_len} -> {len}"
+                            len + MAX_SNAPSHOT_DROP >= peak,
+                            "stream length fell more than r = {MAX_SNAPSHOT_DROP} below an \
+                             earlier snapshot on {key}: {peak} -> {len}"
                         );
-                        last_len = len;
+                        peak = peak.max(len);
                     }
                 }
             });

@@ -9,9 +9,9 @@
 //!   busy the event is dropped — and *counted*.
 //! - **oldest-first drop**: the ring keeps the newest `capacity` events.
 //! - **exact accounting**: every claimed sequence number is eventually
-//!   classified by [`EventRing::drain`] as drained or dropped, exactly
-//!   once, so `pushed() == drained_events() + dropped_events()` whenever
-//!   the ring is quiescent and fully drained.
+//!   classified by [`EventRing::drain`] as returned or dropped, exactly
+//!   once, so `pushed()` equals the events drains returned plus the
+//!   dropped count whenever the ring is quiescent and fully drained.
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Mutex, TryLockError};
@@ -110,8 +110,6 @@ pub struct EventRing {
     mask: u64,
     /// Next sequence number to claim.
     head: AtomicU64,
-    /// Cumulative events returned by `drain`.
-    drained: AtomicU64,
     /// Cumulative events classified as dropped.
     dropped: AtomicU64,
     /// Serializes drainers; holds the next undrained sequence number.
@@ -132,7 +130,6 @@ impl EventRing {
             slots: Some(slots),
             mask: capacity as u64 - 1,
             head: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             cursor: Mutex::new(0),
             epoch: Instant::now(),
@@ -145,7 +142,6 @@ impl EventRing {
             slots: None,
             mask: 0,
             head: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             cursor: Mutex::new(0),
             epoch: Instant::now(),
@@ -190,22 +186,16 @@ impl EventRing {
         self.head.load(Relaxed)
     }
 
-    /// Cumulative events returned by [`EventRing::drain`].
-    pub fn drained_events(&self) -> u64 {
-        self.drained.load(Relaxed)
-    }
-
     /// Cumulative events classified as dropped (lapped before drain, or
     /// lost a `try_lock` race). Only advances during `drain`.
-    pub fn dropped_events(&self) -> u64 {
+    fn dropped_events(&self) -> u64 {
         self.dropped.load(Relaxed)
     }
 
     /// Remove and return all undrained events, in sequence order.
     ///
     /// Every sequence number between the drain cursor and the current head
-    /// is classified exactly once: returned, or added to
-    /// [`EventRing::dropped_events`].
+    /// is classified exactly once: returned, or counted as dropped.
     pub fn drain(&self) -> Vec<Event> {
         let Some(slots) = &self.slots else { return Vec::new() };
         let mut cursor = match self.cursor.lock() {
@@ -237,7 +227,6 @@ impl EventRing {
         }
         *cursor = head;
         self.dropped.fetch_add(dropped, Relaxed);
-        self.drained.fetch_add(out.len() as u64, Relaxed);
         out
     }
 }
@@ -269,7 +258,7 @@ mod tests {
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, (92..100).collect::<Vec<u64>>());
         assert_eq!(ring.dropped_events(), 92);
-        assert_eq!(ring.pushed(), ring.drained_events() + ring.dropped_events());
+        assert_eq!(ring.pushed(), events.len() as u64 + ring.dropped_events());
     }
 
     #[test]
@@ -309,10 +298,9 @@ mod tests {
         });
         drained_total += ring.drain().len() as u64;
         assert_eq!(ring.pushed(), (THREADS * PER_THREAD) as u64);
-        assert_eq!(ring.drained_events(), drained_total);
         assert_eq!(
             ring.pushed(),
-            ring.drained_events() + ring.dropped_events(),
+            drained_total + ring.dropped_events(),
             "conservation: pushed = drained + dropped"
         );
     }

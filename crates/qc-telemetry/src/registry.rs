@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use qc_common::bits::OrderedBits;
 use qc_common::summary::{Summary, WeightedSummary};
@@ -39,7 +38,6 @@ pub struct Registry {
     enabled: bool,
     instruments: Mutex<Instruments>,
     events: EventRing,
-    started: Instant,
 }
 
 impl Registry {
@@ -49,12 +47,11 @@ impl Registry {
     }
 
     /// A live registry whose event ring keeps the newest `capacity` events.
-    pub fn with_event_capacity(capacity: usize) -> Self {
+    fn with_event_capacity(capacity: usize) -> Self {
         Self {
             enabled: true,
             instruments: Mutex::new(Instruments::default()),
             events: EventRing::new(capacity),
-            started: Instant::now(),
         }
     }
 
@@ -65,18 +62,12 @@ impl Registry {
             enabled: false,
             instruments: Mutex::new(Instruments::default()),
             events: EventRing::disabled(),
-            started: Instant::now(),
         }
     }
 
     /// Whether instruments from this registry record anything.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Time since the registry was created.
-    pub fn uptime(&self) -> Duration {
-        self.started.elapsed()
     }
 
     /// Get or register the counter named `name`.
@@ -110,7 +101,7 @@ impl Registry {
     /// Get or register a latency recorder with an explicit accuracy
     /// parameter. If the name already exists the existing recorder is
     /// returned and `k` is ignored.
-    pub fn latency_with_k(&self, name: &str, k: usize) -> LatencyRecorder {
+    fn latency_with_k(&self, name: &str, k: usize) -> LatencyRecorder {
         if !self.enabled {
             return LatencyRecorder::disabled();
         }
@@ -318,12 +309,5 @@ mod tests {
         let events = registry.events().drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, EventKind::LeaseFallback);
-    }
-
-    #[test]
-    fn uptime_advances() {
-        let registry = Registry::new();
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(registry.uptime() > Duration::ZERO);
     }
 }

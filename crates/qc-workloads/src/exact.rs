@@ -100,14 +100,6 @@ impl AccuracyReport {
         self.errors.iter().map(|&(_, e)| e).fold(0.0, f64::max)
     }
 
-    /// Mean normalized rank error.
-    pub fn mean_error(&self) -> f64 {
-        if self.errors.is_empty() {
-            return 0.0;
-        }
-        self.errors.iter().map(|&(_, e)| e).sum::<f64>() / self.errors.len() as f64
-    }
-
     /// Root-mean-square normalized rank error — the "standard error of
     /// estimation" metric of Figure 8.
     pub fn rms_error(&self) -> f64 {

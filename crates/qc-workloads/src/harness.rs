@@ -6,16 +6,15 @@
 //! paper describes in §5.1 ("we measure the time it takes to feed the
 //! sketch").
 //!
-//! The engine-generic runners ([`ingest_throughput`],
-//! [`concurrent_ingest_throughput`]) drive any backend through the
-//! [`qc_common::engine`] traits, so one measurement path covers the
-//! sequential sketch, Quancurrent, FCDS, and any store engine.
+//! The engine-generic runner ([`concurrent_ingest_throughput`]) drives
+//! any multi-writer backend through the [`qc_common::engine`] traits, so
+//! one measurement path covers Quancurrent and FCDS.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
-use qc_common::engine::{ConcurrentIngest, StreamIngest};
+use qc_common::engine::ConcurrentIngest;
 use qc_common::OrderedBits;
 
 /// A throughput measurement: operations completed over a wall-clock span.
@@ -98,19 +97,6 @@ where
         result = Throughput { ops: threads as u64 * ops_per_thread, elapsed: start.elapsed() };
     });
     result
-}
-
-/// Feed `values` through any single-writer engine (`E` may be unsized,
-/// e.g. `dyn StreamIngest<f64>`), flush, and measure.
-pub fn ingest_throughput<T, E>(engine: &mut E, values: &[T]) -> Throughput
-where
-    T: OrderedBits,
-    E: StreamIngest<T> + ?Sized,
-{
-    let start = Instant::now();
-    engine.update_many(values);
-    engine.flush();
-    Throughput { ops: values.len() as u64, elapsed: start.elapsed() }
 }
 
 /// Barrier-released multi-writer fill through
@@ -209,6 +195,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qc_common::engine::StreamIngest;
     use std::sync::atomic::AtomicU64;
 
     #[test]
@@ -237,27 +224,6 @@ mod tests {
         assert_eq!(tp.ops, 4000);
         assert_eq!(count.load(SeqCst), 4000);
         assert!(tp.elapsed > Duration::ZERO);
-    }
-
-    #[test]
-    fn ingest_runner_counts_and_flushes() {
-        struct Probe {
-            n: u64,
-            flushed: bool,
-        }
-        impl StreamIngest<u64> for Probe {
-            fn update(&mut self, _x: u64) {
-                self.n += 1;
-            }
-            fn flush(&mut self) {
-                self.flushed = true;
-            }
-        }
-        let mut probe = Probe { n: 0, flushed: false };
-        let tp = ingest_throughput(&mut probe, &[1u64, 2, 3, 4, 5]);
-        assert_eq!(tp.ops, 5);
-        assert_eq!(probe.n, 5);
-        assert!(probe.flushed, "runner must flush so queries see the stream");
     }
 
     #[test]

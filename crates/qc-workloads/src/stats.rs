@@ -20,7 +20,7 @@ pub struct RunStats {
 
 impl RunStats {
     /// Compute statistics over `samples`.
-    pub fn from_samples(samples: &[f64]) -> Self {
+    fn from_samples(samples: &[f64]) -> Self {
         if samples.is_empty() {
             return Self::default();
         }

@@ -102,11 +102,6 @@ impl StreamGen {
         self.next_f64().to_ordered_bits()
     }
 
-    /// Materialize the next `n` elements as bits.
-    pub fn take_bits(&mut self, n: usize) -> Vec<u64> {
-        (0..n).map(|_| self.next_bits()).collect()
-    }
-
     /// Materialize the next `n` elements as `f64`.
     pub fn take_f64(&mut self, n: usize) -> Vec<f64> {
         (0..n).map(|_| self.next_f64()).collect()
@@ -192,15 +187,15 @@ mod tests {
 
     #[test]
     fn same_seed_same_stream() {
-        let a = StreamGen::new(Distribution::Uniform, 42).take_bits(100);
-        let b = StreamGen::new(Distribution::Uniform, 42).take_bits(100);
+        let a = StreamGen::new(Distribution::Uniform, 42).take_f64(100);
+        let b = StreamGen::new(Distribution::Uniform, 42).take_f64(100);
         assert_eq!(a, b);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = StreamGen::new(Distribution::Uniform, 1).take_bits(100);
-        let b = StreamGen::new(Distribution::Uniform, 2).take_bits(100);
+        let a = StreamGen::new(Distribution::Uniform, 1).take_f64(100);
+        let b = StreamGen::new(Distribution::Uniform, 2).take_f64(100);
         assert_ne!(a, b);
     }
 

@@ -39,11 +39,6 @@ impl Topology {
         threads.div_ceil(self.cores_per_node).clamp(1, self.nodes)
     }
 
-    /// Total hardware threads.
-    pub fn total_threads(&self) -> usize {
-        self.nodes * self.cores_per_node
-    }
-
     /// Per-thread node assignment for a run of `threads` threads.
     pub fn assignment(&self, threads: usize) -> Vec<usize> {
         (0..threads).map(|t| self.node_of(t)).collect()
@@ -57,7 +52,6 @@ mod tests {
     #[test]
     fn paper_testbed_shape() {
         let t = Topology::paper_testbed();
-        assert_eq!(t.total_threads(), 32);
         assert_eq!(t.node_of(0), 0);
         assert_eq!(t.node_of(7), 0);
         assert_eq!(t.node_of(8), 1);

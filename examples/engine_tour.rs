@@ -1,13 +1,13 @@
 //! Tour of the sketch-engine API: one generic function drives every
-//! backend in the workspace through the `StreamIngest` and
+//! single-object backend in the workspace through the `StreamIngest` and
 //! `QuantileEstimator` traits, then a tiered keyed store shows promotion
-//! and cool-down in action.
+//! and cool-down in action. (FCDS ingests through per-thread writers
+//! instead; `qc-bench`'s `fig10` binary drives it.)
 //!
 //! ```text
 //! cargo run --release --example engine_tour
 //! ```
 
-use qc_fcds::FcdsEngine;
 use qc_sequential::Sketch;
 use quancurrent_suite::store::engine::{ConcurrentEngine, TieredEngine};
 use quancurrent_suite::{QuantileEstimator, SketchStore, StoreConfig, StreamIngest};
@@ -36,11 +36,10 @@ fn tour<E: StreamIngest<f64> + QuantileEstimator<f64>>(name: &str, mut engine: E
 
 fn main() {
     let k = 256;
-    // One function, four backends.
+    // One function, three backends.
     println!("{:<12} {:>10} {:>12} {:>12} {:>10}", "engine", "n", "p50", "p99", "eps(k)");
     tour("sequential", Sketch::<f64>::with_seed(k, 1));
     tour("quancurrent", ConcurrentEngine::<f64>::new(k, 4, 2));
-    tour("fcds", FcdsEngine::<f64>::with_seed(k, 1024, 3));
     tour("tiered", TieredEngine::<f64>::new(k, 4, 4, 4096));
 
     // The tiered store: cold keys stay cheap, the hot key promotes.

@@ -4,7 +4,7 @@
 //!
 //! Every backend must satisfy the same read, write and merge contract:
 //!
-//! 1. **Exact weight conservation**: after `update_many` + `flush`,
+//! 1. **Exact weight conservation**: after a fill (see [`Engine::fill`]),
 //!    `stream_len` and `to_summary().stream_len()` equal the ingested
 //!    count exactly, whatever internal batching/tiering happened.
 //! 2. **Quantile accuracy**: every φ-estimate lands within the engine's
@@ -18,8 +18,10 @@
 //! The backends: the sequential Agarwal et al. sketch (`qc-sequential`),
 //! Quancurrent behind the store's [`ConcurrentEngine`] bundle (the sketch
 //! plus its resident writer, which is what gives the concurrent backend
-//! exact accounting), the FCDS baseline behind [`FcdsEngine`], and the
-//! store's [`TieredEngine`].
+//! exact accounting), the FCDS baseline driven the way the paper's
+//! comparison drives it (a per-thread writer from
+//! [`ConcurrentIngest::writer`], then [`Fcds::drain`]), and the store's
+//! [`TieredEngine`].
 //!
 //! The store's two engines also carry a state version and lease writers
 //! (contracts 4 and 5), which the keyed store's read cache and shared-lock
@@ -28,18 +30,48 @@
 
 use proptest::prelude::*;
 use qc_common::WeightedSummary;
-use qc_fcds::FcdsEngine;
+use qc_fcds::Fcds;
 use qc_sequential::Sketch;
 use qc_store::{ConcurrentEngine, TieredEngine};
 use qc_workloads::ExactOracle;
-use quancurrent_suite::{MergeableSketch, QuantileEstimator, StreamIngest, Summary};
+use quancurrent_suite::{
+    ConcurrentIngest, MergeableSketch, QuantileEstimator, StreamIngest, Summary,
+};
 
 const K: usize = 128;
 
-/// The read, write and merge traits every backend implements.
-trait Engine: QuantileEstimator<f64> + StreamIngest<f64> + MergeableSketch<f64> {}
+/// The read and merge traits every backend implements, plus the one
+/// write step the contracts need.
+trait Engine: QuantileEstimator<f64> + MergeableSketch<f64> {
+    /// Ingest `values` and make every one of them query-visible.
+    fn fill(&mut self, values: &[f64]);
+}
 
-impl<E: QuantileEstimator<f64> + StreamIngest<f64> + MergeableSketch<f64>> Engine for E {}
+/// The single-object backends ingest through `&mut self`, then flush.
+macro_rules! fill_through_stream_ingest {
+    ($($engine:ty),*) => {$(
+        impl Engine for $engine {
+            fn fill(&mut self, values: &[f64]) {
+                self.update_many(values);
+                self.flush();
+            }
+        }
+    )*};
+}
+
+fill_through_stream_ingest!(Sketch<f64>, ConcurrentEngine<f64>, TieredEngine<f64>);
+
+/// FCDS ingests through per-thread writers: one writer takes the stream,
+/// dropping it publishes its partial buffer, and `drain` waits until the
+/// propagator has merged every published buffer.
+impl Engine for Fcds<f64> {
+    fn fill(&mut self, values: &[f64]) {
+        let mut writer = self.writer();
+        writer.update_many(values);
+        drop(writer);
+        self.drain();
+    }
+}
 
 /// Runs `$check(name, build, args..)?` once per backend, where
 /// `build(seed)` makes a fresh engine. The tiered engine must conform in
@@ -49,7 +81,7 @@ macro_rules! for_each_backend {
     ($check:ident($($arg:expr),* $(,)?)) => {
         $check("sequential", |seed| Sketch::<f64>::with_seed(K, seed), $($arg),*)?;
         $check("concurrent", |seed| ConcurrentEngine::<f64>::new(K, 4, seed), $($arg),*)?;
-        $check("fcds", |seed| FcdsEngine::<f64>::with_seed(K, 64, seed), $($arg),*)?;
+        $check("fcds", |seed| Fcds::<f64>::with_seed(K, 64, 1, seed), $($arg),*)?;
         $check("tiered", |seed| TieredEngine::<f64>::new(K, 4, seed, 512), $($arg),*)?;
     };
 }
@@ -93,10 +125,9 @@ fn conserves_weight<E: Engine>(
     values: &[f64],
 ) -> Result<(), TestCaseError> {
     let mut engine = build(seed);
-    engine.update_many(values);
-    engine.flush();
+    engine.fill(values);
     let len = values.len() as u64;
-    prop_assert_eq!(engine.stream_len(), len, "{name}: stream_len after flush");
+    prop_assert_eq!(engine.stream_len(), len, "{name}: stream_len after fill");
     prop_assert_eq!(engine.to_summary().stream_len(), len, "{name}: summary weight");
     Ok(())
 }
@@ -110,8 +141,7 @@ fn bounds_quantile_error<E: Engine>(
     oracle: &ExactOracle,
 ) -> Result<(), TestCaseError> {
     let mut engine = build(seed);
-    engine.update_many(values);
-    engine.flush();
+    engine.fill(values);
     let eps = engine.error_bound();
     prop_assert!(eps > 0.0 && eps < 0.5, "{name}: eps {eps}");
     for phi in [0.01, 0.25, 0.5, 0.75, 0.99] {
@@ -136,8 +166,7 @@ fn round_trips_summary<E: Engine>(
 ) -> Result<(), TestCaseError> {
     let len = values.len();
     let mut engine = build(seed);
-    engine.update_many(values);
-    engine.flush();
+    engine.fill(values);
     let exported = engine.to_summary();
     let mut fresh = build(seed.wrapping_add(7));
     fresh.absorb_summary(&exported);
@@ -172,8 +201,7 @@ fn versions_mutations_only<E: Engine, W: StreamIngest<f64>>(
     values: &[f64],
 ) -> Result<(), TestCaseError> {
     let v0 = version(&engine);
-    engine.update_many(values);
-    engine.flush();
+    engine.fill(values);
     let v1 = version(&engine);
     prop_assert!(v1 > v0, "{name}: flushed updates must advance the version");
     let _ = engine.query(0.5);
@@ -205,8 +233,7 @@ fn leases_exactly<E: Engine, W: StreamIngest<f64>>(
     // Prime through the exclusive path first: the tiered engine only
     // leases once hot (at the 512 threshold, small streams legitimately
     // stay cold and decline).
-    engine.update_many(values);
-    engine.flush();
+    engine.fill(values);
     let v0 = version(&engine);
     let Some(mut writer) = try_writer(&engine) else {
         prop_assert!(name != "concurrent" && name != "tiered-hot", "{name}: hot tiers lease");
@@ -221,8 +248,7 @@ fn leases_exactly<E: Engine, W: StreamIngest<f64>>(
     // The exclusive path still composes with the lease outstanding (the
     // store's write lock excludes them in time; the engine must tolerate
     // interleaving).
-    engine.update_many(&[1.0, 2.0, 3.0]);
-    engine.flush();
+    engine.fill(&[1.0, 2.0, 3.0]);
     prop_assert_eq!(engine.stream_len(), total + 3, "{name}: composed");
     Ok(())
 }
@@ -296,8 +322,7 @@ fn export<E: Engine>(
     exports: &mut Vec<(&'static str, WeightedSummary)>,
 ) -> Result<(), TestCaseError> {
     let mut engine = build(1);
-    engine.update_many(values);
-    engine.flush();
+    engine.fill(values);
     exports.push((name, engine.to_summary()));
     Ok(())
 }
@@ -337,7 +362,6 @@ fn summaries_interchange_across_backends() -> Result<(), TestCaseError> {
 /// its tail on writer drop).
 #[test]
 fn concurrent_ingest_conserves_across_writers() {
-    use quancurrent_suite::ConcurrentIngest;
     const THREADS: usize = 4;
     const PER_THREAD: usize = 5000;
 
