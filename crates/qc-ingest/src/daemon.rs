@@ -1,21 +1,21 @@
 //! The ingest daemon: one never-blocking socket thread, a bounded queue,
-//! N processor threads draining into the store's leased write path.
+//! N processor threads draining into the store's write path.
 //!
 //! ```text
 //!   UDP socket ──recv──▶ socket thread ──try_push──▶ BoundedQueue
 //!                          │   ▲                        │ pop
 //!                          │   └─ CircuitBreaker        ▼
 //!                          ▼                      processor × N
-//!                     shed / count                 decode → leases
+//!                     shed / count                 decode → records
 //!                                                      │
 //!                                                      ▼
-//!                                       SketchStore::update_many_leased
+//!                                          SketchStore::update_many
 //! ```
 //!
 //! The socket thread does nothing that can block: `recv` (with a short
 //! timeout so shutdown is bounded even if the wake datagram is lost),
 //! an oversize check, a breaker decision, and a `try_push` that returns
-//! immediately when the queue is full. All sketch work — decode, lease
+//! immediately when the queue is full. All sketch work — decode, writer
 //! checkout, Gather&Sort — happens on the processor threads, which may
 //! fall behind; when they do, datagrams are **dropped and counted**,
 //! never buffered unboundedly (the queue is the only buffer, and it is
@@ -63,7 +63,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qc_store::{LeaseCache, SketchStore};
+use qc_store::SketchStore;
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, Registry};
 
 use crate::breaker::{Admit, BreakerConfig, CircuitBreaker, Transition};
@@ -428,14 +428,13 @@ fn processor_loop(
     store: &SketchStore,
     instruments: &IngestInstruments,
 ) {
-    // Per-processor writer leases, one per recently written key — the
-    // same per-thread-handle discipline as the TCP connection loop. On a
-    // durable store each leased write blocks (lock free) until its log
-    // record is group-committed: all processors draining concurrently
-    // share fsyncs through the store's commit sequencer, so durable
-    // ingest throughput scales with group size rather than paying one
-    // disk flush per drained batch.
-    let mut leases = LeaseCache::default();
+    // Each record is one store write, like a TCP frame: a hot key rides
+    // the shared-lock path through a pooled handle. On a durable store
+    // each write blocks (lock free) until its log record is
+    // group-committed: all processors draining concurrently share fsyncs
+    // through the store's commit sequencer, so durable ingest throughput
+    // scales with group size rather than paying one disk flush per
+    // drained batch.
     while let Some(datagram) = queue.pop() {
         instruments.queue_depth.dec();
         let start = Instant::now();
@@ -447,7 +446,7 @@ fn processor_loop(
             Ok(records) => {
                 let mut values = 0u64;
                 for rec in &records {
-                    leases.write(store, &rec.key, &rec.values);
+                    store.update_many(&rec.key, &rec.values);
                     values += rec.values.len() as u64;
                 }
                 // Applied counters move only after every record landed, so
@@ -458,6 +457,5 @@ fn processor_loop(
             }
         }
         instruments.batch_seconds.record_duration(start.elapsed());
-        leases.tick();
     }
 }

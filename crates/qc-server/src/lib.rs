@@ -55,4 +55,4 @@ pub use pool::ThreadPool;
 pub use proto::{ErrorCode, ProtoError, RecvError, Request, Response, METRICS_VERSION};
 pub use qc_ingest::{IngestConfig, IngestDaemon, IngestHandle};
 pub use qc_telemetry::MetricsSnapshot;
-pub use server::{Server, ServerConfig, ServerHandle, LEASE_IDLE_FRAMES};
+pub use server::{Server, ServerConfig, ServerHandle};

@@ -8,16 +8,13 @@
 //! connections issuing `Update`/`UpdateMany` and reader connections
 //! issuing `Query`/`MergedQuery` against the same [`SketchStore`].
 //!
-//! Writer connections are the paper's update threads end to end: each
-//! connection caches one [`qc_store::WriterLease`] per recently written
-//! key, so repeated `Update`/`UpdateMany` frames reuse the same
-//! per-thread writer handle under only the **shared** stripe lock —
-//! N connections hammering one hot key synchronize inside the sketch
-//! (Gather&Sort/DCAS), not on a store mutex. Leases are generation-
-//! checked by the store on every use (`remove`/demotion invalidates them
-//! mid-connection, falling back transparently), evicted after sitting
-//! idle for [`LEASE_IDLE_FRAMES`] frames, and returned to the store's
-//! per-key pools when the connection closes.
+//! Writer connections are the paper's update threads end to end: every
+//! `Update`/`UpdateMany` frame is one [`SketchStore::update_many`], which
+//! writes a hot key through a writer handle checked out of the key's pool
+//! under only the **shared** stripe lock — N connections hammering one
+//! hot key synchronize inside the sketch (Gather&Sort/DCAS), not on a
+//! store mutex. The handle is flushed and back in the pool before the
+//! call returns, so a connection holds no store state between frames.
 //!
 //! On a durable store, a mutating request is **acked only after its log
 //! record is on disk** (under `FsyncPolicy::PerFrame`): the worker's
@@ -42,7 +39,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use qc_store::{LeaseCache, SketchStore, StoreConfig};
+use qc_store::{SketchStore, StoreConfig};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, Registry};
 
 use crate::pool::ThreadPool;
@@ -276,9 +273,6 @@ struct ServerInstruments {
     conns_closed_shutdown: Counter,
     /// `server_active_connections`: currently served connections.
     active_connections: Gauge,
-    /// `server_lease_fallbacks`: stale-lease rejections that fell back to
-    /// the store's two-tier write path.
-    lease_fallbacks: Counter,
     /// `server_sweeps`: housekeeping cool-down sweeps completed.
     sweeps: Counter,
     /// `server_sweep_seconds`: sweep duration sketch.
@@ -307,7 +301,6 @@ impl ServerInstruments {
             conns_closed_error: registry.counter("server_conns_closed_error"),
             conns_closed_shutdown: registry.counter("server_conns_closed_shutdown"),
             active_connections: registry.gauge("server_active_connections"),
-            lease_fallbacks: registry.counter("server_lease_fallbacks"),
             sweeps: registry.counter("server_sweeps"),
             sweep_seconds: registry.latency("server_sweep_seconds"),
             slow_threshold,
@@ -594,27 +587,6 @@ fn handle_connection(
     instruments.registry.event(EventKind::ConnClose, format!("peer={peer} outcome={outcome:?}"));
 }
 
-/// A connection's cached writer lease is evicted (and returned to the
-/// store's pool) once this many frames pass without the connection
-/// writing to its key (the store's [`qc_store::LEASE_IDLE_TICKS`], with
-/// one tick per frame).
-pub use qc_store::LEASE_IDLE_TICKS as LEASE_IDLE_FRAMES;
-
-/// Write a batch through the connection's lease cache, counting a
-/// stale-lease fallback (the write itself always lands).
-fn leased_write(
-    store: &SketchStore,
-    leases: &mut LeaseCache,
-    instruments: &ServerInstruments,
-    key: &str,
-    values: &[f64],
-) {
-    if leases.write(store, key, values) {
-        instruments.lease_fallbacks.incr();
-        instruments.registry.event(EventKind::LeaseFallback, format!("key={key}"));
-    }
-}
-
 fn serve_frames(
     stream: &TcpStream,
     peer: SocketAddr,
@@ -628,9 +600,8 @@ fn serve_frames(
     // stream itself plus the registry clone `stop` severs).
     let mut reader = BufReader::new(stream);
     let mut writer = BufWriter::new(stream);
-    let mut leases = LeaseCache::default();
     let mut reply = Vec::new();
-    let outcome = loop {
+    loop {
         if shutdown.load(Ordering::Relaxed) {
             break ConnOutcome::Shutdown;
         }
@@ -674,7 +645,7 @@ fn serve_frames(
                 op.requests.incr();
                 op.bytes.add(body.len() as u64);
                 let start = Instant::now();
-                let response = execute(store, req, shutdown, &mut leases, instruments);
+                let response = execute(store, req, shutdown);
                 let elapsed = start.elapsed();
                 op.latency.record_duration(elapsed);
                 if elapsed >= instruments.slow_threshold {
@@ -686,7 +657,6 @@ fn serve_frames(
                 response
             }
         };
-        leases.tick();
         reply.clear();
         response.encode_into(&mut reply);
         if write_frame(&mut writer, &reply).is_err() || writer.flush().is_err() {
@@ -694,19 +664,10 @@ fn serve_frames(
             instruments.registry.event(EventKind::IoError, format!("peer={peer} response write"));
             break ConnOutcome::IoError;
         }
-    };
-    // Dropping `leases` here gives the held writer handles back to the
-    // store's per-key pools, so other connections can reuse them.
-    outcome
+    }
 }
 
-fn execute(
-    store: &SketchStore,
-    req: Request,
-    shutdown: &AtomicBool,
-    leases: &mut LeaseCache,
-    instruments: &ServerInstruments,
-) -> Response {
+fn execute(store: &SketchStore, req: Request, shutdown: &AtomicBool) -> Response {
     if shutdown.load(Ordering::Relaxed) {
         return Response::Error {
             code: ErrorCode::Unavailable,
@@ -715,23 +676,18 @@ fn execute(
     }
     match req {
         Request::Update { key, value } => {
-            leased_write(store, leases, instruments, &key, &[value]);
+            store.update_many(&key, &[value]);
             Response::Ok
         }
         Request::UpdateMany { key, values } => {
-            leased_write(store, leases, instruments, &key, &values);
+            store.update_many(&key, &values);
             Response::Ok
         }
         Request::Query { key, phi } => Response::MaybeValue(store.query(&key, phi)),
         Request::Rank { key, value } => Response::MaybeValue(store.rank(&key, value)),
         Request::MergedQuery { keys, phi } => Response::MaybeValue(store.merged_query(&keys, phi)),
         Request::Stats => Response::Stats(store.stats()),
-        Request::Remove { key } => {
-            // The generation check would reject the lease anyway; dropping
-            // it promptly frees its pool slot (it holds no weight).
-            leases.forget(&key);
-            Response::Flag(store.remove(&key))
-        }
+        Request::Remove { key } => Response::Flag(store.remove(&key)),
         Request::Keys => Response::Keys(store.keys()),
         Request::Snapshot { key } => Response::MaybeFrame(store.snapshot_bytes(&key)),
         Request::Ingest { key, frame } => match store.ingest_bytes(&key, &frame) {
@@ -740,9 +696,6 @@ fn execute(
         },
         Request::Metrics => Response::Metrics(store.telemetry_snapshot()),
         Request::UpdateAt { key, ts, values } => {
-            // Timestamped writes take the store path directly: a window
-            // roll retires leases anyway, and on an unwindowed store this
-            // is plain `update_many`.
             store.update_at(&key, ts, &values);
             Response::Ok
         }

@@ -1,7 +1,7 @@
-//! The per-connection writer-lease cache: repeated `update`/`update_many`
-//! frames on a hot key must reuse a leased per-thread handle (shared-lock
-//! writes), survive `remove`/demotion invalidation transparently, and
-//! keep the store's accounting exact to the element.
+//! Writes over a connection: repeated `update`/`update_many` frames on a
+//! hot key must ride the store's shared-lock path (a pooled writer handle
+//! per frame), survive a `remove` or demotion of the key between frames,
+//! and keep the store's accounting exact to the element.
 
 use std::time::{Duration, Instant};
 
@@ -27,10 +27,10 @@ fn serve(
     Server::bind("127.0.0.1:0", cfg).expect("bind ephemeral port")
 }
 
-/// Repeated hot-key writes from one connection ride the shared path via
-/// the cached lease, with exact end-to-end accounting.
+/// Repeated hot-key writes from one connection ride the shared path,
+/// with exact end-to-end accounting.
 #[test]
-fn connection_reuses_lease_across_frames() {
+fn hot_key_frames_ride_the_shared_path() {
     let handle = serve(91, 50, None);
     let mut client = Client::connect(handle.local_addr()).expect("connect");
 
@@ -48,10 +48,10 @@ fn connection_reuses_lease_across_frames() {
 
     let stats = handle.store().stats();
     assert_eq!(stats.updates, total);
-    assert_eq!(stats.stream_len, total, "leased frames stay exact at quiescence");
+    assert_eq!(stats.stream_len, total, "shared-path frames stay exact at quiescence");
     assert!(
         stats.shared_writes > 30,
-        "hot-key frames must reuse the connection lease (shared {} / fallback {})",
+        "hot-key frames must ride the shared path (shared {} / fallback {})",
         stats.shared_writes,
         stats.fallback_writes
     );
@@ -60,9 +60,9 @@ fn connection_reuses_lease_across_frames() {
     handle.shutdown();
 }
 
-/// A `remove` from another connection invalidates a held lease
-/// mid-stream: the writer connection falls back, re-leases, and the
-/// successor key sees exactly the post-removal weight.
+/// A `remove` from another connection mid-stream: the writer's next
+/// frames re-create the key, and the successor sees exactly the
+/// post-removal weight.
 #[test]
 fn remove_from_another_connection_goes_unnoticed_by_the_writer() {
     let handle = serve(92, 0, None);
@@ -75,8 +75,7 @@ fn remove_from_another_connection_goes_unnoticed_by_the_writer() {
     }
     assert!(admin.remove("k").expect("remove rpc"));
 
-    // The writer's cached lease is now stale; the next frames must be
-    // delivered anyway — exactly once each.
+    // The next frames must be delivered anyway — exactly once each.
     for i in 0..10u64 {
         let batch: Vec<f64> = (0..32).map(|j| (i * 32 + j) as f64).collect();
         writer.update_many("k", &batch).expect("update rpc after remove");
@@ -92,9 +91,8 @@ fn remove_from_another_connection_goes_unnoticed_by_the_writer() {
     handle.shutdown();
 }
 
-/// Housekeeping demotion invalidates connection leases too: a key that
-/// cools down mid-connection keeps accepting writes (fallback →
-/// re-promotion → fresh lease) without losing an element.
+/// A key that housekeeping demotes mid-connection keeps accepting writes
+/// (fallback → re-promotion → shared path) without losing an element.
 #[test]
 fn demotion_mid_connection_keeps_writes_exact() {
     let handle = serve(93, 100, Some(Duration::from_millis(30)));
@@ -104,18 +102,18 @@ fn demotion_mid_connection_keeps_writes_exact() {
     client.update_many("wave", &batch).expect("first burst");
     assert_eq!(handle.store().stats().hot_keys, 1);
 
-    // Go idle until housekeeping demotes the key (staling our lease).
+    // Go idle until housekeeping demotes the key.
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.store().stats().hot_keys != 0 {
         assert!(Instant::now() < deadline, "housekeeping never demoted the idle key");
         std::thread::sleep(Duration::from_millis(15));
     }
 
-    // Write again through the same connection: stale lease → fallback →
-    // re-promotion; nothing may be lost on either side of the wave.
+    // Write again through the same connection: fallback → re-promotion;
+    // nothing may be lost on either side of the wave.
     client.update_many("wave", &batch).expect("second burst");
     let stats = handle.store().stats();
     assert_eq!(stats.updates, 1000);
-    assert_eq!(stats.stream_len, 1000, "no element lost across demotion of a leased key");
+    assert_eq!(stats.stream_len, 1000, "no element lost across demotion of a hot key");
     handle.shutdown();
 }

@@ -312,8 +312,10 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
 /// Gather&Sort placement, the sub-`b` remainder is re-homed into the
 /// engine's spill (composed into every read), and the shared-ops counter
 /// advances afterwards so cached summaries of the pre-flush state
-/// invalidate. A handle outliving its engine's useful life (e.g. past a
-/// tier migration) must simply go unused; dropping it is always safe.
+/// invalidate. The store checks a handle out of the key's pool for one
+/// write under the stripe lock and gives it back flushed before the lock
+/// is released, so no handle is ever in use across a tier migration.
+/// Dropping one is always safe.
 pub struct LeasedWriter<T: OrderedBits> {
     updater: Updater<T>,
     spill: Arc<Mutex<Vec<u64>>>,
@@ -595,11 +597,12 @@ impl<T: OrderedBits> TieredEngine<T> {
     /// Force demotion to the sequential tier via an exact summary
     /// round-trip (no-op if already cold). Resets promotion pressure.
     ///
-    /// Outstanding leased writers of the hot engine must already be
-    /// invalidated by the owner (the store bumps the key's lease
-    /// generation): their flushed weight rides the summary round-trip; a
-    /// handle itself becomes a write into an orphaned sketch and is
-    /// rejected by the generation check before it can run.
+    /// Handles leased from the hot engine stay attached to it: weight
+    /// they flushed before the call rides the summary round-trip, and
+    /// anything written through them afterwards lands in the orphaned
+    /// sketch. The store therefore demotes only under the exclusive
+    /// stripe lock, when every handle is flushed and idle in the key's
+    /// pool, and clears the pool with it.
     pub fn demote_now(&mut self) {
         if let TierState::Hot(hot) = &self.state {
             let summary = hot.to_summary();

@@ -24,10 +24,6 @@
 //!   update/query, snapshot/ingest through the wire format, and cross-key
 //!   merged queries. Generic over the element type; `SketchStore` with
 //!   the default parameter is the `f64` store;
-//! * [`lease`] — [`lease::LeaseCache`]: the per-thread cache of writer
-//!   leases a long-lived writer (a connection, an ingest processor)
-//!   holds so its repeated batches to hot keys ride the shared-lock
-//!   path through one handle;
 //! * [`persist`] — the restart-safety layer: an append-only segment log
 //!   of every mutation plus checkpoint compaction, replayed by
 //!   [`store::SketchStore::recover`] with typed, clean-prefix handling
@@ -66,7 +62,6 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
-pub mod lease;
 pub mod merge;
 pub mod persist;
 pub mod store;
@@ -74,7 +69,6 @@ pub mod window;
 pub mod wire;
 
 pub use engine::{ConcurrentEngine, TieredEngine};
-pub use lease::{LeaseCache, LEASE_IDLE_TICKS};
 pub use merge::merge_summaries;
 pub use persist::{
     CheckpointError, CheckpointStats, FsyncPolicy, PersistError, RecordError, RecoveryReport,

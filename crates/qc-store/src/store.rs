@@ -56,9 +56,9 @@
 //! * **Versioned cache.** The form is tagged with the engine
 //!   [`version`](TieredEngine::version) read **before** gathering, so
 //!   nothing is tagged newer than its contents, and published
-//!   unconditionally. Leased writers (the shared write path below) mutate
+//!   unconditionally. Shared-path writers (the write path below) mutate
 //!   the engine under the shared lock but bump the version around every
-//!   weight movement, so a form gathered while a leased write was in
+//!   weight movement, so a form gathered while a shared write was in
 //!   flight carries a tag the write's completion bump supersedes: no read
 //!   serves a state whose version matches the engine's *settled* state
 //!   while missing weight that state accounts for. Exclusive writers
@@ -75,23 +75,24 @@
 //!
 //! The paper's writers never serialize — each thread fills a local buffer
 //! and synchronizes only at Gather&Sort/DCAS points. The store mirrors
-//! that through leased writers ([`TieredEngine::try_writer`]): each key
-//! carries a small pool of writer handles tagged with a **generation**,
-//! and every batch — `update`, `update_many`, `update_at`,
-//! `update_many_leased`, and each record of a recovery replay — goes
-//! through one private routine (`SketchStore::apply`) with one fast path
-//! and one slow path:
+//! that through pooled writer handles ([`TieredEngine::try_writer`]):
+//! each key carries a small pool of them, and every batch — `update`,
+//! `update_many`, `update_at`, `update_many_leased`, and each record of a
+//! recovery replay — goes through one private routine
+//! (`SketchStore::apply`) with one fast path and one slow path:
 //!
 //! ```text
-//!  apply(key, Active | Window(id), values, held lease?)
+//!  apply(key, Active | Window(id), values, lease generation?)
 //!    │
 //!    ├─ SHARED stripe lock ───────────────────────────── fast path
-//!    │    held lease: generation matches?   else → StaleLease, nothing moved
+//!    │    lease: generation matches?        else → StaleLease, nothing moved
 //!    │    target is the key's active window? else ↓
-//!    │    handle = the held lease | pool checkout (mint ≤ cap)   none → ↓
+//!    │    handle = pool checkout (mint ≤ cap)            none → ↓
 //!    │    count → write → flush → append log record (LSN = ticket)
+//!    │    handle back to the pool
 //!    │
 //!    ├─ EXCLUSIVE stripe lock ────────────────────────── slow path
+//!    │    lease: generation matches?        else → StaleLease, nothing moved
 //!    │    create the key on first use
 //!    │    Window(id) ahead of active:   seal engine, open a fresh one,
 //!    │                                  retire the writer generation
@@ -104,11 +105,13 @@
 //! ```
 //!
 //! * **Fast path** — an existing key whose engine leases writers
-//!   (hot/concurrent tier) is written through a per-thread handle under
-//!   only the shared lock: N writers on one hot key synchronize inside
-//!   the engine (the paper's propagation points), not on the stripe.
-//!   Every call flushes its handle before letting go of it, so handles
-//!   hold **zero weight while idle** and reads stay exact at quiescence.
+//!   (hot/concurrent tier) is written through a handle checked out of its
+//!   pool under only the shared lock: N writers on one hot key
+//!   synchronize inside the engine (the paper's propagation points), not
+//!   on the stripe. A handle lives inside that one lock hold: the call
+//!   flushes it and gives it back before letting go of the lock, so
+//!   pooled handles hold **zero weight** and reads stay exact at
+//!   quiescence.
 //! * **Slow path** — key creation, cold/sequential keys (whose exclusive
 //!   writes are what drives tier promotion), pool exhaustion, and every
 //!   window transition. [`StoreStats::shared_writes`] /
@@ -127,19 +130,22 @@
 //!   [`SketchStore::update_at`] resolves its timestamp to a window id and
 //!   replay passes the logged id; both are `Window(id)`.
 //!
-//! Callers that keep a handle across calls (the serving layer's
-//! [`crate::LeaseCache`]) use [`SketchStore::lease_writer`] /
-//! [`SketchStore::update_many_leased`], and drop the lease when done.
-//! `remove`, demotion (`cool_down`), a window roll, and re-creation each
-//! assign the key a fresh generation from a store-wide counter, so a
-//! stale lease can **never** write into a successor engine: every leased
-//! write validates the generation under the same shared-lock hold as the
-//! write itself. Conservation is exact by construction — a handle buffers
-//! weight only inside a single (locked) write call, every such call ends
-//! in a flush, and invalidation happens under the exclusive lock, which
-//! no write can overlap.
+//! No handle is ever checked out while the exclusive lock is held, so
+//! every invalidation — `remove`, demotion (`cool_down`), a window roll —
+//! sees the whole pool idle and simply clears it. Conservation is exact
+//! by construction: a handle buffers weight only inside one locked write
+//! call, and every such call ends in a flush.
+//!
+//! A [`WriterLease`] ([`SketchStore::lease_writer`] /
+//! [`SketchStore::update_many_leased`]) is only a **generation** token.
+//! `remove`, demotion, a window roll, and re-creation each assign the key
+//! a fresh generation from a store-wide counter, and a leased write
+//! checks it under the same lock hold as the write — on the slow path
+//! before the key could be created — so a stale lease can **never** write
+//! into a successor engine.
 
 use std::collections::{BTreeMap, HashMap};
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, RwLock};
@@ -187,11 +193,12 @@ pub struct StoreConfig {
     /// population); `0` makes a key hot on its first write (a pure
     /// concurrent one, until `cool_down` demotes it while idle).
     pub promotion_threshold: u64,
-    /// Per-key writer-handle pool capacity: at most this many leased
-    /// writer handles exist per key (pooled + checked out). `0` disables
-    /// the shared-lock write path entirely — every write takes the
-    /// exclusive fallback, which is the pre-lease behavior (and the
-    /// baseline the write benchmarks compare against).
+    /// Per-key writer-handle pool capacity: at most this many writer
+    /// handles exist per key (idle + checked out), so at most this many
+    /// writes run on one hot key's shared path at once; the rest take
+    /// the exclusive fallback. `0` disables the shared-lock write path
+    /// entirely — every write takes the exclusive fallback (the baseline
+    /// the write benchmarks compare against).
     pub writer_pool: usize,
     /// Metrics registry the store records into. `None` (the default) makes
     /// the store create its own live [`Registry`]; pass a shared one to
@@ -249,7 +256,7 @@ impl Default for StoreConfig {
 
 /// Default per-key writer-handle pool capacity — sized to the serving
 /// layer's default worker count, so every connection of a default server
-/// can hold a lease on one hot key.
+/// can write one hot key on the shared path at the same time.
 pub const DEFAULT_WRITER_POOL: usize = 8;
 
 /// Default per-key promotion threshold: roughly where the concurrent
@@ -386,8 +393,8 @@ pub struct StoreStats {
     /// classification — so `cache_hits + cache_misses >= reads` holds for
     /// every sample (see [`StoreStats::consistency`]). Local-only.
     pub reads: u64,
-    /// Write batches that rode the shared-lock fast path (a leased
-    /// per-thread writer handle). **Counter**, bumped after `updates`
+    /// Write batches that rode the shared-lock fast path (a pooled
+    /// writer handle). **Counter**, bumped after `updates`
     /// within the same lock hold. Local-only.
     pub shared_writes: u64,
     /// Write batches that took the exclusive-lock fallback (key creation,
@@ -481,47 +488,24 @@ impl StoreStats {
     }
 }
 
-/// A writer lease checked out of a key's pool with
-/// [`SketchStore::lease_writer`]: an owned per-thread handle plus the
-/// generation tag it was minted under.
+/// A writer lease from [`SketchStore::lease_writer`]: the key generation
+/// it was issued under, and nothing else.
 ///
-/// The lease is only usable through the store
-/// ([`SketchStore::update_many_leased`]), which re-validates the
-/// generation under the shared stripe lock on every call — so holding a
-/// lease across requests is safe against concurrent `remove`, demotion,
-/// and re-creation of the key. A lease holds **no buffered weight**
-/// between calls (every leased write ends in a flush); dropping one, even
-/// a stale one, never loses stream weight. Dropping also returns the
-/// handle to the key's pool when the generation still matches (a weak
-/// back-reference, checked atomically with the pool's own generation), so
-/// a lease abandoned on a panic or forgotten by a caller cannot pin one
-/// of the key's [`StoreConfig::writer_pool`] mint slots forever.
+/// [`SketchStore::update_many_leased`] checks the generation under the
+/// stripe lock on every call, then writes like any other batch (a pooled
+/// handle, or the exclusive fallback) — so holding a lease across
+/// requests is safe against concurrent `remove`, demotion, a window roll
+/// and re-creation of the key. A lease holds no handle and no weight;
+/// dropping one, stale or not, releases nothing.
 pub struct WriterLease<T: OrderedBits> {
     generation: u64,
-    handle: Option<LeasedWriter<T>>,
-    pool: std::sync::Weak<Mutex<WriterPool<T>>>,
+    element: PhantomData<T>,
 }
 
 impl<T: OrderedBits> WriterLease<T> {
-    /// The key generation this lease was minted under (diagnostics).
+    /// The key generation this lease was issued under (diagnostics).
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-}
-
-impl<T: OrderedBits> Drop for WriterLease<T> {
-    fn drop(&mut self) {
-        let (Some(handle), Some(pool)) = (self.handle.take(), self.pool.upgrade()) else {
-            // Key removed (pool deallocated) or handle already returned:
-            // nothing to give back — the handle holds no weight.
-            return;
-        };
-        let mut pool = pool.lock().unwrap();
-        if pool.generation == self.generation {
-            // Flushed by the lease invariant; reusable as-is.
-            pool.idle.push(handle);
-        }
-        // Stale: the generation reset already reclaimed our mint slot.
     }
 }
 
@@ -532,9 +516,9 @@ impl<T: OrderedBits> std::fmt::Debug for WriterLease<T> {
 }
 
 /// A leased write was rejected because the lease no longer matches the
-/// key's live engine (the key was removed, demoted, or re-created since
-/// the lease was minted). **No weight was written.** Drop the lease and
-/// fall back to [`SketchStore::update_many`].
+/// key's live engine (the key was removed, demoted, rolled or re-created
+/// since the lease was issued). **No weight was written.** Drop the lease
+/// and fall back to [`SketchStore::update_many`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StaleLease;
 
@@ -551,24 +535,21 @@ impl std::error::Error for StaleLease {}
 struct KeyEntry<T: OrderedBits> {
     engine: TieredEngine<T>,
     /// Lease generation: every leased write validates its tag against
-    /// this under the shared stripe lock. Assigned from the store-wide
-    /// counter at creation and re-assigned (under the write lock) by any
+    /// this under the stripe lock. Assigned from the store-wide counter
+    /// at creation and re-assigned (under the write lock) by any
     /// invalidation — tier demotion or a window roll; removal retires the
     /// entry and with it the generation, so a re-created key never reuses
     /// one.
-    /// Mirrored into [`WriterPool::generation`] (kept in sync under the
-    /// same write-lock sections) for lease-drop-time validation.
     generation: u64,
     /// The last gathered form, tagged with the engine version that
     /// produced it. The inner mutex guards only the tag-compare /
     /// `Arc`-clone critical section (a handful of instructions), so readers
     /// sharing the stripe lock barely serialize on it.
     cache: Mutex<Option<CacheSlot>>,
-    /// Idle leased writer handles plus the mint count; the mutex guards
-    /// only push/pop (writes run **outside** it, so checkouts never
-    /// serialize the data path). `Arc`ed so outstanding [`WriterLease`]s
-    /// can return their handles on drop through a weak back-reference.
-    pool: Arc<Mutex<WriterPool<T>>>,
+    /// Idle writer handles plus the mint count; the mutex guards only
+    /// push/pop (writes run **outside** it, so checkouts never serialize
+    /// the data path).
+    pool: Mutex<WriterPool<T>>,
     /// Highest log LSN applied to this key, advanced (`fetch_max`) under
     /// the same stripe-lock hold as the engine write it tags. A
     /// checkpoint reads it under the exclusive lock — no write in flight —
@@ -620,13 +601,9 @@ impl Form {
 }
 
 struct WriterPool<T: OrderedBits> {
-    /// Mirror of [`KeyEntry::generation`], so a dropping lease can
-    /// validate atomically against concurrent invalidation without the
-    /// stripe lock.
-    generation: u64,
     /// Handles returned after a flush — they hold no weight while idle.
     idle: Vec<LeasedWriter<T>>,
-    /// Handles minted this generation (idle + checked out), capped by
+    /// Handles minted for the live engine (idle + checked out), capped by
     /// [`StoreConfig::writer_pool`].
     minted: usize,
 }
@@ -643,7 +620,7 @@ impl<T: OrderedBits> KeyEntry<T> {
             engine,
             generation,
             cache: Mutex::new(None),
-            pool: Arc::new(Mutex::new(WriterPool { generation, idle: Vec::new(), minted: 0 })),
+            pool: Mutex::new(WriterPool { idle: Vec::new(), minted: 0 }),
             last_lsn: AtomicU64::new(0),
             windows,
         }
@@ -685,9 +662,18 @@ impl<T: OrderedBits> KeyEntry<T> {
     }
 
     /// Return a (flushed) handle to the pool. The caller holds the shared
-    /// stripe lock, so the generation cannot have moved since checkout.
+    /// stripe lock, so the engine cannot have changed since checkout.
     fn give_back(&self, handle: LeasedWriter<T>) {
         self.pool.lock().unwrap().idle.push(handle);
+    }
+
+    /// Drop every idle handle and restart the mint count. The caller
+    /// holds the exclusive stripe lock, under which no handle is ever
+    /// checked out, so the idle handles are all there are.
+    fn clear_pool(&mut self) {
+        let pool = self.pool.get_mut().unwrap();
+        pool.idle.clear();
+        pool.minted = 0;
     }
 }
 
@@ -753,6 +739,12 @@ impl ReadView {
 
 /// Why an unleased [`SketchStore::apply`] cannot fail.
 const UNLEASED: &str = "only a leased write can be stale";
+
+/// Whether a leased write expecting generation `lease` must be rejected
+/// for `entry`, the key's entry as of the caller's lock hold.
+fn is_stale<T: OrderedBits>(lease: Option<u64>, entry: Option<&KeyEntry<T>>) -> bool {
+    lease.is_some_and(|generation| entry.map(|e| e.generation) != Some(generation))
+}
 
 /// One stripe: a reader-writer lock around the stripe's key map.
 type Stripe<T> = RwLock<HashMap<String, KeyEntry<T>>>;
@@ -1282,16 +1274,15 @@ impl<T: OrderedBits> SketchStore<T> {
 
     /// The one write pipeline (see the
     /// [module docs](self#write-path-one-pipeline)): every batch — plain,
-    /// timestamped, leased, replayed — lands through here. `lease` is a
-    /// caller-held writer handle to use instead of a pooled one; only a
-    /// leased call can fail, and [`StaleLease`] means nothing was
-    /// written or counted.
+    /// timestamped, leased, replayed — lands through here. `lease` is the
+    /// key generation a leased call expects; only a leased call can fail,
+    /// and [`StaleLease`] means nothing was written or counted.
     fn apply(
         &self,
         key: &str,
         target: Target,
         values: &[T],
-        lease: Option<&mut WriterLease<T>>,
+        lease: Option<u64>,
     ) -> Result<(), StaleLease> {
         // Shared fast path: an existing hot key, written through a
         // per-thread handle. Hot-key writers synchronize only inside the
@@ -1301,14 +1292,11 @@ impl<T: OrderedBits> SketchStore<T> {
         let fast = {
             let map = self.stripes[stripe_ix].read().unwrap();
             let entry = map.get(key);
-            // A held lease is validated under the same lock hold as its
-            // write, so a stale one — the key was removed, demoted,
-            // rolled, or re-created — is rejected before any element
-            // moves.
-            if let Some(lease) = &lease {
-                if entry.map(|e| e.generation) != Some(lease.generation) {
-                    return Err(StaleLease);
-                }
+            // A lease is validated under the same lock hold as its write,
+            // so a stale one — the key was removed, demoted, rolled, or
+            // re-created — is rejected before any element moves.
+            if is_stale(lease, entry) {
+                return Err(StaleLease);
             }
             if values.is_empty() {
                 return Ok(());
@@ -1322,11 +1310,7 @@ impl<T: OrderedBits> SketchStore<T> {
                 if target.wid(wid) != wid {
                     return None;
                 }
-                let mut pooled = None;
-                let handle = match lease {
-                    Some(lease) => lease.handle.as_mut().expect("lease handle present until drop"),
-                    None => pooled.insert(entry.checkout(self.cfg.writer_pool)?),
-                };
+                let mut handle = entry.checkout(self.cfg.writer_pool)?;
                 // Count before writing (the write is infallible from
                 // here): a concurrent `stats()` sweep sharing the stripe
                 // lock must never observe engine weight not yet in
@@ -1344,9 +1328,7 @@ impl<T: OrderedBits> SketchStore<T> {
                 // apply order. The durable *wait* happens below, lock
                 // free.
                 let ticket = self.log_update(key, wid, values, &entry.last_lsn);
-                if let Some(handle) = pooled {
-                    entry.give_back(handle);
-                }
+                entry.give_back(handle);
                 Some(ticket)
             })
         };
@@ -1358,13 +1340,18 @@ impl<T: OrderedBits> SketchStore<T> {
         // `&mut` updates drive promotion pressure), exhausted pools, and
         // every window transition (roll forward, late merge).
         let mut map = self.stripes[stripe_ix].write().unwrap();
+        // The generation may have moved between the two lock holds: check
+        // the lease again before anything could create a successor key.
+        if is_stale(lease, map.get(key)) {
+            return Err(StaleLease);
+        }
         let entry = self.entry_or_create(&mut map, stripe_ix, key, target.wid(0));
         let (active_id, watermark) = entry.window_ids();
         let wid = target.wid(active_id);
         if wid > active_id {
             // Roll forward: seal the live engine's contents for the old
             // active window, then open a fresh engine for the new one.
-            // The old engine's leases and cached form die with it —
+            // The old engine's handles and cached form die with it —
             // the same retirement as tier demotion, so a stale lease can
             // never write into the new window.
             let seed = self.key_seed(key);
@@ -1446,17 +1433,14 @@ impl<T: OrderedBits> SketchStore<T> {
         map.get_mut(key).expect("entry just ensured")
     }
 
-    /// Orphan every writer handle minted for `entry`'s previous engine
-    /// (window roll-forward, tier demotion): retire the generation so
-    /// outstanding leases are rejected at their next use (and discarded
-    /// on drop), and drop the idle pool with it. The caller holds the
-    /// exclusive stripe lock.
+    /// Retire `entry`'s previous engine (window roll-forward, tier
+    /// demotion): a fresh generation, so outstanding leases are rejected
+    /// at their next use, and a cleared pool, so no handle minted for the
+    /// old engine writes again. The caller holds the exclusive stripe
+    /// lock.
     fn retire_engine(&self, entry: &mut KeyEntry<T>) {
         entry.generation = self.next_generation();
-        let mut pool = entry.pool.lock().unwrap();
-        pool.generation = entry.generation;
-        pool.idle.clear();
-        pool.minted = 0;
+        entry.clear_pool();
     }
 
     /// Merge a summary into `state`'s sealed set at level-0 slot `start`:
@@ -1484,38 +1468,37 @@ impl<T: OrderedBits> SketchStore<T> {
         }
     }
 
-    /// Check a writer lease out of `key`'s pool, for callers that reuse a
-    /// per-thread handle across many calls (the serving layer caches one
-    /// per connection per hot key). `None` if the key is absent, its
-    /// engine declines shared writers (cold/sequential tiers), or the
-    /// pool is at capacity — fall back to [`SketchStore::update_many`].
+    /// A lease on `key`'s current generation, for callers that write one
+    /// hot key many times and want to learn when it was removed, demoted
+    /// or rolled. `Some` iff the key exists, its engine leases writers
+    /// (the hot tier), and [`StoreConfig::writer_pool`] is non-zero. A
+    /// lease reserves nothing: any number may be held at once.
     pub fn lease_writer(&self, key: &str) -> Option<WriterLease<T>> {
+        if self.cfg.writer_pool == 0 {
+            return None;
+        }
         let map = self.stripe_of(key).read().unwrap();
-        let entry = map.get(key)?;
-        let handle = entry.checkout(self.cfg.writer_pool)?;
-        Some(WriterLease {
-            generation: entry.generation,
-            handle: Some(handle),
-            pool: Arc::downgrade(&entry.pool),
-        })
+        let entry = map.get(key).filter(|entry| entry.engine.is_hot())?;
+        Some(WriterLease { generation: entry.generation, element: PhantomData })
     }
 
-    /// Feed a batch through a held lease under the shared stripe lock.
+    /// Feed a batch into `key` if the key still has the lease's
+    /// generation, the same way [`SketchStore::update_many`] would.
     ///
-    /// Validates the lease generation under the same lock hold as the
-    /// write, so a stale lease — the key was removed, demoted, or
+    /// The generation is checked under the same lock hold as the write,
+    /// so a stale lease — the key was removed, demoted, rolled, or
     /// re-created — is rejected **before** any element moves:
     /// [`StaleLease`] means no weight was written and no counter was
     /// bumped; drop the lease and retry through
-    /// [`SketchStore::update_many`]. The handle is flushed before the
-    /// call returns, so the write is fully engine-visible.
+    /// [`SketchStore::update_many`]. The batch is fully engine-visible
+    /// when the call returns.
     pub fn update_many_leased(
         &self,
         key: &str,
         lease: &mut WriterLease<T>,
         values: &[T],
     ) -> Result<(), StaleLease> {
-        self.apply(key, Target::Active, values, Some(lease))
+        self.apply(key, Target::Active, values, Some(lease.generation))
     }
 
     /// φ-quantile estimate over everything `key` has seen (local updates
@@ -1783,15 +1766,13 @@ impl<T: OrderedBits> SketchStore<T> {
                 let mut map = stripe.write().unwrap();
                 if let Some(entry) = map.get_mut(&key) {
                     // Flush-on-invalidate, **before** any tier decision:
-                    // pooled handles hold no weight by the lease invariant,
-                    // but flushing them here makes conservation across
-                    // demotion structural rather than an invariant of
-                    // every other code path (a no-op flush is free).
-                    {
-                        let mut pool = entry.pool.lock().unwrap();
-                        for handle in pool.idle.iter_mut() {
-                            handle.flush();
-                        }
+                    // pooled handles hold no weight (every write flushes
+                    // its handle before giving it back), but flushing
+                    // them here makes conservation across demotion
+                    // structural rather than an invariant of every other
+                    // code path (a no-op flush is free).
+                    for handle in entry.pool.get_mut().unwrap().idle.iter_mut() {
+                        handle.flush();
                     }
                     if entry.engine.maintain() {
                         changed += 1;
@@ -1799,13 +1780,8 @@ impl<T: OrderedBits> SketchStore<T> {
                         self.registry.event(EventKind::Demotion, format!("key={key}"));
                         self.retire_engine(entry);
                     } else {
-                        // Housekeeping sweep drops idle leases: handles
-                        // parked for a whole interval re-mint on demand;
-                        // checked-out leases keep their mint slot.
-                        let mut pool = entry.pool.lock().unwrap();
-                        let idle = pool.idle.len();
-                        pool.minted -= idle;
-                        pool.idle.clear();
+                        // Idle handles re-mint on demand.
+                        entry.clear_pool();
                     }
                     // Housekeeping for the read cache too: drop a form the
                     // engine has since moved past, so written-then-idle
@@ -2405,7 +2381,6 @@ mod tests {
         let after = store.stats();
         assert_eq!(after.updates, before.updates);
         assert_eq!(after.shared_writes, before.shared_writes);
-        drop(lease);
     }
 
     #[test]
@@ -2431,8 +2406,6 @@ mod tests {
             1,
             "no stale write may land in the successor generation"
         );
-        // Dropping the stale lease is a harmless no-op.
-        drop(lease);
         assert_eq!(store.stats().stream_len, 1);
     }
 
@@ -2463,7 +2436,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_caps_leases_and_sweep_reclaims_idle_handles() {
+    fn pool_caps_handles_and_sweep_reclaims_idle_ones() {
         let store = SketchStore::new(
             StoreConfig::default()
                 .stripes(2)
@@ -2473,58 +2446,42 @@ mod tests {
                 .promotion_threshold(0)
                 .writer_pool(2),
         );
+        // `(idle, minted)` of the key's pool.
+        let pool = |store: &SketchStore| {
+            let map = store.stripe_of("k").read().unwrap();
+            let pool = map["k"].pool.lock().unwrap();
+            (pool.idle.len(), pool.minted)
+        };
         store.update_many("k", &[0.0]);
         store.update_many("k", &[1.0]);
-        let lease_a = store.lease_writer("k").expect("first lease");
-        let lease_b = store.lease_writer("k").expect("second lease");
-        assert!(store.lease_writer("k").is_none(), "pool cap must bound minted leases");
-        // update_many still works: the exhausted pool sends it down the
-        // exclusive fallback.
-        store.update_many("k", &[2.0]);
-        assert!(store.stats().fallback_writes >= 1);
-        drop(lease_a);
-        let lease_c = store.lease_writer("k").expect("returned handles are reusable");
-        // Park both handles and sweep: idle leases are dropped and their
-        // mint slots freed, so the pool can mint fresh ones afterwards.
-        drop(lease_b);
-        drop(lease_c);
+        assert_eq!(pool(&store), (1, 1), "one shared write mints one handle");
+        // The cap bounds the handles checked out at once.
+        {
+            let map = store.stripe_of("k").read().unwrap();
+            let entry = &map["k"];
+            let a = entry.checkout(2).expect("idle handle");
+            let b = entry.checkout(2).expect("second handle minted");
+            assert!(entry.checkout(2).is_none(), "pool cap must bound minted handles");
+            entry.give_back(a);
+            entry.give_back(b);
+        }
+        assert_eq!(pool(&store), (2, 2));
+        // A lease reserves no handle: any number may be held, and each
+        // leased write checks an idle handle out like any other write.
+        let mut leases: Vec<_> = (0..3).map(|_| store.lease_writer("k").expect("lease")).collect();
+        for (lease, v) in leases.iter_mut().zip(2..) {
+            store.update_many_leased("k", lease, &[f64::from(v)]).unwrap();
+        }
+        assert_eq!(pool(&store), (2, 2), "leased writes reuse idle handles");
+        // The sweep drops idle handles and frees their mint slots, so
+        // the pool mints fresh ones afterwards.
         store.cool_down();
-        store.update_many("k", &[3.0]); // keep the key hot across the sweep
-        let fresh_a = store.lease_writer("k").expect("sweep must free idle mint slots");
-        let fresh_b = store.lease_writer("k").expect("both slots mint again");
-        assert!(store.lease_writer("k").is_none(), "cap still enforced");
-        drop(fresh_a);
-        drop(fresh_b);
-        assert_eq!(store.stats().stream_len, 4);
-    }
-
-    #[test]
-    fn dropped_leases_release_their_mint_slots_immediately() {
-        // A lease dropped anywhere (a finished writer, a worker panic
-        // unwinding a connection's cache) must not pin its mint slot: the
-        // drop returns the handle through the weak pool back-reference, no
-        // housekeeping sweep required.
-        let store = SketchStore::new(
-            StoreConfig::default()
-                .stripes(2)
-                .k(64)
-                .b(4)
-                .seed(11)
-                .promotion_threshold(0)
-                .writer_pool(1),
-        );
-        store.update_many("k", &[0.0]);
-        store.update_many("k", &[1.0]);
-        let lease = store.lease_writer("k").expect("hot key leases");
-        assert!(store.lease_writer("k").is_none(), "single slot checked out");
-        drop(lease);
-        let again = store.lease_writer("k").expect("dropped lease must free its slot");
-        drop(again);
-        // And a stale drop (after removal) is a harmless no-op.
-        let lease = store.lease_writer("k").expect("slot free again");
-        store.remove("k");
-        drop(lease);
-        assert!(store.is_empty());
+        assert_eq!(pool(&store), (0, 0), "sweep must free idle mint slots");
+        store.update_many("k", &[5.0]); // keep the key hot across the sweep
+        assert_eq!(pool(&store), (1, 1));
+        let stats = store.stats();
+        assert_eq!((stats.shared_writes, stats.fallback_writes), (5, 1));
+        assert_eq!(stats.stream_len, 6);
     }
 
     #[test]

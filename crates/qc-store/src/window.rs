@@ -7,7 +7,7 @@
 //! store composes over its engines:
 //!
 //! * the **active window** of a key is its live engine (the full
-//!   shared-lock leased write path and summary cache apply unchanged);
+//!   shared-lock write path and summary cache apply unchanged);
 //! * **sealed windows** are immutable [`LeveledSummary`] snapshots —
 //!   packed sorted level runs, at most 8 bytes per retained value —
 //!   keyed by their level-0 start id in a [`BTreeMap`]. A time-range read

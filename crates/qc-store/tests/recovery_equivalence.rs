@@ -41,8 +41,8 @@ enum Op {
         wid_offset: u64,
         values: Vec<f64>,
     },
-    /// Write through a lease held across ops (the serving layer's
-    /// discipline), falling back when none is on offer or it went stale.
+    /// Write through a lease held across ops, falling back when none is
+    /// on offer or it went stale.
     Leased {
         key: usize,
         values: Vec<f64>,

@@ -2,8 +2,9 @@
 //! ride the shared-lock fast path, conserve weight exactly, and stay
 //! exact even when housekeeping (demotion) and removal race the writers.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex};
 
 use qc_common::Summary;
 use qc_store::{SketchStore, StaleLease, StoreConfig};
@@ -163,7 +164,6 @@ fn held_leases_race_removal_with_exact_accounting() {
                     }
                     applied.fetch_add(BATCH as u64, Ordering::Relaxed);
                 }
-                drop(lease);
             });
         }
         // Removal thread: periodically wipe the key mid-traffic, forcing
@@ -187,4 +187,109 @@ fn held_leases_race_removal_with_exact_accounting() {
     let resident = store.summary_of("k").map(|s| s.stream_len()).unwrap_or(0);
     assert!(resident <= stats.updates);
     assert_eq!(stats.stream_len, resident, "only the surviving key holds weight");
+}
+
+/// Leases on a one-handle pool racing removal: with `writer_pool(1)` and
+/// three writers, leased writes often find the pool empty and take the
+/// exclusive path, where the lease is checked again before anything could
+/// create the key. Each remove is followed by a re-creation, so a stale
+/// lease that slipped past that check would land in the successor.
+/// Per-generation accounting pins that it never does.
+#[test]
+fn leases_on_a_one_handle_pool_race_removal_into_no_successor() {
+    const THREADS: usize = 3;
+    const ROUNDS: usize = 2000;
+    const BATCH: usize = 64;
+    // A leased write has taken the exclusive path once the fallbacks
+    // outnumber the creations (read after them: a creation in flight
+    // adds at most one fallback not yet in `creations`).
+    let leased_fallback = |store: &SketchStore, creations: &AtomicU64| {
+        let fallbacks = store.stats().fallback_writes;
+        fallbacks > creations.load(Ordering::Relaxed) + 1
+    };
+
+    let store = SketchStore::new(cfg(4).promotion_threshold(0).writer_pool(1));
+    store.update_many("k", &[0.5]);
+    // Accepted weight per key generation.
+    let accepted = Mutex::new(HashMap::<u64, u64>::new());
+    let stale = AtomicU64::new(0);
+    let creations = AtomicU64::new(1);
+    let writers_done = AtomicU64::new(0);
+    let start = Barrier::new(THREADS + 1);
+
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (store, accepted, stale, creations) = (&store, &accepted, &stale, &creations);
+            let (writers_done, start, leased_fallback) = (&writers_done, &start, &leased_fallback);
+            s.spawn(move || {
+                // A lease on the key's current generation; the key is
+                // absent only between a remove and its re-creation.
+                let lease = || loop {
+                    match store.lease_writer("k") {
+                        Some(lease) => break lease,
+                        None => std::thread::yield_now(),
+                    }
+                };
+                start.wait();
+                let mut held = lease();
+                // Past `ROUNDS`, keep writing (up to a cap) until a leased
+                // write has reached the exclusive path: on a loaded
+                // machine the writers may not have overlapped yet.
+                let mut i = 0;
+                while i < ROUNDS || (i < 20 * ROUNDS && !leased_fallback(store, creations)) {
+                    i += 1;
+                    let base = (t * 20 * ROUNDS + i) * BATCH;
+                    let batch: Vec<f64> = (0..BATCH).map(|j| (base + j) as f64).collect();
+                    match store.update_many_leased("k", &mut held, &batch) {
+                        Ok(()) => {
+                            *accepted.lock().unwrap().entry(held.generation()).or_default() +=
+                                BATCH as u64;
+                        }
+                        Err(StaleLease) => {
+                            stale.fetch_add(1, Ordering::Relaxed);
+                            held = lease();
+                        }
+                    }
+                }
+                writers_done.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        // Remover: wipe the key and re-create it with one value, over and
+        // over, until every writer is done; the key always ends present.
+        // Writers only write through leases, so between a remove and the
+        // re-creation nothing may bring the key back.
+        let (store, creations, writers_done, start) = (&store, &creations, &writers_done, &start);
+        s.spawn(move || {
+            start.wait();
+            while writers_done.load(Ordering::Relaxed) < THREADS as u64 {
+                std::thread::sleep(std::time::Duration::from_micros(500));
+                assert!(store.remove("k"), "only this thread removes, and it re-creates");
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                assert!(store.summary_of("k").is_none(), "a stale lease re-created the key");
+                store.update_many("k", &[0.5]);
+                creations.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+    });
+
+    let accepted = accepted.into_inner().unwrap();
+    let creations = creations.load(Ordering::Relaxed);
+    let stats = store.stats();
+    // Exact accounting: every accepted batch and every creation counted
+    // once; a stale rejection counts nothing.
+    assert_eq!(stats.updates, creations + accepted.values().sum::<u64>());
+    // No write into a successor: the surviving key holds its creation
+    // value plus exactly the batches accepted under its own generation.
+    let survivor = store.lease_writer("k").expect("key ends hot").generation();
+    let resident = store.summary_of("k").expect("key ends present").stream_len();
+    assert_eq!(resident, 1 + accepted.get(&survivor).copied().unwrap_or(0));
+    assert_eq!(stats.stream_len, resident, "only the surviving key holds weight");
+    // The race ran: leases went stale, and leased writes took the
+    // exclusive path (every fallback past the creations is one).
+    assert!(creations > 1 && stale.load(Ordering::Relaxed) > 0, "no removal raced a lease");
+    assert!(
+        stats.fallback_writes > creations,
+        "no leased write reached the exclusive path (fallback {}, creations {creations})",
+        stats.fallback_writes
+    );
 }

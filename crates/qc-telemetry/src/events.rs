@@ -35,9 +35,6 @@ pub enum EventKind {
     Promotion,
     /// A key's engine was demoted back to the cold tier.
     Demotion,
-    /// A leased writer went stale and the write fell back to the
-    /// exclusive path.
-    LeaseFallback,
     /// A key was removed from the store.
     Eviction,
     /// A store recovered its state from a durable data directory.
@@ -69,7 +66,6 @@ impl EventKind {
             EventKind::SlowRequest => "slow_request",
             EventKind::Promotion => "promotion",
             EventKind::Demotion => "demotion",
-            EventKind::LeaseFallback => "lease_fallback",
             EventKind::Eviction => "eviction",
             EventKind::Recovery => "recovery",
             EventKind::Checkpoint => "checkpoint",

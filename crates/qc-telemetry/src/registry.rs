@@ -305,9 +305,9 @@ mod tests {
     #[test]
     fn events_flow_through_registry() {
         let registry = Registry::new();
-        registry.event(EventKind::LeaseFallback, "key=k1");
+        registry.event(EventKind::Demotion, "key=k1");
         let events = registry.events().drain();
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, EventKind::LeaseFallback);
+        assert_eq!(events[0].kind, EventKind::Demotion);
     }
 }

@@ -9,8 +9,12 @@
 //! Ingestion is pipelined across a small thread pool (reader thread
 //! parses, worker threads ingest via their own `Updater` handles), so the
 //! example also demonstrates the handle-per-thread API under a realistic
-//! I/O-bound pipeline.
+//! I/O-bound pipeline. At end of input every worker has stopped, so the
+//! answer covers every ingested value: the quiescent summary (levels plus
+//! Gather&Sort buffers) and each worker's thread-local tail.
 
+use qc_common::summary::{Summary, UnionView};
+use qc_common::OrderedBits;
 use quancurrent::Quancurrent;
 use std::io::{BufRead, Write};
 use std::sync::mpsc;
@@ -31,19 +35,22 @@ fn main() {
 
     let sketch = Quancurrent::<f64>::builder().k(1024).b(64).build();
 
-    let (parsed, lines_read, skipped) = std::thread::scope(|s| {
+    let (parsed, lines_read, skipped, tails) = std::thread::scope(|s| {
         let mut senders = Vec::new();
+        let mut workers = Vec::new();
         for _ in 0..WORKERS {
             let (tx, rx) = mpsc::sync_channel::<Vec<f64>>(4);
             let mut updater = sketch.updater();
             senders.push(tx);
-            s.spawn(move || {
+            workers.push(s.spawn(move || {
                 while let Ok(chunk) = rx.recv() {
                     for x in chunk {
                         updater.update(x);
                     }
                 }
-            });
+                // Values still in the thread-local buffer (fewer than b).
+                updater.pending()
+            }));
         }
 
         // Reader/parser on this thread.
@@ -73,22 +80,25 @@ fn main() {
             senders[next].send(chunk).unwrap();
         }
         drop(senders); // workers drain and exit
-        (parsed, lines, skipped)
+        let tails: Vec<f64> = workers.into_iter().flat_map(|w| w.join().unwrap()).collect();
+        (parsed, lines, skipped, tails)
     });
+
+    // Every worker has joined: answer over the levels, the Gather&Sort
+    // buffers and the workers' tails together.
+    let summary = sketch.quiescent_summary();
+    let mut tail: Vec<u64> = tails.iter().map(|x| x.to_ordered_bits()).collect();
+    tail.sort_unstable();
+    let mut view = UnionView::new();
+    view.push_weighted(&summary);
+    view.push_sorted(&tail, 1);
 
     let mut out = std::io::stdout().lock();
     writeln!(out, "# lines: {lines_read}, ingested: {parsed}, skipped: {skipped}").unwrap();
-    writeln!(
-        out,
-        "# visible to sketch: {} (relaxation bound {})",
-        sketch.stream_len(),
-        sketch.relaxation_bound(WORKERS)
-    )
-    .unwrap();
+    writeln!(out, "# visible to sketch: {}", view.stream_len()).unwrap();
 
-    let mut handle = sketch.query_handle();
     for &phi in &phis {
-        match handle.query(phi) {
+        match view.quantile::<f64>(phi) {
             Some(v) => writeln!(out, "q{phi:<6} {v}").unwrap(),
             None => writeln!(out, "q{phi:<6} (empty)").unwrap(),
         }

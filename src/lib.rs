@@ -21,8 +21,9 @@
 //! * [`server`] — the TCP serving layer over the store: binary protocol,
 //!   thread-pooled connection handling, and the blocking client.
 //! * [`ingest`] — the high-rate UDP front door: CRC-checked batched
-//!   datagrams, a never-blocking socket thread feeding lease-reusing
-//!   processors, exact drop accounting, and an overload circuit breaker.
+//!   datagrams, a never-blocking socket thread feeding processors that
+//!   write through the store, exact drop accounting, and an overload
+//!   circuit breaker.
 //! * [`mwcas`] — the software DCAS / multi-word CAS substrate.
 //! * [`reclaim`] — interval-based memory reclamation (IBR).
 //! * [`workloads`] — stream generators, the exact oracle, and the
