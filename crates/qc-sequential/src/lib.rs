@@ -8,6 +8,11 @@
 //! [`qc_common::error`]).
 //!
 //! * [`QuantilesSketch`] — the core, operating on 64-bit ordered keys.
+//!   Its memory follows the stream: the base buffer grows on demand, and
+//!   full levels are immutable shared runs.
+//! * [`SketchParts`] — a sketch's state as sorted runs (shared levels +
+//!   the base sorted once): what queries answer over, with no flat
+//!   summary built.
 //! * [`Sketch`] — typed wrapper over any [`qc_common::OrderedBits`] type.
 //!
 //! ```
@@ -28,5 +33,5 @@
 mod sketch;
 mod typed;
 
-pub use sketch::QuantilesSketch;
+pub use sketch::{QuantilesSketch, SketchParts};
 pub use typed::Sketch;

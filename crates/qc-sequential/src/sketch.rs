@@ -10,11 +10,21 @@
 //! carry arriving at a full level merges with it (merge sort of two sorted
 //! `k`-arrays) and is compacted again, one level higher — exactly the
 //! propagation of Figure 3.
+//!
+//! Memory follows the stream seen so far: the base buffer grows on demand
+//! (nothing is preallocated), and each full level is an immutable
+//! `Arc`-shared run, replaced — never edited — by a compaction. Reads take
+//! the sketch as [`SketchParts`] — those shared runs plus the base sorted
+//! once — and answer over their union ([`UnionView`]) without building
+//! the flat `samples` list; [`QuantilesSketch::summary`] is that list,
+//! the flattening of the same parts.
+
+use std::sync::Arc;
 
 use qc_common::merge::merge_sorted;
 use qc_common::rng::Xoshiro256;
 use qc_common::sample::sample_odd_or_even;
-use qc_common::summary::{Summary, WeightedSummary};
+use qc_common::summary::{Summary, UnionView, WeightedSummary};
 
 /// Sequential Agarwal et al. Quantiles sketch over 64-bit ordered keys.
 ///
@@ -27,10 +37,12 @@ pub struct QuantilesSketch {
     n: u64,
     /// Paper level 0: up to `2k` weight-1 elements, kept unsorted until
     /// compaction (sorting once per `2k` ingests is the classic trade).
+    /// Grows on demand: a key that has seen 32 values holds 32 slots.
     base: Vec<u64>,
     /// `levels[i]` is paper level `i + 1`: empty or exactly `k` sorted
-    /// elements of weight `2^(i+1)`.
-    levels: Vec<Option<Vec<u64>>>,
+    /// elements of weight `2^(i+1)`. Immutable between compactions, so
+    /// [`QuantilesSketch::parts`] shares them instead of copying.
+    levels: Vec<Option<Arc<Vec<u64>>>>,
     rng: Xoshiro256,
 }
 
@@ -46,13 +58,7 @@ impl QuantilesSketch {
     /// Create a sketch with an explicit RNG seed (for reproducible runs).
     pub fn with_seed(k: usize, seed: u64) -> Self {
         assert!(k >= 2, "k must be at least 2");
-        Self {
-            k,
-            n: 0,
-            base: Vec::with_capacity(2 * k),
-            levels: Vec::new(),
-            rng: Xoshiro256::seed_from_u64(seed),
-        }
+        Self { k, n: 0, base: Vec::new(), levels: Vec::new(), rng: Xoshiro256::seed_from_u64(seed) }
     }
 
     /// Level size parameter.
@@ -72,13 +78,16 @@ impl QuantilesSketch {
 
     /// Number of elements currently retained (memory ∝ this).
     pub fn num_retained(&self) -> usize {
-        self.base.len() + self.levels.iter().flatten().map(Vec::len).sum::<usize>()
+        self.base.len() + self.levels.iter().flatten().map(|run| run.len()).sum::<usize>()
     }
 
     /// Sizes of the occupied structures: `(base length, per-level lengths)`.
     /// Level `i` of the return value is paper level `i + 1`.
     pub fn level_sizes(&self) -> (usize, Vec<usize>) {
-        (self.base.len(), self.levels.iter().map(|l| l.as_ref().map_or(0, Vec::len)).collect())
+        (
+            self.base.len(),
+            self.levels.iter().map(|l| l.as_ref().map_or(0, |run| run.len())).collect(),
+        )
     }
 
     /// The normalized rank error bound ε(k) of this sketch.
@@ -95,6 +104,14 @@ impl QuantilesSketch {
         if self.base.len() == 2 * self.k {
             self.compact_base();
         }
+    }
+
+    /// Make room in the base buffer for `additional` more values, up to its
+    /// `2k` bound, so a batch grows the buffer once rather than value by
+    /// value. The capacity still follows the data: nothing beyond the
+    /// batch is reserved.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.base.reserve(additional.min(2 * self.k - self.base.len()));
     }
 
     /// Bulk-ingest an ascending slice.
@@ -179,7 +196,7 @@ impl QuantilesSketch {
         // the same level of self.
         for (i, level) in other.levels.iter().enumerate() {
             if let Some(arr) = level {
-                self.carry_into(arr.clone(), i);
+                self.carry_into(arr.to_vec(), i);
             }
         }
         // Other's base elements are weight-1 singletons.
@@ -192,33 +209,38 @@ impl QuantilesSketch {
         self.n += other.n;
     }
 
-    /// Build the weighted `samples` view used to answer queries (§2.2).
+    /// The sketch's state as the runs a read answers over: the base buffer
+    /// sorted once, then every full level — shared with the sketch, not
+    /// copied — lowest first.
+    pub fn parts(&self) -> SketchParts {
+        let mut base = self.base.clone();
+        base.sort_unstable();
+        let levels =
+            self.levels.iter().enumerate().filter_map(|(i, level)| {
+                level.as_ref().map(|run| (Arc::clone(run), 1u64 << (i + 1)))
+            });
+        SketchParts { base, levels: levels.collect() }
+    }
+
+    /// Build the weighted `samples` list of §2.2: the flattening of
+    /// [`QuantilesSketch::parts`] (see [`SketchParts::summary`]).
     pub fn summary(&self) -> WeightedSummary {
-        let mut base_sorted = self.base.clone();
-        base_sorted.sort_unstable();
-        let mut parts: Vec<(&[u64], u64)> = Vec::with_capacity(1 + self.levels.len());
-        if !base_sorted.is_empty() {
-            parts.push((&base_sorted[..], 1));
-        }
-        for (i, level) in self.levels.iter().enumerate() {
-            if let Some(arr) = level {
-                parts.push((&arr[..], 1u64 << (i + 1)));
-            }
-        }
-        WeightedSummary::from_parts(parts)
+        self.parts().summary()
     }
 
     /// Estimate the φ-quantile (in bit space). `None` iff empty.
     ///
-    /// Cost: builds a summary (O(m log m) in the retained count m). Batch
-    /// callers should build one [`QuantilesSketch::summary`] and query it.
+    /// Cost: sorts a copy of the base buffer (at most `2k` values), then
+    /// selects over the sorted runs ([`SketchParts::view`]); no flat
+    /// summary is built. Bit-equal to `self.summary().quantile_bits(phi)`.
     pub fn quantile_bits(&self, phi: f64) -> Option<u64> {
-        self.summary().quantile_bits(phi)
+        self.parts().view().quantile_bits(phi)
     }
 
-    /// Estimate the rank of `x` (in bit space).
+    /// Estimate the rank of `x` (in bit space), over the same runs as
+    /// [`QuantilesSketch::quantile_bits`].
     pub fn rank_bits(&self, x: u64) -> u64 {
-        self.summary().rank_bits(x)
+        self.parts().view().rank_bits(x)
     }
 
     /// Sort + compact the full base buffer and carry the survivors up.
@@ -241,7 +263,7 @@ impl QuantilesSketch {
             }
             match self.levels[slot].take() {
                 None => {
-                    self.levels[slot] = Some(carry);
+                    self.levels[slot] = Some(Arc::new(carry));
                     return;
                 }
                 Some(existing) => {
@@ -251,6 +273,45 @@ impl QuantilesSketch {
                 }
             }
         }
+    }
+}
+
+/// A sketch's state as ascending runs, each with the weight every one of
+/// its values stands for — what a read answers over.
+///
+/// [`SketchParts::view`] answers over their union without a merge (rank
+/// is additive across runs), bit-equal to [`SketchParts::summary`], the
+/// flat `samples` list of the same runs.
+#[derive(Clone, Debug, Default)]
+pub struct SketchParts {
+    /// Unit-weight values, sorted: a sequential sketch's base buffer.
+    pub base: Vec<u64>,
+    /// Ascending runs and their weights, lowest weight first: a
+    /// sequential sketch's full levels, shared with it.
+    pub levels: Vec<(Arc<Vec<u64>>, u64)>,
+}
+
+impl SketchParts {
+    /// The union of the runs, answering without a merge.
+    pub fn view(&self) -> UnionView<'_> {
+        let mut view = UnionView::new();
+        self.push_into(&mut view);
+        view
+    }
+
+    /// Add every run to `view`.
+    pub fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
+        view.push_sorted(&self.base, 1);
+        for (run, weight) in &self.levels {
+            view.push_sorted(run, *weight);
+        }
+    }
+
+    /// The flat `samples` list of the runs: the base, then the levels, in
+    /// one [`WeightedSummary::from_parts`] call.
+    pub fn summary(&self) -> WeightedSummary {
+        let levels = self.levels.iter().map(|(run, weight)| (&run[..], *weight));
+        WeightedSummary::from_parts(std::iter::once((&self.base[..], 1)).chain(levels))
     }
 }
 

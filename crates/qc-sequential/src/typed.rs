@@ -6,7 +6,7 @@ use qc_common::bits::OrderedBits;
 use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::summary::{Summary, WeightedSummary};
 
-use crate::sketch::QuantilesSketch;
+use crate::sketch::{QuantilesSketch, SketchParts};
 
 /// A sequential Quantiles sketch over any [`OrderedBits`] element type.
 ///
@@ -53,17 +53,23 @@ impl<T: OrderedBits> Sketch<T> {
     /// Estimated CDF at the given split points.
     pub fn cdf(&self, split_points: &[T]) -> Vec<f64> {
         let bits: Vec<u64> = split_points.iter().map(|x| x.to_ordered_bits()).collect();
-        self.inner.summary().cdf_bits(&bits)
+        self.inner.parts().view().cdf_bits(&bits)
     }
 
     /// Estimated histogram over ascending `splits` (see
     /// [`qc_common::Summary::histogram_bits`]).
     pub fn histogram(&self, splits: &[T]) -> Vec<u64> {
         let bits: Vec<u64> = splits.iter().map(|x| x.to_ordered_bits()).collect();
-        self.inner.summary().histogram_bits(&bits)
+        self.inner.parts().view().histogram_bits(&bits)
     }
 
-    /// Build a reusable weighted summary (for batch queries).
+    /// The sketch's state as sorted runs (see [`QuantilesSketch::parts`]).
+    pub fn parts(&self) -> SketchParts {
+        self.inner.parts()
+    }
+
+    /// Build a reusable weighted summary (for callers that keep or ship
+    /// it; batch queries can ask one [`Sketch::parts`] view instead).
     pub fn summary(&self) -> WeightedSummary {
         self.inner.summary()
     }
@@ -107,16 +113,16 @@ impl<T: OrderedBits> QuantileEstimator<T> for Sketch<T> {
         self.inner.rank_bits(x.to_ordered_bits())
     }
 
-    /// Overridden to build one summary for all split points.
+    /// Overridden to gather the parts once for all split points.
     fn cdf(&self, split_points: &[T]) -> Vec<f64> {
-        let bits: Vec<u64> = split_points.iter().map(|x| x.to_ordered_bits()).collect();
-        self.inner.summary().cdf_bits(&bits)
+        Sketch::cdf(self, split_points)
     }
 
-    /// Overridden to build one summary for all φ values.
+    /// Overridden to gather the parts once for all φ values.
     fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        let summary = self.inner.summary();
-        phis.iter().map(|&phi| summary.quantile_bits(phi).map(T::from_ordered_bits)).collect()
+        let parts = self.inner.parts();
+        let view = parts.view();
+        phis.iter().map(|&phi| view.quantile_bits(phi).map(T::from_ordered_bits)).collect()
     }
 
     fn error_bound(&self) -> f64 {
@@ -129,8 +135,15 @@ impl<T: OrderedBits> StreamIngest<T> for Sketch<T> {
         self.inner.update(x.to_ordered_bits());
     }
 
-    // `update_many` keeps the trait default; `flush` is the default
-    // no-op: every update is immediately visible.
+    /// Overridden to size the base buffer once per batch.
+    fn update_many(&mut self, xs: &[T]) {
+        self.inner.reserve(xs.len());
+        for &x in xs {
+            self.inner.update(x.to_ordered_bits());
+        }
+    }
+
+    // `flush` is the default no-op: every update is immediately visible.
 }
 
 impl<T: OrderedBits> MergeableSketch<T> for Sketch<T> {

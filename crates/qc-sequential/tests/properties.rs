@@ -1,6 +1,7 @@
 //! Property-based tests of the sequential sketch.
 
 use proptest::prelude::*;
+use qc_common::rng::Xoshiro256;
 use qc_common::Summary;
 use qc_sequential::QuantilesSketch;
 
@@ -117,6 +118,59 @@ proptest! {
         for len in levels {
             prop_assert!(len == 0 || len == k);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The two answer paths are one: every answer over `parts()` — the
+    /// shared level runs and the base sorted once — is bit-equal to the
+    /// same answer over `summary()`, the flat `samples` list, and so are
+    /// the sketch's own `quantile_bits` / `rank_bits`. Stream lengths sit
+    /// on and around the first compaction (0, 1, 2k-1, 2k, 2k+1) and
+    /// anywhere up to 20 000; narrow value domains force ties within and
+    /// across levels.
+    #[test]
+    fn parts_answer_bit_equal_to_summary(
+        k in prop::sample::select(vec![2usize, 3, 8, 16, 64]),
+        n_kind in 0usize..6,
+        n_random in 0u64..=20_000,
+        domain in prop::sample::select(vec![1u64, 7, 1000, u64::MAX]),
+        seed in any::<u64>(),
+    ) {
+        let two_k = 2 * k as u64;
+        let n = [0, 1, two_k - 1, two_k, two_k + 1, n_random][n_kind];
+        let mut s = QuantilesSketch::with_seed(k, seed);
+        let mut rng = Xoshiro256::seed_from_u64(seed ^ 0xA5A5);
+        for _ in 0..n {
+            let x = if domain == u64::MAX { rng.next_u64() } else { rng.next_below(domain) };
+            s.update(x);
+        }
+        let summary = s.summary();
+        let parts = s.parts();
+        let view = parts.view();
+        prop_assert_eq!(view.stream_len(), summary.stream_len());
+        prop_assert_eq!(view.stream_len(), n);
+        for phi in (0..=100).map(|i| i as f64 / 100.0) {
+            let flat = summary.quantile_bits(phi);
+            prop_assert_eq!(view.quantile_bits(phi), flat, "phi {}", phi);
+            prop_assert_eq!(s.quantile_bits(phi), flat, "phi {}", phi);
+        }
+        // Every retained value and its neighbours, plus both ends.
+        let mut probes = vec![0, u64::MAX];
+        for item in summary.items() {
+            let v = item.value_bits;
+            probes.extend([v.saturating_sub(1), v, v.saturating_add(1)]);
+        }
+        probes.sort_unstable();
+        for &x in &probes {
+            let flat = summary.rank_bits(x);
+            prop_assert_eq!(view.rank_bits(x), flat, "rank of {}", x);
+            prop_assert_eq!(s.rank_bits(x), flat, "rank of {}", x);
+        }
+        let bits = |cdf: Vec<f64>| cdf.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        prop_assert_eq!(bits(view.cdf_bits(&probes)), bits(summary.cdf_bits(&probes)));
     }
 }
 

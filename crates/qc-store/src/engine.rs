@@ -35,9 +35,10 @@ use qc_common::bits::OrderedBits;
 use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::rng::SplitMix64;
 use qc_common::summary::{Summary, UnionView, WeightedSummary};
+use qc_sequential::SketchParts;
 use quancurrent::{Quancurrent, Updater};
 
-use crate::merge::{merge_runs_flat, merge_summaries};
+use crate::merge::{by_level, merge_runs_flat, merge_summaries};
 use crate::store::StoreConfig;
 
 /// The hot tier of [`TieredEngine`]: a [`Quancurrent`] sketch, one
@@ -97,35 +98,41 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
     shared_ops: Arc<AtomicU64>,
 }
 
-/// A [`ConcurrentEngine`]'s state as the parts a read answers over,
-/// gathered without merging: the sketch's sorted level arrays, one sorted
+/// A key's state as the parts a read answers over, gathered without
+/// merging, on either tier: sorted runs with their weights, one sorted
 /// tail of unit-weight values, and the absorbed summaries.
+///
+/// * **Hot** ([`ConcurrentEngine::parts`]): the snapshot's level arrays,
+///   the tail (Gather&Sort pending, the resident writer's unflushed tail,
+///   the leased writers' spill) and the absorbed summaries.
+/// * **Cold** ([`qc_sequential::Sketch::parts`]): the sketch's full levels,
+///   shared with it (`Arc` clones, no copy), and its base buffer sorted
+///   once as the tail.
 ///
 /// [`EngineParts::view`] answers over their union — rank is additive
 /// across the parts — exactly as a flat summary of every part's items
-/// would. The store's read cache merges them once into the engine's
-/// bounded summary, on the first read that needs one, and keeps it beside
-/// them.
+/// would. The store's read cache builds the key's flat summary from them
+/// once, on the first read that needs one, and keeps it beside them.
 #[derive(Debug)]
 pub struct EngineParts {
-    /// The snapshot's level arrays, indexed by level: every value in
-    /// `levels[j]` weighs `2^j`. Levels the snapshot leaves out are empty.
-    levels: Vec<Vec<u64>>,
-    /// Every unit-weight value outside the levels — Gather&Sort pending,
-    /// the resident writer's unflushed tail, the leased writers' spill —
-    /// sorted once.
-    tail: Vec<u64>,
-    /// The absorbed bulk, then the buffered absorbs.
+    /// The runs, and the unit-weight tail as their `base`.
+    runs: SketchParts,
+    /// The absorbed bulk, then the buffered absorbs (hot only).
     absorbed: Vec<Arc<WeightedSummary>>,
-    /// The engine's level size and merge seed, which `summary` merges
-    /// with.
-    k: usize,
-    merge_seed: u64,
-    /// The merged summary, built on first demand.
+    /// How `summary` flattens the parts: `Some((k, merge_seed))` merges a
+    /// hot engine's parts into its bounded summary; `None` is a cold
+    /// sketch's own flat composition ([`SketchParts::summary`]).
+    merge: Option<(usize, u64)>,
+    /// The flat summary, built on first demand.
     summary: OnceLock<Arc<WeightedSummary>>,
 }
 
 impl EngineParts {
+    /// A cold key's parts: its sequential sketch's runs.
+    fn cold(runs: SketchParts) -> Self {
+        EngineParts { runs, absorbed: Vec::new(), merge: None, summary: OnceLock::new() }
+    }
+
     /// The union of the parts, answering without a merge.
     pub fn view(&self) -> UnionView<'_> {
         let mut view = UnionView::new();
@@ -135,33 +142,37 @@ impl EngineParts {
 
     /// Add every part to `view`.
     pub(crate) fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
-        for (j, run) in self.levels.iter().enumerate() {
-            view.push_sorted(run, 1 << j);
-        }
-        view.push_sorted(&self.tail, 1);
+        self.runs.push_into(view);
         for summary in &self.absorbed {
             view.push_weighted(summary);
         }
     }
 
-    /// The parts merged once into the engine's bounded summary, on the
-    /// first call, and shared by every later one.
+    /// The key's flat summary, built on the first call and shared by every
+    /// later one.
     pub(crate) fn summary(&self) -> Arc<WeightedSummary> {
-        Arc::clone(self.summary.get_or_init(|| Arc::new(self.merge())))
+        Arc::clone(self.summary.get_or_init(|| Arc::new(self.flatten())))
     }
 
-    /// One merge of the parts. The level arrays go into the merge kernel as
-    /// the level runs they are and the tail as one level-0 run, so every
-    /// level receives the multiset the flat composition
+    /// The key's flat summary, built afresh. A cold key's is its sketch's
+    /// own flat composition, bit for bit. A hot key's is one merge of the
+    /// parts: the level arrays go into the merge kernel as the level runs
+    /// they are and the tail as one level-0 run, so every level receives
+    /// the multiset the flat composition
     /// `merge_summaries([quiescent, tail, absorbed, ..])` gave it, and the
     /// compaction coins and the output bits are the same.
-    fn merge(&self) -> WeightedSummary {
+    fn flatten(&self) -> WeightedSummary {
+        let Some((k, merge_seed)) = self.merge else { return self.runs.summary() };
         let absorbed: Vec<Vec<Vec<u64>>> =
             self.absorbed.iter().map(|summary| summary.level_runs()).collect();
-        let runs = [&self.levels[..], std::slice::from_ref(&self.tail)]
-            .into_iter()
-            .chain(absorbed.iter().map(Vec::as_slice));
-        merge_runs_flat(runs, self.k, self.merge_seed)
+        let levels =
+            self.runs.levels.iter().map(|(run, w)| (w.trailing_zeros() as usize, &run[..]));
+        let tail = std::iter::once((0, &self.runs.base[..]));
+        merge_runs_flat(
+            levels.chain(tail).chain(by_level(absorbed.iter().map(Vec::as_slice))),
+            k,
+            merge_seed,
+        )
     }
 }
 
@@ -209,18 +220,16 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     pub fn parts(&self) -> EngineParts {
         let (snapshot, mut tail) = self.sketch.quiescent_parts();
         // The snapshot lists its levels highest first.
-        let top = snapshot.first().map_or(0, |(_, weight)| weight.trailing_zeros() as usize + 1);
-        let mut levels = vec![Vec::new(); top];
-        for (run, weight) in snapshot {
-            levels[weight.trailing_zeros() as usize] = run;
-        }
+        let levels = snapshot.into_iter().rev().map(|(run, weight)| (Arc::new(run), weight));
         tail.extend(self.writer.lock().unwrap().pending().iter().map(|v| v.to_ordered_bits()));
         tail.extend(self.spill.lock().unwrap().iter().copied());
         tail.sort_unstable();
-        let absorbed =
-            std::iter::once(&self.absorbed).chain(&self.absorb_buffer).cloned().collect();
-        let (k, merge_seed) = (self.k, self.merge_seed);
-        EngineParts { levels, tail, absorbed, k, merge_seed, summary: OnceLock::new() }
+        EngineParts {
+            runs: SketchParts { base: tail, levels: levels.collect() },
+            absorbed: std::iter::once(&self.absorbed).chain(&self.absorb_buffer).cloned().collect(),
+            merge: Some((self.k, self.merge_seed)),
+            summary: OnceLock::new(),
+        }
     }
 
     /// Total absorbed remote weight (compacted bulk + uncompacted buffer).
@@ -435,7 +444,7 @@ impl<T: OrderedBits> StreamIngest<T> for ConcurrentEngine<T> {
 
 impl<T: OrderedBits> MergeableSketch<T> for ConcurrentEngine<T> {
     fn to_summary(&self) -> WeightedSummary {
-        self.parts().merge()
+        self.parts().flatten()
     }
 
     fn absorb_summary(&mut self, summary: &WeightedSummary) {
@@ -525,8 +534,9 @@ impl<T: OrderedBits> TieredEngine<T> {
         Self::new(cfg.k, cfg.b, seed, cfg.promotion_threshold)
     }
 
-    /// Retained 64-bit words (summary points, buffers, preallocations) —
-    /// the store's memory proxy.
+    /// Retained 64-bit words: a cold key's retained values, a hot key's
+    /// values plus its fixed Gather&Sort buffers — what
+    /// [`crate::StoreStats::retained`] sums. Words held, not capacity.
     pub(crate) fn footprint(&self) -> usize {
         match &self.state {
             TierState::Cold(cold) => cold.num_retained(),
@@ -566,11 +576,11 @@ impl<T: OrderedBits> TieredEngine<T> {
         matches!(self.state, TierState::Hot(_))
     }
 
-    /// The hot engine's [`EngineParts`]; `None` while cold.
-    pub(crate) fn parts(&self) -> Option<EngineParts> {
+    /// The key's [`EngineParts`] on either tier.
+    pub(crate) fn parts(&self) -> EngineParts {
         match &self.state {
-            TierState::Cold(_) => None,
-            TierState::Hot(hot) => Some(hot.parts()),
+            TierState::Cold(cold) => EngineParts::cold(cold.parts()),
+            TierState::Hot(hot) => hot.parts(),
         }
     }
 

@@ -55,16 +55,19 @@ pub(crate) fn merge_runs<'a, I>(summaries: I, k: usize, seed: u64) -> LeveledSum
 where
     I: IntoIterator<Item = &'a [Vec<u64>]>,
 {
-    LeveledSummary::from_runs(&compact(summaries, k, seed))
+    LeveledSummary::from_runs(&compact(by_level(summaries), k, seed))
 }
 
-/// [`merge_runs`] with a flat summary out, as [`merge_summaries`] returns
+/// The same merge with a flat summary out, as [`merge_summaries`] returns
 /// it: the compacted runs go straight into the flat list, never packed.
-pub(crate) fn merge_runs_flat<'a, I>(summaries: I, k: usize, seed: u64) -> WeightedSummary
+/// Runs come in as `(level, run)` pairs, so parts held in any container —
+/// a key's shared level runs, its sorted tail, absorbed summaries' level
+/// runs ([`by_level`]) — feed it without being copied into one shape.
+pub(crate) fn merge_runs_flat<'a, I>(runs: I, k: usize, seed: u64) -> WeightedSummary
 where
-    I: IntoIterator<Item = &'a [Vec<u64>]>,
+    I: IntoIterator<Item = (usize, &'a [u64])>,
 {
-    let levels = compact(summaries, k, seed);
+    let levels = compact(runs, k, seed);
     WeightedSummary::from_parts(
         levels
             .iter()
@@ -74,23 +77,31 @@ where
     )
 }
 
-/// The kernel under [`merge_runs`] and [`merge_runs_flat`]: the merged,
-/// compacted level runs, indexed by level.
-fn compact<'a, I>(summaries: I, k: usize, seed: u64) -> Vec<Vec<u64>>
+/// Every summary's level runs as `(level, run)` pairs.
+pub(crate) fn by_level<'a, I>(summaries: I) -> impl Iterator<Item = (usize, &'a [u64])>
 where
     I: IntoIterator<Item = &'a [Vec<u64>]>,
+{
+    summaries.into_iter().flat_map(|runs| runs.iter().map(Vec::as_slice).enumerate())
+}
+
+/// The kernel under [`merge_runs`] and [`merge_runs_flat`]: the merged,
+/// compacted level runs, indexed by level.
+fn compact<'a, I>(runs: I, k: usize, seed: u64) -> Vec<Vec<u64>>
+where
+    I: IntoIterator<Item = (usize, &'a [u64])>,
 {
     assert!(k > 0, "k must be positive");
     let mut rng = Xoshiro256::seed_from_u64(seed);
 
     // Stage 1+2: per level, merge the sorted runs the inputs contribute.
     let mut inputs: Vec<Vec<&[u64]>> = Vec::new();
-    for runs in summaries {
-        if inputs.len() < runs.len() {
-            inputs.resize_with(runs.len(), Vec::new);
+    for (level, run) in runs {
+        if inputs.len() <= level {
+            inputs.resize_with(level + 1, Vec::new);
         }
-        for (level, run) in inputs.iter_mut().zip(runs).filter(|(_, run)| !run.is_empty()) {
-            level.push(run);
+        if !run.is_empty() {
+            inputs[level].push(run);
         }
     }
     let mut levels: Vec<Vec<u64>> = inputs.iter().map(|level| merge_sorted_many(level)).collect();
@@ -146,7 +157,7 @@ where
     I: IntoIterator<Item = &'a WeightedSummary>,
 {
     let runs: Vec<Vec<Vec<u64>>> = summaries.into_iter().map(WeightedSummary::level_runs).collect();
-    merge_runs_flat(runs.iter().map(Vec::as_slice), k, seed)
+    merge_runs_flat(by_level(runs.iter().map(Vec::as_slice)), k, seed)
 }
 
 #[cfg(test)]

@@ -36,9 +36,12 @@
 //!    │    the sealed windows the span covers                (Arc clones)
 //!    │    the key's one form, if the span covers its live engine:
 //!    │      cached at the engine's version?  hit → Arc clone
-//!    │      else miss → gather it (version read first) and publish it
-//!    │        hot key:  EngineParts      (level arrays, sorted tail, absorbed)
-//!    │        cold key: WeightedSummary  (the sequential sketch's)
+//!    │      else miss → gather it (version read first) and publish it:
+//!    │        EngineParts = level runs + one sorted unit-weight tail
+//!    │        hot key:  snapshot level arrays; Gather&Sort, writer tail
+//!    │                  and spill as the tail; absorbed summaries
+//!    │        cold key: the sketch's levels (shared Arcs, not copied);
+//!    │                  its base buffer, sorted once, as the tail
 //!    │
 //!    └─ NO lock: ReadView
 //!         ├─ view()         → UnionView: quantile, rank, cdf; ranks add
@@ -46,17 +49,29 @@
 //!         └─ into_summary() → one bounded summary: a lone live key's flat
 //!                             summary as is, else one exact-weight merge
 //!                             of every part's level runs
+//!
+//!  any write that moves a key's version → its form is dropped
 //! ```
 //!
-//! * **One form per key per tier.** A hot key answers over its parts and
-//!   a cold key over its summary, whichever read asks, so `query(k)`,
-//!   `merged_query(&[k])` and an unwindowed `query_range(k, ..)` agree bit
-//!   for bit. A hot key's flat summary is merged from its cached parts by
-//!   the first summary read at that version, and kept with them.
+//! * **One form per key.** Every key answers over its parts, on either
+//!   tier and whichever read asks, so `query(k)`, `merged_query(&[k])`
+//!   and an unwindowed `query_range(k, ..)` agree bit for bit. A cold
+//!   key's form costs its sorted base and a handful of `Arc`s; its level
+//!   runs are the sketch's own. A key's flat summary is built from its
+//!   cached parts by the first summary read at that version, and kept
+//!   with them: a hot key's as one bounded merge, a cold key's as its
+//!   sketch's exact flat composition (the bits
+//!   [`MergeableSketch::to_summary`] gives).
 //! * **Versioned cache.** The form is tagged with the engine
 //!   [`version`](TieredEngine::version) read **before** gathering, so
 //!   nothing is tagged newer than its contents, and published
-//!   unconditionally. Shared-path writers (the write path below) mutate
+//!   unconditionally. No form outlives its version: every write that
+//!   moves a key's version — either write path, `ingest_bytes`, a window
+//!   roll, a demotion — takes the form out of the key's slot in the same
+//!   lock hold and frees it after the lock is released. Empty batches and
+//!   empty frames move nothing and drop nothing. The one form a write
+//!   cannot drop is a racing reader's (see `KeyEntry::cache`); the
+//!   cool-down sweep drops that one. Shared-path writers (the write path below) mutate
 //!   the engine under the shared lock but bump the version around every
 //!   weight movement, so a form gathered while a shared write was in
 //!   flight carries a tag the write's completion bump supersedes: no read
@@ -157,7 +172,7 @@ use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
 use crate::engine::{EngineParts, LeasedWriter, TieredEngine};
-use crate::merge::{merge_runs, merge_runs_flat};
+use crate::merge::{by_level, merge_runs, merge_runs_flat};
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
     PersistError, RecordOp, RecoveryReport, WaitError, Wal, WalOpRef,
@@ -377,16 +392,18 @@ pub struct StoreStats {
     pub cold_keys: usize,
     /// Keys currently on the concurrent (hot) tier. **Sweep**. Local-only.
     pub hot_keys: usize,
-    /// Retained 64-bit words across all engines (memory proxy). **Sweep**.
+    /// Retained 64-bit words across all engines: each cold key's retained
+    /// values, each hot key's values plus its fixed Gather&Sort buffers.
+    /// It counts words held, not allocated capacity, and not the keys'
+    /// cached read forms or the store's own bookkeeping. **Sweep**.
     /// Local-only.
     pub retained: u64,
-    /// Key reads whose form — a hot key's parts, a cold key's summary —
-    /// was cached at the engine's version (shared lock + `Arc` clone).
+    /// Key reads whose form — the key's parts, on either tier — was
+    /// cached at the engine's version (shared lock + `Arc` clone).
     /// **Counter**, bumped before the read's `reads` bump. Local-only.
     pub cache_hits: u64,
-    /// Key reads that had to gather a hot key's parts or materialize a
-    /// cold key's summary. **Counter**, bumped before the read's `reads`
-    /// bump. Local-only.
+    /// Key reads that had to gather the key's parts. **Counter**, bumped
+    /// before the read's `reads` bump. Local-only.
     pub cache_misses: u64,
     /// Key forms read: one per present key per read that covers the key's
     /// live engine. **Counter**, bumped after the read's hit-or-miss
@@ -542,9 +559,18 @@ struct KeyEntry<T: OrderedBits> {
     /// one.
     generation: u64,
     /// The last gathered form, tagged with the engine version that
-    /// produced it. The inner mutex guards only the tag-compare /
-    /// `Arc`-clone critical section (a handful of instructions), so readers
-    /// sharing the stripe lock barely serialize on it.
+    /// produced it. Every write that moves the version takes the form out
+    /// in its own lock hold, so a key that is written and not read holds
+    /// none. One race leaves a stale form behind: a missing reader reads
+    /// the version, gathers and publishes, all under the shared lock; a
+    /// shared-path write that lands after the reader read the version
+    /// takes the slot before the reader publishes, and the reader then
+    /// puts in a form tagged with a version the engine has already left.
+    /// No read serves it (the tags differ); the next miss replaces it, and
+    /// the cool-down sweep drops it if no read comes. The inner mutex guards only the
+    /// tag-compare / `Arc`-clone / take critical section (a handful of
+    /// instructions), so readers sharing the stripe lock barely serialize
+    /// on it.
     cache: Mutex<Option<CacheSlot>>,
     /// Idle writer handles plus the mint count; the mutex guards only
     /// push/pop (writes run **outside** it, so checkouts never serialize
@@ -566,38 +592,11 @@ struct KeyEntry<T: OrderedBits> {
     windows: Option<Box<Mutex<WindowState>>>,
 }
 
-/// One key's read cache: its form at one engine version.
+/// One key's read cache: its form — the key's [`EngineParts`], on
+/// either tier — at one engine version.
 struct CacheSlot {
     version: u64,
-    form: Form,
-}
-
-/// A key's one answering form, by tier: what every read of the key
-/// answers over.
-#[derive(Clone)]
-enum Form {
-    /// A hot key's parts, which merge into its flat summary on demand.
-    Hot(Arc<EngineParts>),
-    /// A cold key's flat summary.
-    Cold(Arc<WeightedSummary>),
-}
-
-impl Form {
-    /// Add the key's state to `view` as parts.
-    fn push_into<'a>(&'a self, view: &mut UnionView<'a>) {
-        match self {
-            Form::Hot(parts) => parts.push_into(view),
-            Form::Cold(summary) => view.push_weighted(summary),
-        }
-    }
-
-    /// The key's flat summary.
-    fn summary(&self) -> Arc<WeightedSummary> {
-        match self {
-            Form::Hot(parts) => parts.summary(),
-            Form::Cold(summary) => Arc::clone(summary),
-        }
-    }
+    form: Arc<EngineParts>,
 }
 
 struct WriterPool<T: OrderedBits> {
@@ -661,6 +660,14 @@ impl<T: OrderedBits> KeyEntry<T> {
         Some(handle)
     }
 
+    /// Take the key's cached form out of its slot: the write the caller
+    /// just made moved the engine past it. The caller holds the stripe
+    /// lock (shared or exclusive) and drops the form after releasing it,
+    /// so freeing a form never lengthens a lock hold.
+    fn take_form(&self) -> Option<CacheSlot> {
+        self.cache.lock().unwrap().take()
+    }
+
     /// Return a (flushed) handle to the pool. The caller holds the shared
     /// stripe lock, so the engine cannot have changed since checkout.
     fn give_back(&self, handle: LeasedWriter<T>) {
@@ -706,7 +713,7 @@ struct ReadView {
     /// Sealed windows as `(start id, window)`, key by key in time order.
     sealed: Vec<(u64, SealedWindow)>,
     /// Each present key's form, when the read covers its live engine.
-    live: Vec<Form>,
+    live: Vec<Arc<EngineParts>>,
     /// `(active id, watermark)` of the last windowed key read with a span.
     ids: Option<(u64, u64)>,
 }
@@ -733,7 +740,7 @@ impl ReadView {
         let sealed = self.sealed.iter().map(|(_, window)| window.summary.level_runs());
         let live = self.live.iter().map(|form| form.summary().level_runs());
         let runs: Vec<Vec<Vec<u64>>> = sealed.chain(live).collect();
-        Arc::new(merge_runs_flat(runs.iter().map(Vec::as_slice), k, seed))
+        Arc::new(merge_runs_flat(by_level(runs.iter().map(Vec::as_slice)), k, seed))
     }
 }
 
@@ -1329,10 +1336,14 @@ impl<T: OrderedBits> SketchStore<T> {
                 // free.
                 let ticket = self.log_update(key, wid, values, &entry.last_lsn);
                 entry.give_back(handle);
-                Some(ticket)
+                // The flush moved the version, so no read serves the
+                // cached form again: it goes now, and a key that is written
+                // and not read holds no read form.
+                Some((ticket, entry.take_form()))
             })
         };
-        if let Some(ticket) = fast {
+        if let Some((ticket, stale)) = fast {
+            drop(stale);
             self.finish_log(ticket);
             return Ok(());
         }
@@ -1351,9 +1362,9 @@ impl<T: OrderedBits> SketchStore<T> {
         if wid > active_id {
             // Roll forward: seal the live engine's contents for the old
             // active window, then open a fresh engine for the new one.
-            // The old engine's handles and cached form die with it —
-            // the same retirement as tier demotion, so a stale lease can
-            // never write into the new window.
+            // The old engine's handles die with it — the same retirement
+            // as tier demotion, so a stale lease can never write into the
+            // new window — and its cached form goes with the write below.
             let seed = self.key_seed(key);
             if entry.engine.stream_len() > 0 {
                 let sealed = entry.engine.to_summary();
@@ -1361,12 +1372,12 @@ impl<T: OrderedBits> SketchStore<T> {
                 self.instruments.window_seals.incr();
             }
             entry.engine = TieredEngine::build(&self.cfg, seed);
-            *entry.cache.get_mut().unwrap() = None;
             self.retire_engine(entry);
             let state = entry.window_state();
             state.active_id = wid;
             state.watermark = state.watermark.max(wid);
         }
+        let mut stale = None;
         let promoted = if wid >= active_id {
             // Active-window write (possibly just rolled to). Promotion
             // fires inside the engine on update pressure; observe it as a
@@ -1374,6 +1385,9 @@ impl<T: OrderedBits> SketchStore<T> {
             // writes require an already-hot engine).
             let was_hot = entry.engine.is_hot();
             entry.engine.update_many(values);
+            // The write moved the version (or replaced the engine): the
+            // cached form goes, dropped below once the lock is released.
+            stale = entry.take_form();
             !was_hot && entry.engine.is_hot()
         } else if self.window_plan.is_some_and(|plan| plan.admissible(watermark, wid)) {
             // Late but admissible: summarize the batch through a
@@ -1406,6 +1420,7 @@ impl<T: OrderedBits> SketchStore<T> {
         // Durable wait after the stripe lock is gone: concurrent writers
         // on this stripe proceed while our group's fsync is in flight.
         drop(map);
+        drop(stale);
         self.finish_log(ticket);
         Ok(())
     }
@@ -1566,10 +1581,11 @@ impl<T: OrderedBits> SketchStore<T> {
     /// mutex, so a slow gather never blocks warm readers of the previous
     /// version; two racing misses may publish different forms, but only
     /// under a tag no settled state carries (see the module docs).
-    fn form(&self, entry: &KeyEntry<T>) -> Form {
+    fn form(&self, entry: &KeyEntry<T>) -> Arc<EngineParts> {
         let version = entry.engine.version();
         let cache = entry.cache.lock().unwrap();
-        let cached = cache.as_ref().filter(|slot| slot.version == version).map(|s| s.form.clone());
+        let cached =
+            cache.as_ref().filter(|slot| slot.version == version).map(|s| Arc::clone(&s.form));
         drop(cache);
         // Classify (hit or miss) before counting the read: `stats()`
         // samples in the opposite order, so `cache_hits + cache_misses >=
@@ -1581,11 +1597,8 @@ impl<T: OrderedBits> SketchStore<T> {
             }
             None => {
                 self.instruments.cache_misses.incr();
-                let form = match entry.engine.parts() {
-                    Some(parts) => Form::Hot(Arc::new(parts)),
-                    None => Form::Cold(Arc::new(entry.engine.to_summary())),
-                };
-                *entry.cache.lock().unwrap() = Some(CacheSlot { version, form: form.clone() });
+                let form = Arc::new(entry.engine.parts());
+                *entry.cache.lock().unwrap() = Some(CacheSlot { version, form: Arc::clone(&form) });
                 form
             }
         };
@@ -1645,7 +1658,7 @@ impl<T: OrderedBits> SketchStore<T> {
             active_id,
             watermark,
             sealed: sealed.collect(),
-            active: read.live.first().map_or_else(Default::default, Form::summary),
+            active: read.live.first().map_or_else(Default::default, |form| form.summary()),
         })
     }
 
@@ -1687,7 +1700,10 @@ impl<T: OrderedBits> SketchStore<T> {
         let stripe_ix = self.stripe_index(key);
         let mut map = self.stripes[stripe_ix].write().unwrap();
         let entry = self.entry_or_create(&mut map, stripe_ix, key, 0);
+        let version = entry.engine.version();
         entry.engine.absorb_summary(&remote);
+        // An empty frame leaves the engine (and so its cached form) as is.
+        let stale = if entry.engine.version() != version { entry.take_form() } else { None };
         // Counted under the stripe lock, like `updates`: `stats()` must
         // never see absorbed weight that is not yet in `ingests`.
         self.instruments.ingests.incr();
@@ -1696,6 +1712,7 @@ impl<T: OrderedBits> SketchStore<T> {
         // and decoded cleanly above); replay re-ingests it.
         let ticket = self.log_op(Some(&entry.last_lsn), WalOpRef::Ingest { key, frame: buf });
         drop(map);
+        drop(stale);
         self.finish_log(ticket);
         Ok(ingested)
     }
@@ -1764,6 +1781,7 @@ impl<T: OrderedBits> SketchStore<T> {
             let keys: Vec<String> = stripe.read().unwrap().keys().cloned().collect();
             for key in keys {
                 let mut map = stripe.write().unwrap();
+                let mut stale = None;
                 if let Some(entry) = map.get_mut(&key) {
                     // Flush-on-invalidate, **before** any tier decision:
                     // pooled handles hold no weight (every write flushes
@@ -1783,13 +1801,13 @@ impl<T: OrderedBits> SketchStore<T> {
                         // Idle handles re-mint on demand.
                         entry.clear_pool();
                     }
-                    // Housekeeping for the read cache too: drop a form the
-                    // engine has since moved past, so written-then-idle
-                    // keys do not pin a stale one indefinitely.
-                    let cache = entry.cache.get_mut().unwrap();
-                    if cache.as_ref().is_some_and(|c| c.version != entry.engine.version()) {
-                        *cache = None;
-                    }
+                    // A demotion moved the version, so its form goes here,
+                    // in the same hold. Otherwise this is the backstop for
+                    // the one form a write cannot drop: a reader's publish
+                    // that raced a shared-path write (see
+                    // `KeyEntry::cache`).
+                    let version = entry.engine.version();
+                    stale = entry.cache.get_mut().unwrap().take_if(|c| c.version != version);
                     // Windowed housekeeping rides the same exclusive
                     // hold: downsample aged sealed windows into coarser
                     // ones (exact-weight merges), then evict windows
@@ -1816,6 +1834,8 @@ impl<T: OrderedBits> SketchStore<T> {
                         windows_resident += 1 + state.sealed.len() as i64;
                     }
                 }
+                drop(map);
+                drop(stale);
             }
         }
         if self.window_plan.is_some() {
