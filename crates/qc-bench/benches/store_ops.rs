@@ -9,8 +9,9 @@
 //!
 //! The **write-contention axis** (`store_write_hot_key_<n>_threads/`)
 //! asks the write-path question: N threads batch-updating ONE hot key,
-//! leased shared-lock path (`shared`) vs the exclusive-lock baseline
-//! (`fallback`, pinned via `writer_pool(0)`). The multi-thread shared
+//! shared-lock path (`shared`, a `Writer` borrowed from the hot engine)
+//! vs the exclusive-lock baseline (`fallback`, pinned via
+//! `writer_pool(0)`). The multi-thread shared
 //! series must scale; the baseline serializes by construction.
 //!
 //! `store_read_mixed_4_threads/` and `store_wal_group_<n>_threads/` are
@@ -74,9 +75,10 @@ const WRITE_BATCHES_TOTAL: usize = 512;
 
 /// One pass of the hot-key write-contention axis: `threads` writers split
 /// `WRITE_BATCHES_TOTAL` batches of `WRITE_BATCH` elements on ONE
-/// pre-promoted key. `shared` selects the leased-writer fast path; the
-/// baseline pins `writer_pool(0)`, so every batch serializes on the
-/// stripe write lock — the cost all hot-key writes paid before leases.
+/// pre-promoted key. `shared` selects the fast path, where each batch
+/// borrows one of the hot engine's writers under the shared stripe lock;
+/// the baseline pins `writer_pool(0)`, so the engine lends no writer and
+/// every batch serializes on the stripe write lock.
 fn write_contention_store(seed: u64, shared: bool) -> SketchStore {
     let mut cfg = cfg(4, seed).promotion_threshold(128);
     if !shared {
@@ -111,7 +113,7 @@ fn run_write_contention(store: &SketchStore, threads: usize) -> u64 {
 }
 
 /// The write-path axis: hot-key `update_many`
-/// under 1/2/4 threads, leased shared path vs exclusive-lock baseline.
+/// under 1/2/4 threads, shared-lock path vs exclusive-lock baseline.
 fn bench_write_contention(c: &mut Criterion) {
     for &threads in &[1usize, 2, 4] {
         let mut group = c.benchmark_group(format!("store_write_hot_key_{threads}_threads"));

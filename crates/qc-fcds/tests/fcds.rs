@@ -79,21 +79,26 @@ fn unpropagated_lag_is_within_relaxation() {
 
     let fcds = Fcds::<u64>::new(256, B, WORKERS);
     let barrier = Barrier::new(WORKERS);
-    std::thread::scope(|s| {
-        for t in 0..WORKERS as u64 {
-            let mut w = fcds.updater();
-            let barrier = &barrier;
-            s.spawn(move || {
-                barrier.wait();
-                for i in 0..PER_WORKER {
-                    w.update(t * PER_WORKER + i);
-                }
-                // No flush: leave residue in local buffers.
-                let lag_bound = 2 * B as u64; // this worker's two buffers
-                assert!(w.pushed() >= PER_WORKER - lag_bound);
-                std::mem::forget(w); // keep residue unflushed for the check
-            });
-        }
+    // The workers hand their updaters back unflushed: each one's residue
+    // stays in its local buffers until it is dropped after the check.
+    let updaters: Vec<_> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..WORKERS as u64)
+            .map(|t| {
+                let mut w = fcds.updater();
+                let barrier = &barrier;
+                s.spawn(move || {
+                    barrier.wait();
+                    for i in 0..PER_WORKER {
+                        w.update(t * PER_WORKER + i);
+                    }
+                    // No flush: leave residue in local buffers.
+                    let lag_bound = 2 * B as u64; // this worker's two buffers
+                    assert!(w.pushed() >= PER_WORKER - lag_bound);
+                    w
+                })
+            })
+            .collect();
+        workers.into_iter().map(|worker| worker.join().unwrap()).collect()
     });
 
     let total = WORKERS as u64 * PER_WORKER;
@@ -105,6 +110,7 @@ fn unpropagated_lag_is_within_relaxation() {
         total - visible,
         fcds.relaxation_bound(WORKERS)
     );
+    drop(updaters);
 }
 
 #[test]

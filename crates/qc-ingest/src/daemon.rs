@@ -15,8 +15,8 @@
 //! The socket thread does nothing that can block: `recv` (with a short
 //! timeout so shutdown is bounded even if the wake datagram is lost),
 //! an oversize check, a breaker decision, and a `try_push` that returns
-//! immediately when the queue is full. All sketch work — decode, writer
-//! checkout, Gather&Sort — happens on the processor threads, which may
+//! immediately when the queue is full. All sketch work — decode, the
+//! shared-lock write, Gather&Sort — happens on the processor threads, which may
 //! fall behind; when they do, datagrams are **dropped and counted**,
 //! never buffered unboundedly (the queue is the only buffer, and it is
 //! bounded). This is the small-update-time regime of streaming ingest:
@@ -429,7 +429,7 @@ fn processor_loop(
     instruments: &IngestInstruments,
 ) {
     // Each record is one store write, like a TCP frame: a hot key rides
-    // the shared-lock path through a pooled handle. On a durable store
+    // the shared-lock path through the hot engine's writer. On a durable store
     // each write blocks (lock free) until its log record is
     // group-committed: all processors draining concurrently share fsyncs
     // through the store's commit sequencer, so durable ingest throughput

@@ -18,7 +18,8 @@
 //! * [`daemon`] — the assembled [`daemon::IngestDaemon`]: one socket
 //!   thread that never blocks, N processors draining batches into
 //!   [`qc_store::SketchStore::update_many`] (a hot key's write rides the
-//!   shared-lock path through a pooled handle), exact drop accounting (queue-full, decode-error, oversized —
+//!   shared-lock path through the hot engine's writer), exact drop
+//!   accounting (queue-full, decode-error, oversized —
 //!   each its own counter), and `qc-telemetry` instruments in the store's
 //!   registry, so drops and queue depth travel over the existing
 //!   `Metrics` frame.

@@ -10,10 +10,10 @@
 //!
 //! Writer connections are the paper's update threads end to end: every
 //! `Update`/`UpdateMany` frame is one [`SketchStore::update_many`], which
-//! writes a hot key through a writer handle checked out of the key's pool
+//! writes a hot key through a writer borrowed from the key's engine
 //! under only the **shared** stripe lock — N connections hammering one
 //! hot key synchronize inside the sketch (Gather&Sort/DCAS), not on a
-//! store mutex. The handle is flushed and back in the pool before the
+//! store mutex. The writer is given back, its batch visible, before the
 //! call returns, so a connection holds no store state between frames.
 //!
 //! On a durable store, a mutating request is **acked only after its log

@@ -1,6 +1,6 @@
 //! Writes over a connection: repeated `update`/`update_many` frames on a
-//! hot key must ride the store's shared-lock path (a pooled writer handle
-//! per frame), survive a `remove` or demotion of the key between frames,
+//! hot key must ride the store's shared-lock path (a writer borrowed from
+//! the hot engine per frame), survive a `remove` or demotion of the key between frames,
 //! and keep the store's accounting exact to the element.
 
 use std::time::{Duration, Instant};

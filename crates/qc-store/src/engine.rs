@@ -17,10 +17,10 @@
 //! keys demote back on cool-down sweeps ([`crate::SketchStore::cool_down`]).
 //! The threshold also expresses the pure populations: `u64::MAX` pins every
 //! key cold, `0` makes a key hot on its first write. Both engines implement
-//! the read, write and merge traits of [`qc_common::engine`]; leasing,
-//! versions and internal counters are inherent methods the store calls on
-//! the concrete types, and [`TieredEngine`] dispatches by matching on its
-//! tier.
+//! the read, write and merge traits of [`qc_common::engine`]; shared-lock
+//! writers, versions and internal counters are inherent methods the store
+//! calls on the concrete types, and [`TieredEngine`] dispatches by
+//! matching on its tier.
 //!
 //! Tier migration in both directions is a summary round-trip
 //! ([`MergeableSketch::to_summary`] → [`MergeableSketch::absorb_summary`])
@@ -44,13 +44,13 @@ use crate::store::StoreConfig;
 /// The hot tier of [`TieredEngine`]: a [`Quancurrent`] sketch, one
 /// resident [`Updater`] for `&mut self` writes (the store makes those under
 /// the key's exclusive stripe lock, so one handle is exactly the
-/// single-writer discipline the local buffer expects), leased per-thread
-/// writers for shared-lock writes ([`ConcurrentEngine::try_writer`]), and an
-/// *absorbed* summary holding everything merged in from other sketches.
+/// single-writer discipline the local buffer expects), the idle handles
+/// behind its shared-lock [`Writer`]s ([`ConcurrentEngine::writer`]), and
+/// an *absorbed* summary holding everything merged in from other sketches.
 ///
 /// Reads gather the engine's state as [`EngineParts`] — the sketch's
 /// level arrays, one sorted tail (Gather&Sort pending, the updater's
-/// unflushed tail, the leased writers' spill) and the absorbed summaries —
+/// unflushed tail, the shared writers' spill) and the absorbed summaries —
 /// and answer over their union without merging them, so queries see
 /// **every** element ever handed to the engine whose write has completed
 /// — exactly the keyed-store read semantics. Only
@@ -63,6 +63,9 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
     /// and concurrent readers take the uncontended lock just long enough
     /// to copy the sub-`b` pending tail.
     writer: Mutex<Updater<T>>,
+    /// The shared writers' idle handles and how many were minted; the
+    /// mutex guards only the pop and the push around each write.
+    handles: Mutex<Handles<T>>,
     /// Compacted bulk of absorbed remote weight. `Arc`ed, like the buffer
     /// below, so gathering [`EngineParts`] clones handles, not summaries.
     absorbed: Arc<WeightedSummary>,
@@ -79,23 +82,31 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
     /// halvings of the same level).
     compact_rng: SplitMix64,
     version: u64,
-    /// Sub-`b` tails re-homed by leased-writer flushes (a Gather&Sort
-    /// placement is exactly `b` slots, so a partial tail cannot enter the
-    /// sketch directly). Always shorter than `b`: a flush drains every
-    /// full multiple of `b` back through its updater. Composed into every
-    /// read, so leased weight is exactly visible post-flush.
-    spill: Arc<Mutex<Vec<u64>>>,
-    /// Leased-writer flush progress — the shared-write half of
+    /// Sub-`b` tails re-homed by shared writes (a Gather&Sort placement
+    /// is exactly `b` slots, so a partial tail cannot enter the sketch
+    /// directly). Always shorter than `b`: a write drains every full
+    /// multiple of `b` back through its handle. Composed into every read,
+    /// so a shared write's weight is exactly visible when it returns.
+    spill: Mutex<Vec<u64>>,
+    /// Shared-write progress — the shared half of
     /// [`ConcurrentEngine::version`] (the `&mut self` half is `version`).
-    /// `Arc`ed into every lease. A weight-moving flush bumps it with
-    /// `Release` **after** the flushed weight is observable, and also
-    /// **before** draining previously-visible spill weight into its
-    /// local buffer (see [`LeasedWriter::flush`]) — so for any version a
-    /// reader `Acquire`-loads before materializing, the final state of
-    /// that version contains everything it accounts for, and any
-    /// materialization that raced an in-flight flush carries a tag the
-    /// flush's completion bump supersedes.
-    shared_ops: Arc<AtomicU64>,
+    /// A shared write bumps it with `Release` **after** its weight is
+    /// observable, and also **before** draining previously-visible spill
+    /// weight into its local buffer (see [`Writer::write`]) — so for any
+    /// version a reader `Acquire`-loads before materializing, the final
+    /// state of that version contains everything it accounts for, and any
+    /// materialization that raced an in-flight write carries a tag the
+    /// write's completion bump supersedes.
+    shared_ops: AtomicU64,
+}
+
+/// A [`ConcurrentEngine`]'s shared-write handles at rest.
+struct Handles<T: OrderedBits> {
+    /// Handles returned by dropped [`Writer`]s — each holds no weight.
+    idle: Vec<Updater<T>>,
+    /// Handles minted (idle + in a live [`Writer`]), capped per call of
+    /// [`ConcurrentEngine::writer`].
+    minted: usize,
 }
 
 /// A key's state as the parts a read answers over, gathered without
@@ -104,7 +115,7 @@ pub struct ConcurrentEngine<T: OrderedBits = f64> {
 ///
 /// * **Hot** ([`ConcurrentEngine::parts`]): the snapshot's level arrays,
 ///   the tail (Gather&Sort pending, the resident writer's unflushed tail,
-///   the leased writers' spill) and the absorbed summaries.
+///   the shared writers' spill) and the absorbed summaries.
 /// * **Cold** ([`qc_sequential::Sketch::parts`]): the sketch's full levels,
 ///   shared with it (`Arc` clones, no copy), and its base buffer sorted
 ///   once as the tail.
@@ -188,6 +199,7 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     pub fn new(k: usize, b: usize, seed: u64) -> Self {
         let sketch = Quancurrent::<T>::builder().k(k).b(b).seed(seed).build();
         let writer = Mutex::new(sketch.updater());
+        let handles = Mutex::new(Handles { idle: Vec::new(), minted: 0 });
         // Decorrelate merge coins from the sketch's sampling coins with a
         // full mixer step (`seed | 1` made key seeds differing only in
         // bit 0 share their compaction randomness).
@@ -196,27 +208,28 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
         Self {
             sketch,
             writer,
+            handles,
             absorbed: Arc::new(WeightedSummary::empty()),
             absorb_buffer: Vec::new(),
             k,
             merge_seed,
             compact_rng,
             version: 0,
-            spill: Arc::new(Mutex::new(Vec::new())),
-            shared_ops: Arc::new(AtomicU64::new(0)),
+            spill: Mutex::new(Vec::new()),
+            shared_ops: AtomicU64::new(0),
         }
     }
 
     /// The engine's state as parts: shared levels, one sorted tail
-    /// (Gather&Sort buffers + unflushed writer tail + leased-writer
-    /// spill) and the absorbed remote weight. The levels are read before
-    /// the buffers (see [`Quancurrent::quiescent_parts`]), so nothing is
-    /// counted twice. Exact and deterministic when no leased write is in
+    /// (Gather&Sort buffers + unflushed writer tail + shared-write spill)
+    /// and the absorbed remote weight. The levels are read before the
+    /// buffers (see [`Quancurrent::quiescent_parts`]), so nothing is
+    /// counted twice. Exact and deterministic when no shared write is in
     /// flight, so a cached copy is indistinguishable from a fresh gather.
-    /// A leased write racing the gather may be partly visible or
-    /// transiently missed; its flush bumps [`ConcurrentEngine::version`]
-    /// before and after moving weight, so such parts are never tagged
-    /// with a settled version.
+    /// A shared write racing the gather may be partly visible or
+    /// transiently missed; it bumps [`ConcurrentEngine::version`] before
+    /// and after moving weight, so such parts are never tagged with a
+    /// settled version.
     pub fn parts(&self) -> EngineParts {
         let (snapshot, mut tail) = self.sketch.quiescent_parts();
         // The snapshot lists its levels highest first.
@@ -262,9 +275,9 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
             + self.absorb_buffer.iter().map(|s| s.num_retained()).sum::<usize>()
     }
 
-    /// Completed shared-write flushes (the leased-writer half of the
-    /// version counter). Exact under external synchronization — which is
-    /// how [`TieredEngine`] folds it into its own version and epoch
+    /// Completed shared writes (the shared half of the version counter).
+    /// Exact under external synchronization — which is how
+    /// [`TieredEngine`] folds it into its own version and epoch
     /// accounting.
     pub(crate) fn shared_writes(&self) -> u64 {
         self.shared_ops.load(Ordering::Acquire)
@@ -276,30 +289,47 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     ///
     /// Accounted in two halves: `&mut self` mutations (resident writes,
     /// absorbs, compactions — exclusive under the store's stripe write
-    /// lock) bump the plain counter, and every leased-writer flush that
-    /// moved weight bumps the shared-ops cell. Both halves only grow, so
-    /// the sum is monotone; reading the shared half with `Acquire`
-    /// *before* materializing a summary guarantees the materialization
-    /// sees at least everything the version accounts for (in-flight leased
-    /// writes may additionally be visible early — they invalidate the tag
-    /// when their flush lands).
+    /// lock) bump the plain counter, and every shared write that moved
+    /// weight bumps the shared-ops cell. Both halves only grow, so the sum
+    /// is monotone; reading the shared half with `Acquire` *before*
+    /// materializing a summary guarantees the materialization sees at
+    /// least everything the version accounts for (in-flight shared writes
+    /// may additionally be visible early — they invalidate the tag when
+    /// they land).
     pub fn version(&self) -> u64 {
         self.version + self.shared_writes()
     }
 
-    /// Lease an owned per-thread writer through `&self`, so many threads
-    /// can ingest while their owner holds only a shared lock. Always
-    /// `Some`: the sketch supports any number of concurrent updaters;
-    /// pooling and capping are the owner's concern (see the store's
-    /// per-key writer pool).
-    pub fn try_writer(&self) -> Option<LeasedWriter<T>> {
-        Some(LeasedWriter {
-            updater: self.sketch.updater(),
-            spill: Arc::clone(&self.spill),
-            shared_ops: Arc::clone(&self.shared_ops),
-            b: self.sketch.config().b,
-            unflushed: 0,
-        })
+    /// A writer for shared-lock writes through `&self`, so many threads
+    /// can ingest while their owner holds only a shared lock: an idle
+    /// handle, or a fresh one while fewer than `cap` were minted. `None`
+    /// when `cap` handles are all in use, and at once for `cap == 0` (the
+    /// store's exclusive-path baseline then takes no handle lock). The
+    /// writer borrows the engine, so no handle outlives it or a
+    /// `&mut self` call; dropping the writer gives its handle back.
+    pub fn writer(&self, cap: usize) -> Option<Writer<'_, T>> {
+        if cap == 0 {
+            return None;
+        }
+        let mut handles = self.handles.lock().unwrap();
+        let updater = match handles.idle.pop() {
+            Some(updater) => updater,
+            None if handles.minted < cap => {
+                handles.minted += 1;
+                self.sketch.updater()
+            }
+            None => return None,
+        };
+        Some(Writer { engine: self, updater: Some(updater) })
+    }
+
+    /// Drop the idle shared-write handles and restart the mint count.
+    /// Under `&mut self` no [`Writer`] is live, so the idle handles are
+    /// all there are.
+    fn drop_idle_writers(&mut self) {
+        let handles = self.handles.get_mut().unwrap();
+        handles.idle.clear();
+        handles.minted = 0;
     }
 
     /// The wrapped Quancurrent's operation counters (DCAS retries,
@@ -309,59 +339,45 @@ impl<T: OrderedBits> ConcurrentEngine<T> {
     }
 }
 
-/// A leased per-thread writer over a [`ConcurrentEngine`]: an owned
-/// [`Updater`] (thread-local buffer → Gather&Sort → DCAS, the paper's
-/// lock-free ingestion path) plus the engine's spill and version cells.
+/// A shared-lock writer borrowed from a [`ConcurrentEngine`]: one of its
+/// per-thread [`Updater`]s (thread-local buffer → Gather&Sort → DCAS, the
+/// paper's lock-free ingestion path), used from one thread at a time,
+/// concurrently with other writers and with the engine's `&self` reads.
 ///
-/// The handle is self-contained: it shares ownership of the engine's
-/// internals, so it may be pooled and used from any one thread at a time,
-/// concurrently with other handles and with the engine's `&self` reads.
-/// Writes stay buffered in the handle until `flush`, which makes them
-/// exactly visible: full `b`-multiples of buffered weight go through
-/// Gather&Sort placement, the sub-`b` remainder is re-homed into the
-/// engine's spill (composed into every read), and the shared-ops counter
-/// advances afterwards so cached summaries of the pre-flush state
-/// invalidate. The store checks a handle out of the key's pool for one
-/// write under the stripe lock and gives it back flushed before the lock
-/// is released, so no handle is ever in use across a tier migration.
-/// Dropping one is always safe.
-pub struct LeasedWriter<T: OrderedBits> {
-    updater: Updater<T>,
-    spill: Arc<Mutex<Vec<u64>>>,
-    shared_ops: Arc<AtomicU64>,
-    b: usize,
-    /// Elements written since the last completed flush (a flush that moved
-    /// no weight must not bump the version — idle handles stay
-    /// cache-neutral).
-    unflushed: u64,
+/// Each [`Writer::write`] leaves its batch exactly visible: full
+/// `b`-multiples go through Gather&Sort placement, the sub-`b` remainder
+/// is re-homed into the engine's spill (composed into every read), and
+/// the shared-ops counter advances so cached summaries of the pre-write
+/// state invalidate. The handle therefore holds no weight between
+/// writes, and dropping the writer returns it to the engine's idle set.
+pub struct Writer<'a, T: OrderedBits> {
+    engine: &'a ConcurrentEngine<T>,
+    /// `Some` until the drop gives it back.
+    updater: Option<Updater<T>>,
 }
 
-impl<T: OrderedBits> StreamIngest<T> for LeasedWriter<T> {
-    fn update(&mut self, x: T) {
-        self.updater.update(x);
-        self.unflushed += 1;
-    }
-
-    fn update_many(&mut self, xs: &[T]) {
-        for &x in xs {
-            self.updater.update(x);
-        }
-        self.unflushed += xs.len() as u64;
-    }
-
-    fn flush(&mut self) {
-        if self.unflushed == 0 {
+impl<T: OrderedBits> Writer<'_, T> {
+    /// Write `xs` and make them exactly visible. An empty batch moves
+    /// nothing and keeps the version (idle writes stay cache-neutral).
+    pub fn write(&mut self, xs: &[T]) {
+        if xs.is_empty() {
             return;
         }
-        let tail = self.updater.take_pending();
+        let engine = self.engine;
+        let updater = self.updater.as_mut().expect("a writer holds its handle until dropped");
+        for &x in xs {
+            updater.update(x);
+        }
+        let tail = updater.take_pending();
+        let b = engine.sketch.config().b;
         // Park the tail in the spill, and take back out every full
         // multiple of `b` to push through the Gather&Sort path. The lock
         // scope covers only the vector surgery: placements (which can make
         // this thread a batch owner doing real merge work) run outside it.
         let refill: Vec<u64> = {
-            let mut spill = self.spill.lock().unwrap();
+            let mut spill = engine.spill.lock().unwrap();
             spill.extend(tail.iter().map(|v| v.to_ordered_bits()));
-            let take = spill.len() - spill.len() % self.b;
+            let take = spill.len() - spill.len() % b;
             if take > 0 {
                 // Draining moves weight that earlier versions already
                 // account for (spill elements are read-visible) into this
@@ -371,16 +387,23 @@ impl<T: OrderedBits> StreamIngest<T> for LeasedWriter<T> {
                 // carries a tag the completion bump (below) supersedes —
                 // a reader can transiently miss in-flight weight, but
                 // never cache that miss against a final version.
-                self.shared_ops.fetch_add(1, Ordering::Release);
+                engine.shared_ops.fetch_add(1, Ordering::Release);
             }
             spill.drain(..take).collect()
         };
         for bits in refill {
-            self.updater.update(T::from_ordered_bits(bits));
+            updater.update(T::from_ordered_bits(bits));
         }
-        debug_assert_eq!(self.updater.pending_len(), 0, "refill must be a multiple of b");
-        self.shared_ops.fetch_add(1, Ordering::Release);
-        self.unflushed = 0;
+        debug_assert_eq!(updater.pending_len(), 0, "refill must be a multiple of b");
+        engine.shared_ops.fetch_add(1, Ordering::Release);
+    }
+}
+
+impl<T: OrderedBits> Drop for Writer<'_, T> {
+    fn drop(&mut self) {
+        if let Some(updater) = self.updater.take() {
+            self.engine.handles.lock().unwrap().idle.push(updater);
+        }
     }
 }
 
@@ -503,7 +526,7 @@ pub struct TieredEngine<T: OrderedBits = f64> {
     /// Exclusive-path updates in the current cool-down epoch.
     epoch_updates: u64,
     /// The hot engine's shared-write count at the last `maintain` sweep —
-    /// leased writes bypass `&mut self`, so idle detection compares this
+    /// shared writes bypass `&mut self`, so idle detection compares this
     /// watermark instead of counting.
     epoch_shared_watermark: u64,
     version: u64,
@@ -547,9 +570,10 @@ impl<T: OrderedBits> TieredEngine<T> {
     /// End a cool-down epoch, called under the key's exclusive stripe lock
     /// by [`crate::SketchStore::cool_down`]: demotes the key iff the
     /// entire epoch since the previous call saw no updates — on **either**
-    /// write path: exclusive-lock updates count in `epoch_updates`, leased
-    /// shared writes move the hot engine's shared-write counter past the
-    /// epoch watermark. Returns whether the key demoted.
+    /// write path: exclusive-lock updates count in `epoch_updates`, shared
+    /// writes move the hot engine's shared-write counter past the epoch
+    /// watermark. Returns whether the key demoted. A hot key that stays
+    /// hot drops its idle writer handles; they re-mint on demand.
     pub(crate) fn maintain(&mut self) -> bool {
         let shared_now = self.shared_writes();
         let idle = self.epoch_updates == 0 && shared_now == self.epoch_shared_watermark;
@@ -557,13 +581,15 @@ impl<T: OrderedBits> TieredEngine<T> {
         self.epoch_shared_watermark = shared_now;
         if idle && self.is_hot() {
             self.demote_now();
-            true
-        } else {
-            false
+            return true;
         }
+        if let TierState::Hot(hot) = &mut self.state {
+            hot.drop_idle_writers();
+        }
+        false
     }
 
-    /// The hot engine's completed shared-write flushes (0 while cold).
+    /// The hot engine's completed shared writes (0 while cold).
     fn shared_writes(&self) -> u64 {
         match &self.state {
             TierState::Cold(_) => 0,
@@ -605,14 +631,8 @@ impl<T: OrderedBits> TieredEngine<T> {
     }
 
     /// Force demotion to the sequential tier via an exact summary
-    /// round-trip (no-op if already cold). Resets promotion pressure.
-    ///
-    /// Handles leased from the hot engine stay attached to it: weight
-    /// they flushed before the call rides the summary round-trip, and
-    /// anything written through them afterwards lands in the orphaned
-    /// sketch. The store therefore demotes only under the exclusive
-    /// stripe lock, when every handle is flushed and idle in the key's
-    /// pool, and clears the pool with it.
+    /// round-trip (no-op if already cold). Resets promotion pressure; the
+    /// hot engine's writer handles go with it.
     pub fn demote_now(&mut self) {
         if let TierState::Hot(hot) = &self.state {
             let summary = hot.to_summary();
@@ -643,20 +663,21 @@ impl<T: OrderedBits> TieredEngine<T> {
     /// wrapper's own counter covers `&mut self` mutations and tier
     /// migrations in either direction (the inner engines' versions reset
     /// across migrations, so they cannot be forwarded directly), plus the
-    /// hot engine's shared-write half for leased writes. Demotion folds
+    /// hot engine's shared-write half. Demotion folds
     /// the shared half into the plain counter before dropping the hot
     /// engine, so the sum never regresses.
     pub fn version(&self) -> u64 {
         self.version + self.shared_writes()
     }
 
-    /// Lease a writer, tier-aware: hot keys lease the concurrent engine's
-    /// per-thread writers; cold keys decline (`None`), keeping callers on
-    /// the exclusive path that drives promotion pressure.
-    pub fn try_writer(&self) -> Option<LeasedWriter<T>> {
+    /// A shared-lock writer, tier-aware: a hot key's is the concurrent
+    /// engine's ([`ConcurrentEngine::writer`]); a cold key declines
+    /// (`None`), keeping callers on the exclusive path that drives
+    /// promotion pressure.
+    pub fn writer(&self, cap: usize) -> Option<Writer<'_, T>> {
         match &self.state {
             TierState::Cold(_) => None,
-            TierState::Hot(hot) => hot.try_writer(),
+            TierState::Hot(hot) => hot.writer(cap),
         }
     }
 
@@ -775,6 +796,20 @@ mod tests {
 
     fn cfg() -> StoreConfig {
         StoreConfig::default().k(64).b(4).promotion_threshold(256)
+    }
+
+    impl<T: OrderedBits> TieredEngine<T> {
+        /// `(idle, minted)` writer handles of a hot key; `(0, 0)` while
+        /// cold.
+        pub(crate) fn writer_handles(&self) -> (usize, usize) {
+            match &self.state {
+                TierState::Cold(_) => (0, 0),
+                TierState::Hot(hot) => {
+                    let handles = hot.handles.lock().unwrap();
+                    (handles.idle.len(), handles.minted)
+                }
+            }
+        }
     }
 
     #[test]
@@ -917,33 +952,31 @@ mod tests {
     }
 
     #[test]
-    fn leased_writer_weight_is_exact_after_flush() {
+    fn shared_write_weight_is_exact_when_it_returns() {
         let e = ConcurrentEngine::<f64>::new(64, 4, 21);
         let v0 = e.version();
-        let mut w = e.try_writer().expect("concurrent engine always leases");
+        let mut w = e.writer(1).expect("concurrent engine always has a writer");
         // 10 = 2 full Gather&Sort placements + a sub-b tail of 2.
-        w.update_many(&(0..10).map(f64::from).collect::<Vec<_>>());
-        w.flush();
-        assert_eq!(QuantileEstimator::stream_len(&e), 10, "flushed leased weight must be exact");
+        w.write(&(0..10).map(f64::from).collect::<Vec<_>>());
+        assert_eq!(QuantileEstimator::stream_len(&e), 10, "shared-write weight must be exact");
         assert_eq!(e.to_summary().stream_len(), 10);
-        assert!(e.version() > v0, "a weight-moving flush must bump the version");
+        assert!(e.version() > v0, "a weight-moving write must bump the version");
         assert!(e.spill.lock().unwrap().len() < 4, "spill must stay below b");
-        // An idle flush is version-neutral (cached summaries stay warm).
+        // An empty write is version-neutral (cached summaries stay warm).
         let v1 = e.version();
-        w.flush();
+        w.write(&[]);
         assert_eq!(e.version(), v1);
     }
 
     #[test]
-    fn concurrent_leases_drain_each_others_spill() {
+    fn concurrent_writers_drain_each_others_spill() {
         let e = ConcurrentEngine::<f64>::new(64, 4, 22);
-        // 4 leases × 3 elements: each flush parks a sub-b tail; later
-        // flushes pick up full multiples of b. Total must stay exact and
+        // 4 writers × 3 elements: each write parks a sub-b tail; later
+        // writes pick up full multiples of b. Total must stay exact and
         // the spill bounded regardless of interleaving.
-        let mut writers: Vec<_> = (0..4).map(|_| e.try_writer().unwrap()).collect();
+        let mut writers: Vec<_> = (0..4).map(|_| e.writer(4).unwrap()).collect();
         for (i, w) in writers.iter_mut().enumerate() {
-            w.update_many(&[(i * 3) as f64, (i * 3 + 1) as f64, (i * 3 + 2) as f64]);
-            w.flush();
+            w.write(&[(i * 3) as f64, (i * 3 + 1) as f64, (i * 3 + 2) as f64]);
         }
         assert_eq!(QuantileEstimator::stream_len(&e), 12);
         assert_eq!(e.to_summary().stream_len(), 12);
@@ -951,31 +984,28 @@ mod tests {
     }
 
     #[test]
-    fn draining_flush_brackets_the_spill_move_with_two_bumps() {
+    fn draining_write_brackets_the_spill_move_with_two_bumps() {
         let e = ConcurrentEngine::<f64>::new(64, 4, 25);
-        let mut w = e.try_writer().unwrap();
-        w.update_many(&[1.0, 2.0, 3.0]);
-        w.flush(); // tail of 3 parks in the spill: no drain, one bump
+        let mut w = e.writer(1).unwrap();
+        w.write(&[1.0, 2.0, 3.0]); // tail of 3 parks in the spill: no drain, one bump
         let v1 = e.version();
-        w.update_many(&[4.0, 5.0, 6.0]);
-        w.flush(); // spill reaches 6, drains 4 back through Gather&Sort
+        w.write(&[4.0, 5.0, 6.0]); // spill reaches 6, drains 4 back through Gather&Sort
         let v2 = e.version();
         // The drain moves weight that v1 already accounted for out of the
         // spill; the extra bump before the removal is what keeps a reader
         // materializing inside that window from caching the miss against
         // a settled version.
-        assert_eq!(v2 - v1, 2, "a draining flush must bump before the drain and after the land");
+        assert_eq!(v2 - v1, 2, "a draining write must bump before the drain and after the land");
         assert_eq!(QuantileEstimator::stream_len(&e), 6);
         assert_eq!(e.to_summary().stream_len(), 6);
     }
 
     #[test]
-    fn leased_and_resident_writes_compose() {
+    fn shared_and_resident_writes_compose() {
         let mut e = ConcurrentEngine::<f64>::new(64, 4, 23);
         e.update_many(&(0..100).map(f64::from).collect::<Vec<_>>());
-        let mut w = e.try_writer().unwrap();
-        w.update_many(&(100..200).map(f64::from).collect::<Vec<_>>());
-        w.flush();
+        let mut w = e.writer(1).unwrap();
+        w.write(&(100..200).map(f64::from).collect::<Vec<_>>());
         drop(w);
         e.update_many(&(200..300).map(f64::from).collect::<Vec<_>>());
         assert_eq!(QuantileEstimator::stream_len(&e), 300);
@@ -983,27 +1013,24 @@ mod tests {
     }
 
     #[test]
-    fn tiered_leases_only_when_hot_and_shared_writes_defer_demotion() {
+    fn tiered_shares_writes_only_when_hot_and_shared_writes_defer_demotion() {
         let mut t = TieredEngine::<f64>::build(&cfg(), 24);
-        assert!(t.try_writer().is_none(), "cold keys must keep the exclusive path");
+        assert!(t.writer(1).is_none(), "cold keys must keep the exclusive path");
         t.update_many(&(0..500).map(f64::from).collect::<Vec<_>>());
         assert!(t.is_hot());
-        let mut w = t.try_writer().expect("hot keys lease");
-        // Close the busy epoch, then write through the lease only: the
-        // next sweep must see the shared write and not demote.
+        // Close the busy epoch, then write through a shared writer only:
+        // the next sweep must see the shared write and not demote.
         assert!(!t.maintain());
-        w.update_many(&[1.0, 2.0, 3.0]);
-        w.flush();
-        assert!(!t.maintain(), "leased writes must count as activity");
+        t.writer(1).expect("hot keys have a writer").write(&[1.0, 2.0, 3.0]);
+        assert!(!t.maintain(), "shared writes must count as activity");
         assert!(t.is_hot());
-        drop(w);
         // Two genuinely idle sweeps demote; the version stays monotone
         // across the fold and the weight stays exact.
         let v_before = t.version();
         assert!(t.maintain());
         assert!(!t.is_hot());
         assert!(t.version() > v_before, "demotion fold must not regress");
-        assert_eq!(QuantileEstimator::stream_len(&t), 503, "demotion conserves leased weight");
+        assert_eq!(QuantileEstimator::stream_len(&t), 503, "demotion conserves shared weight");
     }
 
     #[test]
@@ -1016,7 +1043,7 @@ mod tests {
     }
 
     /// A settled engine holding every part kind: level arrays, Gather&Sort
-    /// pending, the resident writer's tail, a leased writer's spill, an
+    /// pending, the resident writer's tail, a shared writer's spill, an
     /// absorbed bulk and buffered absorbs. Values repeat across the kinds,
     /// so every part ties with the others.
     fn engine_with_every_part_kind(seed: u64, n: u64) -> ConcurrentEngine<f64> {
@@ -1032,10 +1059,7 @@ mod tests {
         // n ≡ 2 (mod 4) leaves a two-value resident tail, and a count of
         // placements short of a 2k batch in Gather&Sort.
         e.update_many(&(0..n).map(|i| ((i * 31) % 101) as f64).collect::<Vec<_>>());
-        let mut w = e.try_writer().unwrap();
-        w.update_many(&[5.0, 50.0, 96.0]);
-        w.flush();
-        drop(w);
+        e.writer(1).unwrap().write(&[5.0, 50.0, 96.0]);
         assert!(e.sketch.levels_retained() > 0, "levels");
         assert!(e.sketch.buffered_len() > 0, "Gather&Sort pending");
         assert!(e.writer.lock().unwrap().pending_len() > 0, "resident tail");

@@ -90,10 +90,10 @@
 //!
 //! The paper's writers never serialize — each thread fills a local buffer
 //! and synchronizes only at Gather&Sort/DCAS points. The store mirrors
-//! that through pooled writer handles ([`TieredEngine::try_writer`]):
-//! each key carries a small pool of them, and every batch — `update`,
-//! `update_many`, `update_at`, `update_many_leased`, and each record of a
-//! recovery replay — goes through one private routine
+//! that through the hot engine's writers ([`TieredEngine::writer`]): a
+//! hot key's engine keeps a few per-thread handles, and every batch —
+//! `update`, `update_many`, `update_at`, `update_many_leased`, and each
+//! record of a recovery replay — goes through one private routine
 //! (`SketchStore::apply`) with one fast path and one slow path:
 //!
 //! ```text
@@ -102,9 +102,9 @@
 //!    ├─ SHARED stripe lock ───────────────────────────── fast path
 //!    │    lease: generation matches?        else → StaleLease, nothing moved
 //!    │    target is the key's active window? else ↓
-//!    │    handle = pool checkout (mint ≤ cap)            none → ↓
-//!    │    count → write → flush → append log record (LSN = ticket)
-//!    │    handle back to the pool
+//!    │    writer = engine.writer(cap)                    none → ↓
+//!    │    count → write → append log record (LSN = ticket)
+//!    │    drop the writer: its handle goes back to the engine
 //!    │
 //!    ├─ EXCLUSIVE stripe lock ────────────────────────── slow path
 //!    │    lease: generation matches?        else → StaleLease, nothing moved
@@ -119,17 +119,16 @@
 //!    └─ NO lock: redeem the ticket — wait on the group-commit watermark
 //! ```
 //!
-//! * **Fast path** — an existing key whose engine leases writers
-//!   (hot/concurrent tier) is written through a handle checked out of its
-//!   pool under only the shared lock: N writers on one hot key
-//!   synchronize inside the engine (the paper's propagation points), not
-//!   on the stripe. A handle lives inside that one lock hold: the call
-//!   flushes it and gives it back before letting go of the lock, so
-//!   pooled handles hold **zero weight** and reads stay exact at
-//!   quiescence.
+//! * **Fast path** — an existing key whose engine lends writers
+//!   (hot/concurrent tier) is written through one under only the shared
+//!   lock: N writers on one hot key synchronize inside the engine (the
+//!   paper's propagation points), not on the stripe. A writer borrows the
+//!   engine, so it lives inside that one lock hold, and its write leaves
+//!   the batch exactly visible: idle handles hold **zero weight** and
+//!   reads stay exact at quiescence.
 //! * **Slow path** — key creation, cold/sequential keys (whose exclusive
-//!   writes are what drives tier promotion), pool exhaustion, and every
-//!   window transition. [`StoreStats::shared_writes`] /
+//!   writes are what drives tier promotion), all `writer_pool` handles in
+//!   use, and every window transition. [`StoreStats::shared_writes`] /
 //!   [`StoreStats::fallback_writes`] count the split; a batch is exactly
 //!   one of those or one [`StoreStats::window_late_drops`].
 //! * **Ordering** — on both paths the batch is counted into `updates`
@@ -145,11 +144,12 @@
 //!   [`SketchStore::update_at`] resolves its timestamp to a window id and
 //!   replay passes the logged id; both are `Window(id)`.
 //!
-//! No handle is ever checked out while the exclusive lock is held, so
-//! every invalidation — `remove`, demotion (`cool_down`), a window roll —
-//! sees the whole pool idle and simply clears it. Conservation is exact
-//! by construction: a handle buffers weight only inside one locked write
-//! call, and every such call ends in a flush.
+//! A hot key's writer handles belong to its engine and go with it: a
+//! writer borrows the engine, so none is live while the exclusive lock is
+//! held, and `remove`, demotion (`cool_down`) and a window roll drop the
+//! idle handles together with the engine. Conservation is exact by
+//! construction: a handle buffers weight only inside one write, and every
+//! write ends with its weight visible.
 //!
 //! A [`WriterLease`] ([`SketchStore::lease_writer`] /
 //! [`SketchStore::update_many_leased`]) is only a **generation** token.
@@ -171,7 +171,7 @@ use qc_common::engine::{MergeableSketch, QuantileEstimator, StreamIngest};
 use qc_common::summary::{LeveledSummary, Summary, UnionView, WeightedSummary};
 use qc_telemetry::{Counter, EventKind, Gauge, LatencyRecorder, MetricsSnapshot, Registry};
 
-use crate::engine::{EngineParts, LeasedWriter, TieredEngine};
+use crate::engine::{EngineParts, TieredEngine};
 use crate::merge::{by_level, merge_runs, merge_runs_flat};
 use crate::persist::{
     self, CheckpointEntry, CheckpointStats, CommitSequencer, FsyncPolicy, GroupOutcome,
@@ -208,8 +208,8 @@ pub struct StoreConfig {
     /// population); `0` makes a key hot on its first write (a pure
     /// concurrent one, until `cool_down` demotes it while idle).
     pub promotion_threshold: u64,
-    /// Per-key writer-handle pool capacity: at most this many writer
-    /// handles exist per key (idle + checked out), so at most this many
+    /// Per-key writer-handle capacity: at most this many writer handles
+    /// exist per hot key (idle + in a write), so at most this many
     /// writes run on one hot key's shared path at once; the rest take
     /// the exclusive fallback. `0` disables the shared-lock write path
     /// entirely — every write takes the exclusive fallback (the baseline
@@ -269,7 +269,7 @@ impl Default for StoreConfig {
     }
 }
 
-/// Default per-key writer-handle pool capacity — sized to the serving
+/// Default per-key writer-handle capacity — sized to the serving
 /// layer's default worker count, so every connection of a default server
 /// can write one hot key on the shared path at the same time.
 pub const DEFAULT_WRITER_POOL: usize = 8;
@@ -310,7 +310,7 @@ impl StoreConfig {
         self
     }
 
-    /// Set the per-key writer-handle pool capacity (`0` disables the
+    /// Set the per-key writer-handle capacity (`0` disables the
     /// shared-lock write path).
     pub fn writer_pool(mut self, handles: usize) -> Self {
         self.writer_pool = handles;
@@ -410,12 +410,12 @@ pub struct StoreStats {
     /// classification — so `cache_hits + cache_misses >= reads` holds for
     /// every sample (see [`StoreStats::consistency`]). Local-only.
     pub reads: u64,
-    /// Write batches that rode the shared-lock fast path (a pooled
-    /// writer handle). **Counter**, bumped after `updates`
+    /// Write batches that rode the shared-lock fast path (a hot engine's
+    /// writer). **Counter**, bumped after `updates`
     /// within the same lock hold. Local-only.
     pub shared_writes: u64,
     /// Write batches that took the exclusive-lock fallback (key creation,
-    /// cold-tier keys, exhausted pools, or `writer_pool == 0`).
+    /// cold-tier keys, every writer handle in use, or `writer_pool == 0`).
     /// **Counter**, bumped after `updates` within the same lock hold.
     /// Local-only.
     pub fallback_writes: u64,
@@ -509,8 +509,8 @@ impl StoreStats {
 /// it was issued under, and nothing else.
 ///
 /// [`SketchStore::update_many_leased`] checks the generation under the
-/// stripe lock on every call, then writes like any other batch (a pooled
-/// handle, or the exclusive fallback) — so holding a lease across
+/// stripe lock on every call, then writes like any other batch (a hot
+/// engine's writer, or the exclusive fallback) — so holding a lease across
 /// requests is safe against concurrent `remove`, demotion, a window roll
 /// and re-creation of the key. A lease holds no handle and no weight;
 /// dropping one, stale or not, releases nothing.
@@ -547,8 +547,8 @@ impl std::fmt::Display for StaleLease {
 
 impl std::error::Error for StaleLease {}
 
-/// One key's slot in a stripe map: the live engine, its read cache (the
-/// key's one form), and the leased-writer pool.
+/// One key's slot in a stripe map: the live engine and its read cache
+/// (the key's one form).
 struct KeyEntry<T: OrderedBits> {
     engine: TieredEngine<T>,
     /// Lease generation: every leased write validates its tag against
@@ -572,10 +572,6 @@ struct KeyEntry<T: OrderedBits> {
     /// instructions), so readers sharing the stripe lock barely serialize
     /// on it.
     cache: Mutex<Option<CacheSlot>>,
-    /// Idle writer handles plus the mint count; the mutex guards only
-    /// push/pop (writes run **outside** it, so checkouts never serialize
-    /// the data path).
-    pool: Mutex<WriterPool<T>>,
     /// Highest log LSN applied to this key, advanced (`fetch_max`) under
     /// the same stripe-lock hold as the engine write it tags. A
     /// checkpoint reads it under the exclusive lock — no write in flight —
@@ -599,14 +595,6 @@ struct CacheSlot {
     form: Arc<EngineParts>,
 }
 
-struct WriterPool<T: OrderedBits> {
-    /// Handles returned after a flush — they hold no weight while idle.
-    idle: Vec<LeasedWriter<T>>,
-    /// Handles minted for the live engine (idle + checked out), capped by
-    /// [`StoreConfig::writer_pool`].
-    minted: usize,
-}
-
 impl<T: OrderedBits> KeyEntry<T> {
     /// A fresh entry; `active_wid` is the first active window of a
     /// windowed key (`None` on an unwindowed store).
@@ -619,7 +607,6 @@ impl<T: OrderedBits> KeyEntry<T> {
             engine,
             generation,
             cache: Mutex::new(None),
-            pool: Mutex::new(WriterPool { idle: Vec::new(), minted: 0 }),
             last_lsn: AtomicU64::new(0),
             windows,
         }
@@ -641,46 +628,12 @@ impl<T: OrderedBits> KeyEntry<T> {
         self.windows.as_mut().expect("windowed keys carry window state").get_mut().unwrap()
     }
 
-    /// Check a leased writer handle out of the pool (minting one from the
-    /// engine if under the cap). `None` sends the caller to the
-    /// exclusive-lock fallback. Runs under the shared stripe lock.
-    fn checkout(&self, cap: usize) -> Option<LeasedWriter<T>> {
-        if cap == 0 {
-            return None;
-        }
-        let mut pool = self.pool.lock().unwrap();
-        if let Some(handle) = pool.idle.pop() {
-            return Some(handle);
-        }
-        if pool.minted >= cap {
-            return None;
-        }
-        let handle = self.engine.try_writer()?;
-        pool.minted += 1;
-        Some(handle)
-    }
-
     /// Take the key's cached form out of its slot: the write the caller
     /// just made moved the engine past it. The caller holds the stripe
     /// lock (shared or exclusive) and drops the form after releasing it,
     /// so freeing a form never lengthens a lock hold.
     fn take_form(&self) -> Option<CacheSlot> {
         self.cache.lock().unwrap().take()
-    }
-
-    /// Return a (flushed) handle to the pool. The caller holds the shared
-    /// stripe lock, so the engine cannot have changed since checkout.
-    fn give_back(&self, handle: LeasedWriter<T>) {
-        self.pool.lock().unwrap().idle.push(handle);
-    }
-
-    /// Drop every idle handle and restart the mint count. The caller
-    /// holds the exclusive stripe lock, under which no handle is ever
-    /// checked out, so the idle handles are all there are.
-    fn clear_pool(&mut self) {
-        let pool = self.pool.get_mut().unwrap();
-        pool.idle.clear();
-        pool.minted = 0;
     }
 }
 
@@ -1244,7 +1197,7 @@ impl<T: OrderedBits> SketchStore<T> {
 
     /// Feed a batch of values into `key` under a single lock acquisition —
     /// the **shared** stripe lock when the key already exists and its
-    /// engine leases writer handles (see the
+    /// engine lends writers (see the
     /// [write path](self#write-path-one-pipeline)), the exclusive lock
     /// otherwise. On a windowed store the batch lands in the key's
     /// current active window.
@@ -1317,25 +1270,23 @@ impl<T: OrderedBits> SketchStore<T> {
                 if target.wid(wid) != wid {
                     return None;
                 }
-                let mut handle = entry.checkout(self.cfg.writer_pool)?;
+                let mut writer = entry.engine.writer(self.cfg.writer_pool)?;
                 // Count before writing (the write is infallible from
                 // here): a concurrent `stats()` sweep sharing the stripe
                 // lock must never observe engine weight not yet in
                 // `updates`.
                 self.instruments.updates.add(values.len() as u64);
                 self.instruments.shared_writes.incr();
-                handle.update_many(values);
-                // Flush before the handle goes idle: idle handles hold
-                // zero weight, so reads are exact at quiescence and
-                // invalidation can never strand buffered weight.
-                handle.flush();
+                // The write leaves the batch exactly visible, so the
+                // handle the writer gives back holds zero weight.
+                writer.write(values);
                 // Log under this same shared-lock hold: a checkpoint
                 // (exclusive) can then never capture weight whose record
                 // is not yet sequenced, and per-key log order matches
                 // apply order. The durable *wait* happens below, lock
                 // free.
                 let ticket = self.log_update(key, wid, values, &entry.last_lsn);
-                entry.give_back(handle);
+                drop(writer);
                 // The flush moved the version, so no read serves the
                 // cached form again: it goes now, and a key that is written
                 // and not read holds no read form.
@@ -1348,7 +1299,8 @@ impl<T: OrderedBits> SketchStore<T> {
             return Ok(());
         }
         // Exclusive slow path: key creation, cold-tier keys (whose
-        // `&mut` updates drive promotion pressure), exhausted pools, and
+        // `&mut` updates drive promotion pressure), every writer handle in
+        // use, and
         // every window transition (roll forward, late merge).
         let mut map = self.stripes[stripe_ix].write().unwrap();
         // The generation may have moved between the two lock holds: check
@@ -1362,9 +1314,10 @@ impl<T: OrderedBits> SketchStore<T> {
         if wid > active_id {
             // Roll forward: seal the live engine's contents for the old
             // active window, then open a fresh engine for the new one.
-            // The old engine's handles die with it — the same retirement
-            // as tier demotion, so a stale lease can never write into the
-            // new window — and its cached form goes with the write below.
+            // The old engine's writer handles die with it, and its
+            // generation retires as on tier demotion, so a stale lease can
+            // never write into the new window; its cached form goes with
+            // the write below.
             let seed = self.key_seed(key);
             if entry.engine.stream_len() > 0 {
                 let sealed = entry.engine.to_summary();
@@ -1372,7 +1325,7 @@ impl<T: OrderedBits> SketchStore<T> {
                 self.instruments.window_seals.incr();
             }
             entry.engine = TieredEngine::build(&self.cfg, seed);
-            self.retire_engine(entry);
+            entry.generation = self.next_generation();
             let state = entry.window_state();
             state.active_id = wid;
             state.watermark = state.watermark.max(wid);
@@ -1448,16 +1401,6 @@ impl<T: OrderedBits> SketchStore<T> {
         map.get_mut(key).expect("entry just ensured")
     }
 
-    /// Retire `entry`'s previous engine (window roll-forward, tier
-    /// demotion): a fresh generation, so outstanding leases are rejected
-    /// at their next use, and a cleared pool, so no handle minted for the
-    /// old engine writes again. The caller holds the exclusive stripe
-    /// lock.
-    fn retire_engine(&self, entry: &mut KeyEntry<T>) {
-        entry.generation = self.next_generation();
-        entry.clear_pool();
-    }
-
     /// Merge a summary into `state`'s sealed set at level-0 slot `start`:
     /// into the (possibly coarse) window already covering the slot via
     /// exact-weight [`merge_runs`] over both sets of level runs, or as a
@@ -1485,7 +1428,7 @@ impl<T: OrderedBits> SketchStore<T> {
 
     /// A lease on `key`'s current generation, for callers that write one
     /// hot key many times and want to learn when it was removed, demoted
-    /// or rolled. `Some` iff the key exists, its engine leases writers
+    /// or rolled. `Some` iff the key exists, its engine lends writers
     /// (the hot tier), and [`StoreConfig::writer_pool`] is non-zero. A
     /// lease reserves nothing: any number may be held at once.
     pub fn lease_writer(&self, key: &str) -> Option<WriterLease<T>> {
@@ -1783,23 +1726,14 @@ impl<T: OrderedBits> SketchStore<T> {
                 let mut map = stripe.write().unwrap();
                 let mut stale = None;
                 if let Some(entry) = map.get_mut(&key) {
-                    // Flush-on-invalidate, **before** any tier decision:
-                    // pooled handles hold no weight (every write flushes
-                    // its handle before giving it back), but flushing
-                    // them here makes conservation across demotion
-                    // structural rather than an invariant of every other
-                    // code path (a no-op flush is free).
-                    for handle in entry.pool.get_mut().unwrap().idle.iter_mut() {
-                        handle.flush();
-                    }
+                    // A demotion drops the hot engine with its writer
+                    // handles and retires the key's generation, so
+                    // outstanding leases are rejected at their next use.
                     if entry.engine.maintain() {
                         changed += 1;
                         self.instruments.demotions.incr();
                         self.registry.event(EventKind::Demotion, format!("key={key}"));
-                        self.retire_engine(entry);
-                    } else {
-                        // Idle handles re-mint on demand.
-                        entry.clear_pool();
+                        entry.generation = self.next_generation();
                     }
                     // A demotion moved the version, so its form goes here,
                     // in the same hold. Otherwise this is the backstop for
@@ -2466,11 +2400,10 @@ mod tests {
                 .promotion_threshold(0)
                 .writer_pool(2),
         );
-        // `(idle, minted)` of the key's pool.
+        // `(idle, minted)` of the key's writer handles.
         let pool = |store: &SketchStore| {
             let map = store.stripe_of("k").read().unwrap();
-            let pool = map["k"].pool.lock().unwrap();
-            (pool.idle.len(), pool.minted)
+            map["k"].engine.writer_handles()
         };
         store.update_many("k", &[0.0]);
         store.update_many("k", &[1.0]);
@@ -2478,12 +2411,11 @@ mod tests {
         // The cap bounds the handles checked out at once.
         {
             let map = store.stripe_of("k").read().unwrap();
-            let entry = &map["k"];
-            let a = entry.checkout(2).expect("idle handle");
-            let b = entry.checkout(2).expect("second handle minted");
-            assert!(entry.checkout(2).is_none(), "pool cap must bound minted handles");
-            entry.give_back(a);
-            entry.give_back(b);
+            let engine = &map["k"].engine;
+            let a = engine.writer(2).expect("idle handle");
+            let b = engine.writer(2).expect("second handle minted");
+            assert!(engine.writer(2).is_none(), "pool cap must bound minted handles");
+            drop((a, b));
         }
         assert_eq!(pool(&store), (2, 2));
         // A lease reserves no handle: any number may be held, and each

@@ -7,14 +7,14 @@
 //!    follow, and the parts are gathered once per version whichever read
 //!    comes first (a `summary_of`, which merges its flat summary from them,
 //!    say).
-//! 2. **Bounded under concurrency:** with N > 1 leased writers on one hot
+//! 2. **Bounded under concurrency:** with N > 1 shared writers on one hot
 //!    key, the weight a read sees stays inside the relaxation sandwich
 //!    `flushed_before_read − r ≤ weight ≤ handed_before_read_end`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
 use std::thread;
 
-use qc_common::{OrderedBits, QuantileEstimator, StreamIngest, WeightedSummary};
+use qc_common::{OrderedBits, QuantileEstimator, WeightedSummary};
 use qc_store::{encode_summary, ConcurrentEngine, SketchStore, StoreConfig};
 
 const PHIS: [f64; 7] = [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0];
@@ -93,7 +93,7 @@ fn hot_answers_are_the_same_on_the_gathering_miss_and_the_hits() {
     }
 }
 
-/// `N` leased writers push bounded rounds into one hot engine while a
+/// `N` shared writers push bounded rounds into one hot engine while a
 /// reader loops on `query`, `rank_weight` and `cdf`. Each read checks
 /// `flushed_before − r ≤ weight ≤ handed_after`, where `weight` is the
 /// total weight the read's parts hold (`rank_weight(+∞)` over finite
@@ -107,7 +107,7 @@ fn hot_answers_are_the_same_on_the_gathering_miss_and_the_hits() {
 ///   buffer resets — and **both** buffers of the one Gather&Sort unit can
 ///   hold such a batch at once (the second owner waits for level 0), so
 ///   `2 · 2k`;
-/// * per writer, a spill drain its flush has taken but not yet placed:
+/// * per writer, a spill drain its write has taken but not yet placed:
 ///   the drain takes a multiple of `b` from a spill holding under `2b`,
 ///   so at most `b` each;
 /// * the under-`b` spill at rest when the read starts, which a drain can
@@ -115,7 +115,7 @@ fn hot_answers_are_the_same_on_the_gathering_miss_and_the_hits() {
 ///
 /// So `r = 4k + (N + 1)·b`. The upper bound has no slack: a read never
 /// counts an element twice, nor one not yet handed to a writer.
-fn sandwich_under_concurrent_leases(writers: usize, rounds: u64, seed: u64) -> u64 {
+fn sandwich_under_concurrent_writers(writers: usize, rounds: u64, seed: u64) -> u64 {
     const K: usize = 8;
     const B: usize = 4;
     let engine = ConcurrentEngine::<f64>::new(K, B, seed);
@@ -128,15 +128,15 @@ fn sandwich_under_concurrent_leases(writers: usize, rounds: u64, seed: u64) -> u
         for t in 0..writers {
             let (engine, handed, flushed, finished) = (&engine, &handed, &flushed, &finished);
             s.spawn(move || {
-                let mut lease = engine.try_writer().expect("a hot engine leases");
+                let mut writer = engine.writer(writers).expect("a hot engine lends a writer");
                 for round in 0..rounds {
                     let n = 1 + (round * 7 + t as u64) % 11;
                     let batch = values(n, round * writers as u64 + t as u64);
                     handed.fetch_add(n, SeqCst);
-                    lease.update_many(&batch);
-                    lease.flush();
+                    writer.write(&batch);
                     flushed.fetch_add(n, SeqCst);
                 }
+                drop(writer);
                 finished.fetch_add(1, SeqCst);
             });
         }
@@ -169,9 +169,9 @@ fn sandwich_under_concurrent_leases(writers: usize, rounds: u64, seed: u64) -> u
 }
 
 #[test]
-fn concurrent_leased_writers_against_hot_reads_stay_in_the_sandwich() {
+fn concurrent_shared_writers_against_hot_reads_stay_in_the_sandwich() {
     for (writers, seed) in [(2, 1), (3, 2), (4, 3)] {
-        let reads = sandwich_under_concurrent_leases(writers, 20000, seed);
+        let reads = sandwich_under_concurrent_writers(writers, 20000, seed);
         assert!(reads > 0);
     }
 }

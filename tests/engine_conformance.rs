@@ -23,15 +23,16 @@
 //! [`ConcurrentIngest::writer`], then [`Fcds::drain`]), and the store's
 //! [`TieredEngine`].
 //!
-//! The store's two engines also carry a state version and lease writers
-//! (contracts 4 and 5), which the keyed store's read cache and shared-lock
-//! write path rest on; those contracts run against [`ConcurrentEngine`]
-//! and [`TieredEngine`] in both tiers.
+//! The store's two engines also carry a state version and lend shared-lock
+//! writers (contracts 4 and 5), which the keyed store's read cache and
+//! shared-lock write path rest on; those contracts run against
+//! [`ConcurrentEngine`] and [`TieredEngine`] in both tiers.
 
 use proptest::prelude::*;
 use qc_common::WeightedSummary;
 use qc_fcds::Fcds;
 use qc_sequential::Sketch;
+use qc_store::engine::Writer;
 use qc_store::{ConcurrentEngine, TieredEngine};
 use qc_workloads::ExactOracle;
 use quancurrent_suite::{
@@ -86,7 +87,7 @@ macro_rules! for_each_backend {
     };
 }
 
-/// Runs `$check(name, engine, version, try_writer, args..)?` for the
+/// Runs `$check(name, engine, version, writer, args..)?` for the
 /// store's engines: the concurrent engine, and the tiered engine pinned
 /// cold, migrating at a 512-update threshold, and hot from its first
 /// write.
@@ -96,7 +97,7 @@ macro_rules! for_each_store_engine {
             "concurrent",
             ConcurrentEngine::<f64>::new(K, 4, $seed),
             ConcurrentEngine::version,
-            ConcurrentEngine::try_writer,
+            |engine: &ConcurrentEngine<f64>| engine.writer(1),
             $($arg),*
         )?;
         for (name, threshold) in [("tiered-cold", u64::MAX), ("tiered", 512), ("tiered-hot", 0)] {
@@ -104,7 +105,7 @@ macro_rules! for_each_store_engine {
                 name,
                 TieredEngine::<f64>::new(K, 4, $seed, threshold),
                 TieredEngine::version,
-                TieredEngine::try_writer,
+                |engine: &TieredEngine<f64>| engine.writer(1),
                 $($arg),*
             )?;
         }
@@ -190,14 +191,14 @@ fn round_trips_summary<E: Engine>(
 }
 
 /// Contract 4: the version counter is monotone across mutations and stable
-/// across reads and idle leases — the invariant the store's summary cache
-/// rests on (a read tagged with version v stays valid while `version()`
-/// still returns v).
-fn versions_mutations_only<E: Engine, W: StreamIngest<f64>>(
+/// across reads and empty shared writes — the invariant the store's
+/// summary cache rests on (a read tagged with version v stays valid while
+/// `version()` still returns v).
+fn versions_mutations_only<E: Engine>(
     name: &str,
     mut engine: E,
     version: impl Fn(&E) -> u64,
-    try_writer: impl Fn(&E) -> Option<W>,
+    writer: impl Fn(&E) -> Option<Writer<'_, f64>>,
     values: &[f64],
 ) -> Result<(), TestCaseError> {
     let v0 = version(&engine);
@@ -207,47 +208,47 @@ fn versions_mutations_only<E: Engine, W: StreamIngest<f64>>(
     let _ = engine.query(0.5);
     let _ = engine.cdf(&[0.0]);
     let snapshot = engine.to_summary();
-    if let Some(mut idle) = try_writer(&engine) {
-        idle.flush();
+    if let Some(mut idle) = writer(&engine) {
+        idle.write(&[]);
     }
-    prop_assert_eq!(version(&engine), v1, "{name}: reads and idle leases must not move it");
+    prop_assert_eq!(version(&engine), v1, "{name}: reads and empty writes must not move it");
     engine.absorb_summary(&snapshot);
     prop_assert!(version(&engine) > v1, "{name}: absorbing weight must advance the version");
     Ok(())
 }
 
-/// Contract 5 (shared-ingest law): weight written through a leased writer
-/// is, after the writer's `flush`, exactly visible to
-/// `stream_len`/`to_summary`, and the flush advances the version past any
-/// pre-flush reading. An engine that declines a lease (`try_writer` →
-/// `None`, the tiered engine while cold) must keep full `&mut self`
-/// ingestion as the fallback.
-fn leases_exactly<E: Engine, W: StreamIngest<f64>>(
+/// Contract 5 (shared-ingest law): weight written through a shared
+/// writer is, when its `write` returns, exactly visible to
+/// `stream_len`/`to_summary`, and the write advances the version past any
+/// earlier reading. An engine that declines a writer (`writer` → `None`,
+/// the tiered engine while cold) must keep full `&mut self` ingestion as
+/// the fallback.
+fn leases_exactly<E: Engine>(
     name: &str,
     mut engine: E,
     version: impl Fn(&E) -> u64,
-    try_writer: impl Fn(&E) -> Option<W>,
+    writer: impl Fn(&E) -> Option<Writer<'_, f64>>,
     values: &[f64],
     leased_values: &[f64],
 ) -> Result<(), TestCaseError> {
     // Prime through the exclusive path first: the tiered engine only
-    // leases once hot (at the 512 threshold, small streams legitimately
-    // stay cold and decline).
+    // lends writers once hot (at the 512 threshold, small streams
+    // legitimately stay cold and decline).
     engine.fill(values);
     let v0 = version(&engine);
-    let Some(mut writer) = try_writer(&engine) else {
-        prop_assert!(name != "concurrent" && name != "tiered-hot", "{name}: hot tiers lease");
+    let Some(mut shared) = writer(&engine) else {
+        prop_assert!(name != "concurrent" && name != "tiered-hot", "{name}: hot tiers lend");
         return Ok(());
     };
-    writer.update_many(leased_values);
-    writer.flush();
-    prop_assert!(version(&engine) > v0, "{name}: a leased flush must advance the version");
+    shared.write(leased_values);
+    // The writer borrows the engine: it is given back before the
+    // exclusive path below can run.
+    drop(shared);
+    prop_assert!(version(&engine) > v0, "{name}: a shared write must advance the version");
     let total = (values.len() + leased_values.len()) as u64;
-    prop_assert_eq!(engine.stream_len(), total, "{name}: leased weight exact after flush");
+    prop_assert_eq!(engine.stream_len(), total, "{name}: shared weight exact after the write");
     prop_assert_eq!(engine.to_summary().stream_len(), total, "{name}: summary weight");
-    // The exclusive path still composes with the lease outstanding (the
-    // store's write lock excludes them in time; the engine must tolerate
-    // interleaving).
+    // The exclusive path composes with earlier shared writes.
     engine.fill(&[1.0, 2.0, 3.0]);
     prop_assert_eq!(engine.stream_len(), total + 3, "{name}: composed");
     Ok(())
@@ -291,7 +292,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Contract 5: leased weight is exact after flush.
+    /// Contract 5: shared-write weight is exact when the write returns.
     #[test]
     fn shared_ingest_law(
         len in 64usize..2000,
