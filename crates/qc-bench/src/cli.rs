@@ -1,10 +1,10 @@
-//! Minimal command-line options shared by every figure binary.
+//! Minimal command-line options shared by every figure.
 //!
 //! No external parser: the only dependencies allowed in this workspace are
 //! the sanctioned offline crates, and the needs here are two flags and a
 //! handful of `--key=value` overrides.
 
-/// Options common to all figure binaries.
+/// Options common to all figures.
 #[derive(Clone, Debug)]
 pub struct Options {
     /// Shrink stream sizes / run counts for smoke-testing (`--quick`).
@@ -35,20 +35,19 @@ impl Default for Options {
 }
 
 impl Options {
-    /// Parse from `std::env::args`, exiting with usage on errors.
-    pub fn from_env() -> Self {
+    /// Parse the `fig` binary's arguments: one positional figure name (or
+    /// `all`) anywhere among the flags. Returns the name and the options.
+    pub fn parse_args(args: &[String]) -> Result<(&str, Self), String> {
         let mut opts = Self::default();
-        for arg in std::env::args().skip(1) {
-            if let Err(msg) = opts.apply(&arg) {
-                eprintln!("error: {msg}");
-                eprintln!(
-                    "usage: <fig> [--quick] [--runs=N] [--n=N] [--threads=a,b,c] \
-                     [--out=DIR] [--headline]"
-                );
-                std::process::exit(2);
+        let mut name = None;
+        for arg in args {
+            if arg.starts_with("--") {
+                opts.apply(arg)?;
+            } else if let Some(first) = name.replace(arg.as_str()) {
+                return Err(format!("more than one figure named: {first:?} and {arg:?}"));
             }
         }
-        opts
+        Ok((name.ok_or("no figure named")?, opts))
     }
 
     /// Apply a single argument.
@@ -146,6 +145,26 @@ mod tests {
         assert_eq!(parse_human_u64("1G").unwrap(), 1_000_000_000);
         assert_eq!(parse_human_u64("123").unwrap(), 123);
         assert!(parse_human_u64("x").is_err());
+    }
+
+    #[test]
+    fn the_figure_name_parses_among_the_flags() {
+        let args: Vec<String> =
+            ["--quick", "fig8", "--runs=2", "--out=figs"].iter().map(|a| a.to_string()).collect();
+        let (name, o) = Options::parse_args(&args).unwrap();
+        assert_eq!(name, "fig8");
+        assert!(o.quick);
+        assert_eq!(o.run_count(40), 2);
+        assert_eq!(o.csv_path("fig8"), std::path::PathBuf::from("figs/fig8.csv"));
+
+        let parse = |args: &[&str]| {
+            Options::parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+                .map(|(name, _)| name.to_string())
+        };
+        assert_eq!(parse(&["all", "--headline"]).unwrap(), "all");
+        assert!(parse(&["--quick"]).is_err(), "a name is required");
+        assert!(parse(&["fig2", "fig9"]).is_err(), "one name only");
+        assert!(parse(&["fig2", "--bogus"]).is_err(), "flags are still checked");
     }
 
     #[test]

@@ -4,9 +4,13 @@
 //! region (the harness invokes `make_worker` pre-barrier), matching the
 //! paper's methodology of measuring pure feeding time.
 
+use std::sync::{Barrier, Mutex};
+
 use qc_common::engine::ConcurrentIngest;
+use qc_common::OrderedBits;
 use qc_fcds::Fcds;
 use qc_sequential::QuantilesSketch;
+use qc_workloads::exact::ExactOracle;
 use qc_workloads::harness::{
     concurrent_ingest_throughput, fixed_ops_throughput, mixed_throughput, Throughput,
 };
@@ -169,6 +173,45 @@ pub fn qc_mixed_throughput(
     (u, q, sketch.stats())
 }
 
+/// Feed `n` values of `dist` into `sketch` from `threads` updaters (each
+/// `n / threads` values, thread `t` seeded `seed_of(t)`) released together
+/// by a barrier. With `record`, every fed value is kept and the exact
+/// oracle of the whole stream is returned; without it nothing is kept.
+pub fn feed_behind_barrier(
+    sketch: &Quancurrent<f64>,
+    threads: usize,
+    n: u64,
+    dist: Distribution,
+    seed_of: impl Fn(usize) -> u64,
+    record: bool,
+) -> Option<ExactOracle> {
+    let per_thread = n / threads as u64;
+    let all = Mutex::new(Vec::<u64>::with_capacity(if record { n as usize } else { 0 }));
+    let barrier = Barrier::new(threads);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            // Registered in thread order before any thread starts, so each
+            // updater lands on the same Gather&Sort unit on every run.
+            let mut updater = sketch.updater();
+            let mut gen = StreamGen::new(dist, seed_of(t));
+            let (all, barrier) = (&all, &barrier);
+            s.spawn(move || {
+                let mut mine = Vec::with_capacity(if record { per_thread as usize } else { 0 });
+                barrier.wait();
+                for _ in 0..per_thread {
+                    let x = gen.next_f64();
+                    if record {
+                        mine.push(x.to_ordered_bits());
+                    }
+                    updater.update(x);
+                }
+                all.lock().expect("no feeding thread panics").extend_from_slice(&mine);
+            });
+        }
+    });
+    record.then(|| ExactOracle::from_bits(all.into_inner().expect("no feeding thread panics")))
+}
+
 /// Sequential-sketch update throughput (single thread, by definition).
 pub fn seq_update_throughput(k: usize, n: u64, dist: Distribution, seed: u64) -> Throughput {
     fixed_ops_throughput(1, n, |_| {
@@ -246,6 +289,28 @@ mod tests {
         assert_eq!(u.ops, 10_000);
         assert!(q.ops > 0);
         let _ = stats.miss_rate();
+    }
+
+    #[test]
+    fn barrier_feed_records_each_threads_seeded_stream() {
+        let sketch = tiny().build(2);
+        let seed_of = |t: usize| 40 + t as u64;
+        let oracle = feed_behind_barrier(&sketch, 2, 10_000, Distribution::Uniform, seed_of, true)
+            .expect("recorded");
+        let fed: Vec<f64> = (0..2)
+            .flat_map(|t| {
+                let mut gen = StreamGen::new(Distribution::Uniform, seed_of(t));
+                (0..5_000).map(move |_| gen.next_f64())
+            })
+            .collect();
+        let expected = ExactOracle::from_values(&fed);
+        assert_eq!(oracle.n(), 10_000);
+        for phi in [0.0, 0.25, 0.5, 0.75, 1.0] {
+            assert_eq!(oracle.quantile_bits(phi), expected.quantile_bits(phi), "phi {phi}");
+        }
+        let unrecorded = tiny().build(1);
+        assert!(feed_behind_barrier(&unrecorded, 1, 1_000, Distribution::Uniform, seed_of, false)
+            .is_none());
     }
 
     #[test]

@@ -126,22 +126,9 @@ impl Server {
         if cfg.data_dir.is_some() {
             store_cfg.data_dir = cfg.data_dir.clone();
         }
-        let store = if store_cfg.data_dir.is_some() {
-            let (store, _report) =
-                SketchStore::recover(store_cfg).map_err(std::io::Error::other)?;
-            Arc::new(store)
-        } else {
-            Arc::new(SketchStore::new(store_cfg))
-        };
-        Self::bind_with_store(addr, cfg, store)
-    }
-
-    /// Bind `addr` and serve `store`.
-    fn bind_with_store<A: ToSocketAddrs>(
-        addr: A,
-        cfg: ServerConfig,
-        store: Arc<SketchStore>,
-    ) -> std::io::Result<ServerHandle> {
+        // Without a data directory `recover` is `SketchStore::new`.
+        let (store, _report) = SketchStore::recover(store_cfg).map_err(std::io::Error::other)?;
+        let store = Arc::new(store);
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));

@@ -1344,10 +1344,12 @@ impl<T: OrderedBits> SketchStore<T> {
             !was_hot && entry.engine.is_hot()
         } else if self.window_plan.is_some_and(|plan| plan.admissible(watermark, wid)) {
             // Late but admissible: summarize the batch through a
-            // throwaway engine and merge it, exact-weight, into the
-            // sealed window covering `wid` (or open a new level-0 one).
+            // throwaway sequential sketch (what a cold engine holds; a
+            // hot one is never built for a batch summarized once) and
+            // merge it, exact-weight, into the sealed window covering
+            // `wid` (or open a new level-0 one).
             let seed = self.key_seed(key);
-            let mut tmp = TieredEngine::build(&self.cfg, seed);
+            let mut tmp = qc_sequential::Sketch::<T>::with_seed(self.cfg.k, seed);
             tmp.update_many(values);
             Self::seal_into(entry.window_state(), wid, tmp.to_summary(), self.cfg.k, seed);
             false

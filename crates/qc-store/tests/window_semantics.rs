@@ -84,6 +84,36 @@ fn late_values_inside_the_lateness_bound_merge_into_their_window() {
     assert_eq!(snap.total_weight(), 3);
     // The late value is visible to a range query over exactly its window.
     assert_eq!(store.query_range("k", 2000, 3000, 0.5), Some(9.0));
+
+    // A late batch is summarized the same way on either side of the
+    // promotion threshold: its weight is exact and the sealed windows are
+    // equal whether every key promotes at once (0) or never (u64::MAX).
+    for late_len in [1usize, 1000] {
+        let late: Vec<f64> = (0..late_len).map(|i| 9.0 + i as f64).collect();
+        let sealed_at = |threshold: u64| {
+            let store = SketchStore::new(windowed_cfg(0, 3600, 5).promotion_threshold(threshold));
+            store.update_at("k", 0, &[1.0]);
+            store.update_at("k", 4_500, &[2.0]);
+            store.update_at("k", 2_250, &late);
+            assert_eq!(store.stats().window_late_drops, 0);
+            assert_eq!(
+                sealed_of(&store, "k"),
+                vec![(0, 0, 1), (2, 0, late_len as u64)],
+                "threshold {threshold}: the late batch's weight is exact"
+            );
+            let snap = store.window_snapshot("k").unwrap();
+            assert_eq!(snap.total_weight(), 2 + late_len as u64);
+            snap.sealed
+        };
+        let pinned_cold = sealed_at(u64::MAX);
+        assert_eq!(sealed_at(0), pinned_cold, "late batch of {late_len}, threshold 0");
+        let default_threshold = StoreConfig::default().promotion_threshold;
+        assert_eq!(
+            sealed_at(default_threshold),
+            pinned_cold,
+            "late batch of {late_len}, default threshold"
+        );
+    }
 }
 
 #[test]

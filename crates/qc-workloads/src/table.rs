@@ -1,5 +1,5 @@
 //! Minimal result tables: aligned console output plus CSV emission, so
-//! every figure binary prints both a readable table and a machine-readable
+//! every figure prints both a readable table and a machine-readable
 //! series.
 
 use std::fmt::Write as _;
