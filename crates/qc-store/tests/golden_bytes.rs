@@ -4,7 +4,7 @@
 //! checkpoint images are pinned next to their private writers, in
 //! `persist.rs`'s unit tests.) The store's reads are pinned below the
 //! same way, so a read-path refactor cannot move an answer or a summary
-//! bit unnoticed.
+//! bit unnoticed, and so are the checkpoint files whole stores write.
 
 use qc_common::summary::{Summary, WeightedItem, WeightedSummary};
 use qc_store::wire::{decode_summary, encode_summary};
@@ -207,4 +207,119 @@ fn store_reads_are_pinned() {
     let expected: Vec<(String, u64)> =
         STORE_READS.iter().map(|&(name, d)| (name.to_string(), d)).collect();
     assert_eq!(got, expected, "store read digests moved; now:\n{}", table.join("\n"));
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint images, pinned: the file `checkpoint()` writes and the one a
+// durable `cool_down()` sweep writes, over fixed-seed durable stores, as
+// FNV-1a digests. A refactor of the housekeeping sweep must leave every
+// image where it is, and neither call may count as a read.
+// ---------------------------------------------------------------------------
+
+use qc_store::FsyncPolicy;
+use qc_workloads::tempdir::TempDir;
+
+/// The digest of the newest checkpoint file `sweep` leaves in a fresh
+/// durable store that `fill` loaded; `sweep` must move no read counter.
+fn image(
+    name: &str,
+    cfg: StoreConfig,
+    fill: impl Fn(&SketchStore),
+    sweep: impl Fn(&SketchStore),
+) -> u64 {
+    let dir = TempDir::new(name);
+    let cfg = cfg.fsync(FsyncPolicy::Off).data_dir(dir.path());
+    let (store, _) = SketchStore::recover(cfg).unwrap();
+    fill(&store);
+    let reads = |s: &SketchStore| {
+        let stats = s.stats();
+        (stats.reads, stats.cache_hits, stats.cache_misses)
+    };
+    let before = reads(&store);
+    sweep(&store);
+    assert_eq!(reads(&store), before, "{name}: a checkpoint counts no read");
+    let mut images: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ck"))
+        .collect();
+    images.sort();
+    digest(std::fs::read(images.last().expect("a checkpoint was written")).unwrap())
+}
+
+/// Loads a durable store before its checkpoint.
+type Fill<'a> = &'a dyn Fn(&SketchStore);
+
+fn checkpoint_images() -> Vec<(String, u64)> {
+    // A cold key, read once so its form is cached, and a key promoted
+    // mid-stream that absorbs a remote frame and is read again.
+    let tiered = |s: &SketchStore| {
+        write(s, "cold", &stream(2_000, 1));
+        write(s, "promoted", &stream(20_000, 2));
+        s.ingest_bytes("promoted", &s.snapshot_bytes("cold").unwrap()).unwrap();
+        assert_eq!(s.stats().hot_keys, 1, "one key promoted");
+        s.query("promoted", 0.5).unwrap();
+    };
+    // Hot from the first write, then idle for one sweep: the next sweep
+    // demotes it, while a plain checkpoint captures it hot.
+    let hot = |s: &SketchStore| {
+        write(s, "t0", &stream(20_000, 3));
+        s.cool_down();
+        write(s, "t1", &stream(100, 5));
+    };
+    // A windowed key with sealed and downsampled windows, one more window
+    // written after two sweeps, and its live form read.
+    let windowed = |s: &SketchStore| {
+        for (w, values) in stream(25 * 300, 4).chunks(300).enumerate() {
+            s.update_at("w", w as u64 * 1000 + 250, values);
+            if w == 23 {
+                s.cool_down();
+                s.cool_down();
+                let snap = s.window_snapshot("w").unwrap();
+                assert!(snap.sealed.iter().any(|&(_, level, _)| level > 0), "some downsampled");
+            }
+        }
+        s.query_range("w", 0, u64::MAX, 0.5).unwrap();
+    };
+    let window = WindowConfig::default()
+        .width(Duration::from_secs(1))
+        .downsample_levels(2)
+        .retention(Duration::from_secs(32))
+        .lateness(Duration::from_secs(120));
+    let stores: [(&str, StoreConfig, Fill); 3] = [
+        ("tiered", StoreConfig::default().stripes(4).seed(11), &tiered),
+        ("hot", StoreConfig::default().stripes(4).seed(12).promotion_threshold(0), &hot),
+        ("windowed", StoreConfig::default().stripes(4).seed(13).window(window), &windowed),
+    ];
+    let mut out = Vec::new();
+    for (name, cfg, fill) in stores {
+        let by_checkpoint = image(name, cfg.clone(), fill, |s| {
+            s.checkpoint().unwrap().expect("appends since the last checkpoint");
+        });
+        out.push((format!("{name}.checkpoint"), by_checkpoint));
+        let by_cool_down = image(name, cfg, fill, |s| {
+            s.cool_down();
+        });
+        out.push((format!("{name}.cool_down"), by_cool_down));
+    }
+    out
+}
+
+const CHECKPOINT_IMAGES: &[(&str, u64)] = &[
+    ("tiered.checkpoint", 0x6ee1596d42d02a8b),
+    ("tiered.cool_down", 0x6ee1596d42d02a8b),
+    ("hot.checkpoint", 0xf99ee9c9b7d7d76b),
+    ("hot.cool_down", 0x3bdb9944bb531f34),
+    ("windowed.checkpoint", 0x59fea705eeeb68d5),
+    ("windowed.cool_down", 0xc858d8afaf60ca39),
+];
+
+#[test]
+fn checkpoint_images_are_pinned() {
+    let got = checkpoint_images();
+    let table: Vec<String> =
+        got.iter().map(|(name, d)| format!("    (\"{name}\", {d:#018x}),")).collect();
+    let expected: Vec<(String, u64)> =
+        CHECKPOINT_IMAGES.iter().map(|&(name, d)| (name.to_string(), d)).collect();
+    assert_eq!(got, expected, "checkpoint image digests moved; now:\n{}", table.join("\n"));
 }
