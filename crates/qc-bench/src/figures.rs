@@ -166,10 +166,11 @@ pub static FIGURES: &[Figure] = &[
         title: "Ablation — DCAS accounting: arena growth, retries, waits",
         run: ablation_dcas,
         notes: &[
-            "interpretation: the arena grows with batches + propagations only",
-            "(≈ n/2k descriptors), independent of contention; retries and waits",
-            "grow with threads — the price the tritmap protocol pays for",
-            "coordination, bounded by helping.",
+            "interpretation: the arena holds one descriptor per DCAS attempt,",
+            "batches + propagations + dcas_retries (≈ 3n/2k with one updater),",
+            "allocated in 64-descriptor chunks, so it grows with contention;",
+            "retries and waits grow with threads — the price the tritmap",
+            "protocol pays for coordination, bounded by helping.",
         ],
     },
     Figure {

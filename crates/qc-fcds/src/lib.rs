@@ -12,8 +12,9 @@
 //! Queries read the shared sketch under a reader lock (the original uses a
 //! seqlock-style snapshot; a reader-writer lock preserves the property the
 //! comparison depends on — queries never block the propagator for long and
-//! updates never touch the shared sketch — while staying within safe Rust;
-//! see DESIGN.md).
+//! updates never touch the shared sketch — while staying within safe Rust:
+//! a seqlock reader copies memory a writer may be changing and discards
+//! the copy afterwards, a data race safe Rust cannot express).
 //!
 //! Workers ingest only through per-thread handles ([`Fcds::updater`], or
 //! [`ConcurrentIngest::writer`](qc_common::engine::ConcurrentIngest::writer)

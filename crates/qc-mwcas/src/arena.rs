@@ -13,18 +13,21 @@
 //! et al. side-step this by assuming garbage collection.
 //!
 //! We side-step it differently: descriptors are small (256 B) and the
-//! sketch issues them per *batch*, not per element — measured, 3 per `2k`
-//! stream elements (the batch install plus the level propagations it
-//! triggers, two on average). The arena simply keeps every descriptor
-//! alive until the owning data structure drops, making stale helpers
-//! trivially memory-safe; the algorithm's status conditioning (RDCSS)
-//! makes them logically harmless (a late helper's installs are always
-//! rolled back to the then-current value).
+//! sketch issues them per *batch*, not per element. Every `mwcas` call
+//! takes one, a failed attempt included, so the sketch holds one per
+//! batch install, one per level propagation and one per DCAS retry. With
+//! one updater nothing retries, and that is 3 per `2k` stream elements
+//! (the batch install plus the propagations it triggers, two on
+//! average); concurrent updaters add their retries. The arena simply
+//! keeps every descriptor alive until the owning data structure drops,
+//! making stale helpers trivially memory-safe; the algorithm's status
+//! conditioning (RDCSS) makes them logically harmless (a late helper's
+//! installs are always rolled back to the then-current value).
 //!
 //! ## What that costs: memory linear in the stream
 //!
-//! The footprint is `3 × 256 B / 2k` per element for as long as the
-//! sketch lives. Measured with one updater ([`Arena::footprint_bytes`],
+//! With one updater the footprint is `3 × 256 B / 2k` per element for as
+//! long as the sketch lives. Measured with one updater ([`Arena::footprint_bytes`],
 //! process RSS tracking it byte for byte):
 //!
 //! | sketch | per element | per 10 M elements | after 40 M |

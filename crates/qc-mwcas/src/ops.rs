@@ -17,9 +17,11 @@
 //! Every thread that encounters a descriptor mid-flight executes the same
 //! steps, so the operation completes as long as *any* thread is scheduled:
 //! all operations (including [`read`]) are lock-free. (The paper's DCAS
-//! cites a wait-free `DCAS_READ`; our read is lock-free — the distinction
-//! is immaterial for the sketch's progress arguments, which assume a fair
-//! scheduler, and is noted in DESIGN.md.)
+//! cites a wait-free `DCAS_READ`; our read is lock-free — it retries only
+//! after helping an installed operation to completion, so it can be
+//! delayed only by new operations that keep landing on the same word. The
+//! distinction is immaterial for the sketch's progress arguments, which
+//! assume a fair scheduler.)
 
 use crate::arena::Arena;
 use crate::descriptor::{

@@ -701,31 +701,22 @@ impl<T: OrderedBits> QuantileEstimator<T> for TieredEngine<T> {
     }
 
     fn query(&self, phi: f64) -> Option<T> {
-        match &self.state {
-            TierState::Cold(cold) => cold.query(phi),
-            TierState::Hot(hot) => hot.query(phi),
-        }
+        self.parts().view().quantile(phi)
     }
 
     fn rank_weight(&self, x: T) -> u64 {
-        match &self.state {
-            TierState::Cold(cold) => cold.rank_weight(x),
-            TierState::Hot(hot) => hot.rank_weight(x),
-        }
+        self.parts().view().rank_bits(x.to_ordered_bits())
     }
 
     fn cdf(&self, split_points: &[T]) -> Vec<f64> {
-        match &self.state {
-            TierState::Cold(cold) => QuantileEstimator::cdf(cold, split_points),
-            TierState::Hot(hot) => hot.cdf(split_points),
-        }
+        let bits: Vec<u64> = split_points.iter().map(|x| x.to_ordered_bits()).collect();
+        self.parts().view().cdf_bits(&bits)
     }
 
     fn quantiles(&self, phis: &[f64]) -> Vec<Option<T>> {
-        match &self.state {
-            TierState::Cold(cold) => cold.quantiles(phis),
-            TierState::Hot(hot) => hot.quantiles(phis),
-        }
+        let parts = self.parts();
+        let view = parts.view();
+        phis.iter().map(|&phi| view.quantile(phi)).collect()
     }
 
     fn error_bound(&self) -> f64 {

@@ -13,11 +13,12 @@
 //!   apply order. Records carry a store-wide **LSN** (log sequence
 //!   number, strictly increasing, assigned under the log mutex).
 //! * **Checkpoints** — a housekeeping sweep seals the active segment,
-//!   then writes every key's resident [`qc_common::WeightedSummary`] (the same
-//!   CRC-checked [`crate::wire`] frame that crosses the network) plus the
-//!   key's last-applied LSN into `ckpt-<seq>.ck` (via a temp file +
-//!   rename), and finally deletes the sealed segments and older
-//!   checkpoints it supersedes. Because summaries merge with **exact**
+//!   then takes each key's `(cut, last_lsn)` in the key's one exclusive
+//!   stripe-lock hold and encodes the cut after it: every key's resident
+//!   [`qc_common::WeightedSummary`] (the same CRC-checked [`crate::wire`]
+//!   frame that crosses the network) plus its last-applied LSN go into
+//!   `ckpt-<seq>.ck` (via a temp file + rename), and finally the sweep
+//!   deletes the sealed segments and older checkpoints it supersedes. Because summaries merge with **exact**
 //!   weight conservation, a checkpoint is a lossless compaction of the
 //!   log prefix it covers.
 //! * **Recovery** — load the newest fully-valid checkpoint (corrupt ones

@@ -158,6 +158,15 @@
 //! checks it under the same lock hold as the write — on the slow path
 //! before the key could be created — so a stale lease can **never** write
 //! into a successor engine.
+//!
+//! # Housekeeping: one sweep
+//!
+//! `cool_down` and `checkpoint` share one private key loop, `sweep`: it
+//! rotates a durable log, then holds each key exclusively once, for its
+//! maintenance (demotion, the stale-form backstop, window downsample and
+//! evict; `cool_down` only) and last its `(cut, last_lsn)` — `Arc` clones
+//! of its parts and sealed windows, and integers. Flattening and encoding
+//! the cuts run after the lock is released.
 
 use std::collections::{BTreeMap, HashMap};
 use std::marker::PhantomData;
@@ -573,11 +582,11 @@ struct KeyEntry<T: OrderedBits> {
     /// on it.
     cache: Mutex<Option<CacheSlot>>,
     /// Highest log LSN applied to this key, advanced (`fetch_max`) under
-    /// the same stripe-lock hold as the engine write it tags. A
-    /// checkpoint reads it under the exclusive lock — no write in flight —
-    /// so `(summary, last_lsn)` is a consistent pair: replay applies a
-    /// record to this key iff its LSN is above the checkpointed value.
-    /// Zero while the store has no durable log.
+    /// the same stripe-lock hold as the engine write it tags. The
+    /// housekeeping sweep takes `(cut, last_lsn)` in the key's one
+    /// exclusive hold — no write in flight — and encodes the cut after it,
+    /// so the pair is consistent: replay applies a record to this key iff
+    /// its LSN is above the checkpointed value. Zero without a durable log.
     last_lsn: AtomicU64,
     /// Window bookkeeping, present iff [`StoreConfig::window`] is set.
     /// The inner mutex guards only id comparisons and `Arc` clones on
@@ -696,6 +705,50 @@ impl ReadView {
         Arc::new(merge_runs_flat(by_level(runs.iter().map(Vec::as_slice)), k, seed))
     }
 }
+
+/// One key's checkpoint cut: `Arc` clones and integers.
+struct Cut {
+    key: String,
+    lsn: u64,
+    form: Arc<EngineParts>,
+    windows: Option<WindowState>,
+}
+
+impl Cut {
+    /// `entry`'s cut, under its exclusive hold: no shared-path write is in
+    /// flight, so parts and `last_lsn` are a consistent pair. A form the
+    /// backstop left is at the settled version; no read is counted and
+    /// no form published.
+    fn take<T: OrderedBits>(key: String, entry: &mut KeyEntry<T>) -> Self {
+        let cached = entry.cache.get_mut().unwrap().as_ref();
+        Cut {
+            key,
+            lsn: *entry.last_lsn.get_mut(),
+            form: cached.map_or_else(|| Arc::new(entry.engine.parts()), |c| Arc::clone(&c.form)),
+            windows: entry.windows.as_mut().map(|cell| cell.get_mut().unwrap().clone()),
+        }
+    }
+
+    /// The checkpoint entry: every summary flattened and encoded.
+    fn encode(self) -> CheckpointEntry {
+        let windows = self.windows.unwrap_or_default();
+        let frame = |win: &SealedWindow| encode_summary(&win.summary.to_weighted());
+        let sealed = windows.sealed.iter().map(|(&start, win)| (start, win.level, frame(win)));
+        CheckpointEntry {
+            key: self.key,
+            lsn: self.lsn,
+            active_wid: windows.active_id,
+            watermark: windows.watermark,
+            sealed: sealed.collect(),
+            summary: encode_summary(&self.form.summary()),
+        }
+    }
+}
+
+/// A cool-down sweep's per-key maintenance.
+type Maintain<'a, T> = &'a mut dyn FnMut(&str, &mut KeyEntry<T>);
+
+type CheckpointResult = Result<Option<CheckpointStats>, PersistError>;
 
 /// Why an unleased [`SketchStore::apply`] cannot fail.
 const UNLEASED: &str = "only a leased write can be stale";
@@ -1298,10 +1351,9 @@ impl<T: OrderedBits> SketchStore<T> {
             self.finish_log(ticket);
             return Ok(());
         }
-        // Exclusive slow path: key creation, cold-tier keys (whose
-        // `&mut` updates drive promotion pressure), every writer handle in
-        // use, and
-        // every window transition (roll forward, late merge).
+        // Exclusive slow path: key creation, cold-tier keys (whose `&mut`
+        // updates drive promotion pressure), every writer handle in use,
+        // and every window transition (roll forward, late merge).
         let mut map = self.stripes[stripe_ix].write().unwrap();
         // The generation may have moved between the two lock holds: check
         // the lease again before anything could create a successor key.
@@ -1361,10 +1413,8 @@ impl<T: OrderedBits> SketchStore<T> {
             self.instruments.window_late_drops.incr();
             return Ok(());
         };
-        // Count while still holding the stripe lock: bumping after the
-        // drop let `stats()` observe engine weight not yet in `updates`
-        // (`stream_len > updates` mid-flight, under-reported counters at
-        // shutdown barriers).
+        // Count under the stripe lock: `stats()` must never observe engine
+        // weight not yet in `updates`.
         self.instruments.updates.add(values.len() as u64);
         self.instruments.fallback_writes.incr();
         let ticket = self.log_update(key, wid, values, &entry.last_lsn);
@@ -1711,106 +1761,126 @@ impl<T: OrderedBits> SketchStore<T> {
     /// sweep interval demote to the sequential tier, releasing their
     /// concurrent buffers. Returns the number of keys that changed tier.
     ///
+    /// On a durable store it is also the checkpoint pass: each key's one
+    /// exclusive hold ends with its `(cut, last_lsn)`, encoded after the
+    /// hold, so the image holds every key's post-sweep state.
+    ///
     /// Call it periodically (e.g. from the serving layer's housekeeping
     /// loop); the sweep interval defines the cool-down window.
     pub fn cool_down(&self) -> usize {
         let mut changed = 0usize;
         let mut windows_resident = 0i64;
-        for stripe in self.stripes.iter() {
-            // Snapshot the key list under the shared lock, then maintain
-            // one key per write-lock acquisition: a demotion is a full
-            // summary round-trip, and holding the stripe exclusively for a
-            // whole multi-key sweep would stall the warm read path every
-            // interval. Keys created after the snapshot simply wait one
-            // sweep; removed keys are skipped.
-            let keys: Vec<String> = stripe.read().unwrap().keys().cloned().collect();
-            for key in keys {
-                let mut map = stripe.write().unwrap();
-                let mut stale = None;
-                if let Some(entry) = map.get_mut(&key) {
-                    // A demotion drops the hot engine with its writer
-                    // handles and retires the key's generation, so
-                    // outstanding leases are rejected at their next use.
-                    if entry.engine.maintain() {
-                        changed += 1;
-                        self.instruments.demotions.incr();
-                        self.registry.event(EventKind::Demotion, format!("key={key}"));
-                        entry.generation = self.next_generation();
-                    }
-                    // A demotion moved the version, so its form goes here,
-                    // in the same hold. Otherwise this is the backstop for
-                    // the one form a write cannot drop: a reader's publish
-                    // that raced a shared-path write (see
-                    // `KeyEntry::cache`).
-                    let version = entry.engine.version();
-                    stale = entry.cache.get_mut().unwrap().take_if(|c| c.version != version);
-                    // Windowed housekeeping rides the same exclusive
-                    // hold: downsample aged sealed windows into coarser
-                    // ones (exact-weight merges), then evict windows
-                    // wholly past the retention horizon. Both are driven
-                    // by the key's watermark — event time, never the wall
-                    // clock — so sweeps are deterministic from the update
-                    // stream alone.
-                    if let (Some(plan), Some(cell)) = (self.window_plan, entry.windows.as_mut()) {
-                        let seed = self.key_seed(&key);
-                        let k = self.cfg.k;
-                        let state = cell.get_mut().unwrap();
-                        let promoted = window::downsample_sweep(state, &plan, |a, b| {
-                            merge_runs([&a.level_runs()[..], &b.level_runs()[..]], k, seed)
-                        });
-                        if promoted > 0 {
-                            self.instruments.window_downsamples.add(promoted);
-                        }
-                        let evicted = window::evict_sweep(state, &plan);
-                        if evicted > 0 {
-                            self.instruments.window_evictions.add(evicted);
-                            self.registry
-                                .event(EventKind::Eviction, format!("key={key} windows={evicted}"));
-                        }
-                        windows_resident += 1 + state.sealed.len() as i64;
-                    }
+        // Durability housekeeping rides the same sweep: flush what the
+        // lazier fsync policies left pending (one coalesced group commit,
+        // never under the append mutex), then compact the log.
+        self.sync();
+        let checkpointed = self.sweep(Some(&mut |key, entry| {
+            // A demotion drops the hot engine with its writer handles and
+            // retires the key's generation, so outstanding leases are
+            // rejected at their next use.
+            if entry.engine.maintain() {
+                changed += 1;
+                self.instruments.demotions.incr();
+                self.registry.event(EventKind::Demotion, format!("key={key}"));
+                entry.generation = self.next_generation();
+            }
+            // Downsample aged sealed windows into coarser ones
+            // (exact-weight merges), then evict windows wholly past the
+            // retention horizon. Both are driven by the key's watermark —
+            // event time, never the wall clock — so sweeps are
+            // deterministic from the update stream alone.
+            if let (Some(plan), Some(cell)) = (self.window_plan, entry.windows.as_mut()) {
+                let (k, seed) = (self.cfg.k, self.key_seed(key));
+                let state = cell.get_mut().unwrap();
+                let promoted = window::downsample_sweep(state, &plan, |a, b| {
+                    merge_runs([&a.level_runs()[..], &b.level_runs()[..]], k, seed)
+                });
+                self.instruments.window_downsamples.add(promoted);
+                let evicted = window::evict_sweep(state, &plan);
+                if evicted > 0 {
+                    self.instruments.window_evictions.add(evicted);
+                    self.registry
+                        .event(EventKind::Eviction, format!("key={key} windows={evicted}"));
                 }
-                drop(map);
-                drop(stale);
+                windows_resident += 1 + state.sealed.len() as i64;
             }
+        }));
+        if let Err(e) = checkpointed {
+            self.instruments.wal_errors.incr();
+            self.registry.event(EventKind::WalError, e.to_string());
         }
-        if self.window_plan.is_some() {
-            self.instruments.windows_resident.set(windows_resident);
-        }
-        // Durability housekeeping rides the same sweep: flush whatever
-        // the lazier fsync policies left pending — one coalesced group
-        // commit on the sync path, never under the append mutex — then
-        // compact the log.
-        if self.persistence.is_some() {
-            self.sync();
-            if let Err(e) = self.checkpoint() {
-                self.instruments.wal_errors.incr();
-                self.registry.event(EventKind::WalError, e.to_string());
-            }
-        }
+        self.instruments.windows_resident.set(windows_resident);
         changed
     }
 
-    /// Write a checkpoint: seal the active log segment, capture every
-    /// key's summary together with its last applied LSN, write the
-    /// checkpoint durably (temp file + fsync + rename), and prune the
-    /// sealed segments and older checkpoints behind it. Old files are
-    /// deleted only after the new checkpoint is durable, so a crash at
-    /// any point leaves a recoverable directory.
+    /// Write a checkpoint: seal the active log segment, take every key's
+    /// `(cut, last_lsn)` in one exclusive hold per key, encode the cuts
+    /// with no lock held, write the checkpoint durably (temp file +
+    /// fsync + rename), and prune the sealed segments and older
+    /// checkpoints behind it. Old files are deleted only after the new
+    /// checkpoint is durable, so a crash at any point leaves a
+    /// recoverable directory.
     ///
     /// Returns `Ok(None)` when there is nothing to do: no persistence
     /// configured, no appends since the last checkpoint, or a poisoned
     /// log (compacting away segments the log no longer extends would
-    /// lose weight). [`SketchStore::cool_down`] calls this every sweep;
-    /// it is public so tests and operators can force a compaction point.
+    /// lose weight). [`SketchStore::cool_down`] checkpoints every sweep;
+    /// this is public so tests and operators can force a compaction point.
     pub fn checkpoint(&self) -> Result<Option<CheckpointStats>, PersistError> {
-        let Some(p) = &self.persistence else { return Ok(None) };
+        self.sweep(None)
+    }
+
+    /// The housekeeping sweep (see the module docs). One exclusive hold per
+    /// key, not per stripe, keeps the stripe's warm reads flowing; keys
+    /// created after a stripe's snapshot wait one sweep, removed keys are
+    /// skipped. Without `maintain`, nothing to checkpoint visits no key.
+    fn sweep(&self, mut maintain: Option<Maintain<'_, T>>) -> CheckpointResult {
         let start = Instant::now();
         // One pass at a time: rotation swaps the active segment in two
         // steps (create the successor outside the append mutex, install
         // it under a brief hold), and two racing passes interleaving
         // those steps would install segments out of order.
-        let _pass = p.ckpt.lock().unwrap();
+        let log = self.persistence.as_ref().map(|p| (p, p.ckpt.lock().unwrap()));
+        let rotated = log.as_ref().map_or(Ok(None), |(p, _)| self.rotate(p));
+        let cut = matches!(rotated, Ok(Some(_)));
+        let mut cuts = Vec::new();
+        let stripes = if cut || maintain.is_some() { &self.stripes[..] } else { &[] };
+        for stripe in stripes {
+            let keys: Vec<String> = stripe.read().unwrap().keys().cloned().collect();
+            for key in keys {
+                let mut map = stripe.write().unwrap();
+                let Some(entry) = map.get_mut(&key) else { continue };
+                if let Some(visit) = maintain.as_mut() {
+                    visit(&key, entry);
+                }
+                // A demotion moved the version, so its form goes here, in
+                // the same hold. Otherwise this is the backstop for the one
+                // form a write cannot drop: a reader's publish that raced a
+                // shared-path write (see `KeyEntry::cache`).
+                let version = entry.engine.version();
+                let stale = entry.cache.get_mut().unwrap().take_if(|c| c.version != version);
+                if cut {
+                    cuts.push(Cut::take(key, entry));
+                }
+                drop(map);
+                drop(stale);
+            }
+        }
+        let (Some(seq), Some((p, _pass))) = (rotated?, log) else { return Ok(None) };
+        let entries: Vec<CheckpointEntry> = cuts.into_iter().map(Cut::encode).collect();
+        let bytes = persist::write_checkpoint(&p.dir, seq, &entries)?;
+        let (segments_pruned, checkpoints_pruned) = persist::prune_obsolete(&p.dir, seq);
+        self.instruments.wal_checkpoints.incr();
+        self.instruments.checkpoint_seconds.record(start.elapsed().as_secs_f64());
+        let keys = entries.len();
+        self.registry.event(EventKind::Checkpoint, format!("seq={seq} keys={keys} bytes={bytes}"));
+        Ok(Some(CheckpointStats { seq, keys, bytes, segments_pruned, checkpoints_pruned }))
+    }
+
+    /// Seal the active log segment and make it durable, returning its
+    /// sequence number; the caller holds `p.ckpt`. `Ok(None)` when there
+    /// is nothing to checkpoint (see [`SketchStore::checkpoint`]).
+    fn rotate(&self, p: &Persistence) -> Result<Option<u64>, PersistError> {
         let next_seq = {
             let wal = p.wal.lock().unwrap();
             if wal.dirty_records == 0 || wal.poisoned {
@@ -1839,7 +1909,6 @@ impl<T: OrderedBits> SketchStore<T> {
             // pass reports the error without poisoning.
             wal.install_segment(fresh)?
         };
-        let sealed = next_seq - 1;
         // Seal fsync outside every lock — appenders keep appending to
         // the fresh segment while the sealed one flushes. Until this
         // lands, the Wal's `pending_seal` keeps a dup of the sealed
@@ -1863,62 +1932,7 @@ impl<T: OrderedBits> SketchStore<T> {
             self.instruments.wal_group_commits.incr();
             self.instruments.wal_group_size.record(newly as f64);
         }
-        let mut entries = Vec::new();
-        for stripe in self.stripes.iter() {
-            let keys: Vec<String> = stripe.read().unwrap().keys().cloned().collect();
-            for key in keys {
-                // The exclusive lock is load-bearing despite no mutation:
-                // it waits out in-flight shared-path writers, so the
-                // summary and the LSN watermark are a consistent pair.
-                // Records above the watermark live in the new segment and
-                // replay on top of this summary; records at or below it
-                // are inside it.
-                #[allow(clippy::readonly_write_lock)]
-                let map = stripe.write().unwrap();
-                let Some(entry) = map.get(&key) else { continue };
-                let summary = entry.engine.to_summary();
-                // Window bookkeeping is captured under the same exclusive
-                // hold, so `(active summary, sealed windows, LSN)` is one
-                // consistent cut.
-                let (active_wid, watermark, sealed) = match &entry.windows {
-                    Some(cell) => {
-                        let state = cell.lock().unwrap();
-                        let sealed = state
-                            .sealed
-                            .iter()
-                            .map(|(&start, win)| {
-                                (start, win.level, encode_summary(&win.summary.to_weighted()))
-                            })
-                            .collect();
-                        (state.active_id, state.watermark, sealed)
-                    }
-                    None => (0, 0, Vec::new()),
-                };
-                entries.push(CheckpointEntry {
-                    key,
-                    lsn: entry.last_lsn.load(Relaxed),
-                    active_wid,
-                    watermark,
-                    sealed,
-                    summary: encode_summary(&summary),
-                });
-            }
-        }
-        let bytes = persist::write_checkpoint(&p.dir, sealed, &entries)?;
-        let (segments_pruned, checkpoints_pruned) = persist::prune_obsolete(&p.dir, sealed);
-        self.instruments.wal_checkpoints.incr();
-        self.instruments.checkpoint_seconds.record(start.elapsed().as_secs_f64());
-        self.registry.event(
-            EventKind::Checkpoint,
-            format!("seq={sealed} keys={} bytes={bytes}", entries.len()),
-        );
-        Ok(Some(CheckpointStats {
-            seq: sealed,
-            keys: entries.len(),
-            bytes,
-            segments_pruned,
-            checkpoints_pruned,
-        }))
+        Ok(Some(next_seq - 1))
     }
 
     /// Store-wide statistics. Sweeps the stripes for `keys`, `stream_len`,

@@ -4,8 +4,12 @@
 //! 32 threads, §5.1) with threads pinned fill-first. The *algorithmic*
 //! role of the topology is which Gather&Sort unit each update thread
 //! feeds; this module reproduces the paper's placement policy in software
-//! so the benchmark harness can run the same sweeps on any machine (the
-//! substitution is documented in DESIGN.md).
+//! so the benchmark harness can run the same sweeps on any machine. The
+//! substitution keeps what the algorithm observes — which threads share
+//! a Gather&Sort unit, and so contend on its array — and drops what it
+//! cannot reproduce, memory locality: threads the paper places on
+//! different sockets may share caches here, which moves absolute
+//! throughput but not the per-unit contention the figures vary.
 
 /// A machine model: `nodes` NUMA nodes of `cores_per_node` threads each.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

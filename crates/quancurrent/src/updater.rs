@@ -369,6 +369,24 @@ mod tests {
     }
 
     #[test]
+    fn every_dcas_attempt_takes_one_arena_descriptor() {
+        // Each `qc_mwcas::mwcas` call allocates its descriptor, failed
+        // attempts included: a batch install and each propagation succeed
+        // once, and each retry is one more failed attempt.
+        let q = Quancurrent::<u64>::builder().k(8).b(2).seed(5).build();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let mut u = q.updater();
+                s.spawn(move || (0..20_000u64).for_each(|x| u.update(2 * x + t)));
+            }
+        });
+        let stats = q.stats();
+        assert!(stats.batches > 0 && stats.propagations >= stats.batches);
+        let attempts = stats.batches + stats.propagations + stats.dcas_retries;
+        assert_eq!(q.shared().arena.allocated(), attempts, "{stats:?}");
+    }
+
+    #[test]
     fn pushed_counts_all_updates() {
         let q = Quancurrent::<f64>::builder().k(4).b(2).build();
         let mut u = q.updater();
