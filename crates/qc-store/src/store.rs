@@ -71,7 +71,7 @@
 //!   lock hold and frees it after the lock is released. Empty batches and
 //!   empty frames move nothing and drop nothing. The one form a write
 //!   cannot drop is a racing reader's (see `KeyEntry::cache`); the
-//!   cool-down sweep drops that one. Shared-path writers (the write path below) mutate
+//!   housekeeping sweep drops that one. Shared-path writers (the write path below) mutate
 //!   the engine under the shared lock but bump the version around every
 //!   weight movement, so a form gathered while a shared write was in
 //!   flight carries a tag the write's completion bump supersedes: no read
@@ -576,10 +576,10 @@ struct KeyEntry<T: OrderedBits> {
     /// takes the slot before the reader publishes, and the reader then
     /// puts in a form tagged with a version the engine has already left.
     /// No read serves it (the tags differ); the next miss replaces it, and
-    /// the cool-down sweep drops it if no read comes. The inner mutex guards only the
-    /// tag-compare / `Arc`-clone / take critical section (a handful of
-    /// instructions), so readers sharing the stripe lock barely serialize
-    /// on it.
+    /// the housekeeping sweep drops it if no read comes. The inner mutex
+    /// guards only the tag-compare / `Arc`-clone / take critical section
+    /// (a handful of instructions), so readers sharing the stripe lock
+    /// barely serialize on it.
     cache: Mutex<Option<CacheSlot>>,
     /// Highest log LSN applied to this key, advanced (`fetch_max`) under
     /// the same stripe-lock hold as the engine write it tags. The
@@ -1868,11 +1868,10 @@ impl<T: OrderedBits> SketchStore<T> {
         }
         let (Some(seq), Some((p, _pass))) = (rotated?, log) else { return Ok(None) };
         let entries: Vec<CheckpointEntry> = cuts.into_iter().map(Cut::encode).collect();
-        let bytes = persist::write_checkpoint(&p.dir, seq, &entries)?;
+        let (keys, bytes) = (entries.len(), persist::write_checkpoint(&p.dir, seq, &entries)?);
         let (segments_pruned, checkpoints_pruned) = persist::prune_obsolete(&p.dir, seq);
         self.instruments.wal_checkpoints.incr();
         self.instruments.checkpoint_seconds.record(start.elapsed().as_secs_f64());
-        let keys = entries.len();
         self.registry.event(EventKind::Checkpoint, format!("seq={seq} keys={keys} bytes={bytes}"));
         Ok(Some(CheckpointStats { seq, keys, bytes, segments_pruned, checkpoints_pruned }))
     }
